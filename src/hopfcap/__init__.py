@@ -34,12 +34,21 @@ from .displace import (
     DisplacementMap,
     fit_volume_polynomial,
     image_volume,
+    image_volume_from_jets,
     jacobian_det_analytic,
     jacobian_det_numeric,
     shifted_unit_field,
 )
 from .fields import BumpProfile, UnitField, hopf_field, hopf_frame, perturbed_field, small_cap_field
-from .functionals import FunctionalReport, energy, energy_lower_bound_gap, volume
+from .functionals import (
+    FunctionalReport,
+    energy,
+    energy_and_volume,
+    energy_from_jets,
+    energy_lower_bound_gap,
+    volume,
+    volume_from_jets,
+)
 from .geometry import (
     CapDomain,
     SpherePoint,

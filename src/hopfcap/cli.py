@@ -4,10 +4,13 @@ Subcommands:
 
 * ``verify``      -- run the check matrix for a field/cap, write a JSON report.
 * ``functionals`` -- print energy/volume of the field next to the Hopf values.
-* ``sweep``       -- amplitude sweep of the bump family, CSV output.
+* ``sweep``       -- amplitude sweep of the bump family, CSV output; its
+  minimality checks (argmin at 0, refined minimum near 0) set the exit code.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad flags.
-Reports are byte-identical for identical configuration and seed.
+Flags are validated before any field is evaluated.  JSON reports are strict
+(a value a check could not compute is null) and byte-identical for identical
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -19,21 +22,35 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import VerifyConfig, run_all, sweep_family
+from .checks import (
+    GAUSS_ORDERS,
+    MC_SAMPLES,
+    SWEEP_AMPLITUDES,
+    T_GRID,
+    TOL_BOUND_REL,
+    TOL_INTEGRAL_REL,
+    VerifyConfig,
+    run_all,
+    sweep_family,
+    sweep_reports,
+)
+from .displace import DET_FLOOR
 from .fields import BumpProfile, UnitField, hopf_field, perturbed_field, small_cap_field
-from .functionals import energy, volume
+from .functionals import energy_and_volume
 from .geometry import CapDomain, SpherePoint, cap_volume
 
 OUTPUT_DIR_ENV = "HOPFCAP_OUTPUT_DIR"
+# The report formats each command writes; the first is its default.
+FORMATS = {"verify": ("json",), "functionals": ("json", "csv"), "sweep": ("csv",)}
 
 
 @dataclass
 class RunConfig:
-    """Parsed command-line configuration; round-trips through to_dict."""
+    """Parsed command-line configuration."""
 
     command: str
     cap_center: tuple
@@ -57,16 +74,6 @@ class RunConfig:
     fmt: str
     amplitudes: tuple
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        for key in ("cap_center", "axis", "orders", "t_grid", "amplitudes"):
-            d[key] = tuple(d[key])
-        return cls(**d)
-
 
 def _csv_floats(text: str) -> tuple:
     return tuple(float(x) for x in text.split(","))
@@ -88,16 +95,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--exponent", type=int, default=3)
         p.add_argument("--twist", choices=["none", "angular"], default="none")
         p.add_argument("--axis", type=_csv_floats, default=(0.0, 1.0, 0.0, 0.0))
-        p.add_argument("--orders", type=_csv_ints, default=(64, 32, 64))
+        p.add_argument("--orders", type=_csv_ints, default=GAUSS_ORDERS)
         p.add_argument("--rule", choices=["gauss", "montecarlo"], default="gauss")
-        p.add_argument("--samples", type=int, default=20_000)
+        p.add_argument("--samples", type=int, default=MC_SAMPLES)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--t-grid", type=_csv_floats, default=(0.05, 0.10, 0.15, 0.20, 0.25, 0.30))
+        p.add_argument("--t-grid", type=_csv_floats, default=T_GRID)
         p.add_argument("--mode", choices=["ad", "fd"], default="ad")
         p.add_argument("--sigma-tol", type=float, default=None)
-        p.add_argument("--integral-tol", type=float, default=1e-5)
-        p.add_argument("--bound-tol", type=float, default=1e-6)
-        p.add_argument("--det-floor", type=float, default=1e-6)
+        p.add_argument("--integral-tol", type=float, default=TOL_INTEGRAL_REL)
+        p.add_argument("--bound-tol", type=float, default=TOL_BOUND_REL)
+        p.add_argument("--det-floor", type=float, default=DET_FLOOR)
         p.add_argument("--output", default=None)
         p.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
 
@@ -105,9 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("functionals", help="report energy/volume of the field"))
     p_sweep = sub.add_parser("sweep", help="amplitude sweep of the bump family")
     add_common(p_sweep)
-    p_sweep.add_argument(
-        "--amplitudes", type=_csv_floats, default=(-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)
-    )
+    p_sweep.add_argument("--amplitudes", type=_csv_floats, default=SWEEP_AMPLITUDES)
     return parser
 
 
@@ -132,16 +137,21 @@ def _config_from_args(args) -> RunConfig:
         bound_tol=args.bound_tol,
         det_floor=args.det_floor,
         output=args.output,
-        fmt=args.fmt or ("csv" if args.command == "sweep" else "json"),
-        amplitudes=getattr(args, "amplitudes", (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)),
+        fmt=args.fmt or FORMATS[args.command][0],
+        amplitudes=getattr(args, "amplitudes", SWEEP_AMPLITUDES),
     )
 
 
 def _validate(config: RunConfig) -> CapDomain:
+    """Reject bad flags before any heavy work starts; returns the cap."""
     if not (0.0 < config.cap_radius <= math.pi):
         raise ValueError(f"cap radius must lie in (0, pi], got {config.cap_radius}")
     if len(config.cap_center) != 4:
         raise ValueError("cap center needs 4 components")
+    if config.fmt not in FORMATS[config.command]:
+        raise ValueError(
+            f"{config.command} writes {' or '.join(FORMATS[config.command])}, not {config.fmt}"
+        )
     return CapDomain(SpherePoint(np.asarray(config.cap_center)), config.cap_radius)
 
 
@@ -161,12 +171,17 @@ def _make_field(config: RunConfig, cap: CapDomain) -> UnitField:
 
 
 def _resolve_output(config: RunConfig, default_name: str) -> str | None:
-    if config.output is not None:
-        return config.output
-    out_dir = os.environ.get(OUTPUT_DIR_ENV)
-    if out_dir:
-        return os.path.join(out_dir, default_name)
-    return None
+    """Report path, or None for stdout; its directory must already exist."""
+    path = config.output
+    if path is None:
+        out_dir = os.environ.get(OUTPUT_DIR_ENV)
+        if not out_dir:
+            return None
+        path = os.path.join(out_dir, default_name)
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"output directory {directory!r} does not exist")
+    return path
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -179,6 +194,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_verify(config: RunConfig) -> int:
     cap = _validate(config)
+    path = _resolve_output(config, "verify.json")
     field = _make_field(config, cap)
     vconf = VerifyConfig(
         cap=cap,
@@ -195,19 +211,21 @@ def cmd_verify(config: RunConfig) -> int:
         det_floor=config.det_floor,
     )
     reports = run_all(vconf)
-    text = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
-    _emit(text, _resolve_output(config, "verify.json"))
+    text = json.dumps(
+        [r.to_dict() for r in reports], indent=2, sort_keys=True, allow_nan=False
+    ) + "\n"
+    _emit(text, path)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_functionals(config: RunConfig) -> int:
     cap = _validate(config)
+    path = _resolve_output(config, f"functionals.{config.fmt}")
     field = _make_field(config, cap)
     vconf = VerifyConfig(cap=cap, fields=[], orders=config.orders, rule_kind=config.rule,
                          mc_samples=config.samples, seed=config.seed)
     rule = vconf.build_rule()
-    e = energy(field, cap, rule, mode=config.mode)
-    v = volume(field, cap, rule, mode=config.mode)
+    e, v = energy_and_volume(field, cap, rule, mode=config.mode)
     vol_k = cap_volume(cap)
     rows = {
         "field": field.label,
@@ -219,21 +237,20 @@ def cmd_functionals(config: RunConfig) -> int:
         "volume_surplus": v.value - 2.0 * vol_k,
     }
     if config.fmt == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(list(rows))
         writer.writerow([rows[k] for k in rows])
         text = buf.getvalue()
-    _emit(text, _resolve_output(config, f"functionals.{config.fmt}"))
+    _emit(text, path)
     return 0
 
 
 def cmd_sweep(config: RunConfig) -> int:
     cap = _validate(config)
-    if not any(abs(a) < 1e-15 for a in config.amplitudes):
-        raise ValueError("amplitude grid must include 0")
+    path = _resolve_output(config, "sweep.csv")
     vconf = VerifyConfig(cap=cap, fields=[], orders=config.orders, rule_kind=config.rule,
                          mc_samples=config.samples, seed=config.seed)
     rule = vconf.build_rule()
@@ -256,8 +273,8 @@ def cmd_sweep(config: RunConfig) -> int:
         f"refined_energy_min={result.refined_energy_min} "
         f"refined_volume_min={result.refined_volume_min}\n"
     )
-    _emit(buf.getvalue(), _resolve_output(config, "sweep.csv"))
-    return 0
+    _emit(buf.getvalue(), path)
+    return 0 if all(r.passed for r in sweep_reports(result)) else 1
 
 
 def main(argv=None) -> int:

@@ -105,12 +105,13 @@ def image_volume(
     determinant polynomial stays above ``det_floor`` at every node.
     """
     jets = jet_batch(dm.field, rule.nodes, mode=mode)
-    return _image_volume_from_jets(dm.t, jets, rule, det_floor)
+    return image_volume_from_jets(dm.t, jets, rule, det_floor)
 
 
-def _image_volume_from_jets(
+def image_volume_from_jets(
     t: float, jets: JetBatch, rule: QuadratureRule, det_floor: float = DET_FLOOR
 ) -> tuple[float, float]:
+    """Image volume at offset t, reduced from a jet evaluated at the rule's nodes."""
     poly = 1.0 + jets.sigma1 * t + jets.sigma2 * t * t
     if np.min(poly) <= det_floor:
         i = int(np.argmin(poly))
@@ -137,7 +138,7 @@ def fit_volume_polynomial(
     jets = jet_batch(field, rule.nodes, mode=mode)
     reduced = []
     for t in t_grid:
-        vol, _ = _image_volume_from_jets(float(t), jets, rule)
+        vol, _ = image_volume_from_jets(float(t), jets, rule)
         reduced.append(vol / math.sqrt(1.0 + t * t))
     vand = np.vander(t_grid, 3, increasing=True)
     coeffs, *_ = np.linalg.lstsq(vand, np.asarray(reduced), rcond=None)

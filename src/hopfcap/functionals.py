@@ -4,13 +4,17 @@ Energy: E(v) = (3/2) vol(K) + (1/2) * integral of |grad v|^2.
 Volume: integral of sqrt(1 + sum |grad_{e_a} v|^2 + pairwise wedge terms),
 the image-volume of the section in the unit tangent bundle.  For a Hopf
 field both densities are constant: E(H) = (5/2) vol(K), vol(H) = 2 vol(K).
+
+Each functional is a reduction over a ``JetBatch`` at the rule's nodes
+(``energy_from_jets``, ``volume_from_jets``); ``energy`` and ``volume`` are
+entry points that build that batch from a field first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import jet_batch
+from .calculus import JetBatch, jet_batch
 from .fields import UnitField
 from .geometry import CapDomain, cap_volume
 from .quadrature import QuadratureRule, integrate
@@ -31,7 +35,11 @@ class FunctionalReport:
 
 def energy(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "ad") -> FunctionalReport:
     """E(v) = 1.5 vol(K) + 0.5 * integral of the energy density."""
-    jets = jet_batch(field, rule.nodes, mode=mode)
+    return energy_from_jets(jet_batch(field, rule.nodes, mode=mode), cap, rule)
+
+
+def energy_from_jets(jets: JetBatch, cap: CapDomain, rule: QuadratureRule) -> FunctionalReport:
+    """The energy reduced from a jet already evaluated at the rule's nodes."""
     deriv, err = integrate(rule, lambda _nodes: jets.energy_density)
     base = 1.5 * cap_volume(cap)
     return FunctionalReport(
@@ -47,7 +55,11 @@ def energy(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "
 
 def volume(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "ad") -> FunctionalReport:
     """Integral of the radical volume integrand over the cap."""
-    jets = jet_batch(field, rule.nodes, mode=mode)
+    return volume_from_jets(jet_batch(field, rule.nodes, mode=mode), cap, rule)
+
+
+def volume_from_jets(jets: JetBatch, cap: CapDomain, rule: QuadratureRule) -> FunctionalReport:
+    """The volume reduced from a jet already evaluated at the rule's nodes."""
     value, err = integrate(rule, lambda _nodes: jets.volume_integrand)
     base = cap_volume(cap)
     return FunctionalReport(
@@ -61,6 +73,14 @@ def volume(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "
     )
 
 
+def energy_and_volume(
+    field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "ad"
+) -> tuple[FunctionalReport, FunctionalReport]:
+    """Both functionals, reduced from one jet at the rule's nodes."""
+    jets = jet_batch(field, rule.nodes, mode=mode)
+    return energy_from_jets(jets, cap, rule), volume_from_jets(jets, cap, rule)
+
+
 def energy_lower_bound_gap(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "ad") -> float:
     """E(v) minus its determinant-based lower bound 1.5 vol(K) + integral of sigma2.
 
@@ -69,6 +89,6 @@ def energy_lower_bound_gap(field: UnitField, cap: CapDomain, rule: QuadratureRul
     as for Hopf fields.
     """
     jets = jet_batch(field, rule.nodes, mode=mode)
-    e = energy(field, cap, rule, mode=mode).value
+    e = energy_from_jets(jets, cap, rule).value
     s2, _ = integrate(rule, lambda _nodes: jets.sigma2)
     return e - (1.5 * cap_volume(cap) + s2)

@@ -12,13 +12,12 @@ the inverse CDF of the radial density.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CapDomain, SpherePoint, cap_volume, tangent_basis
+from .geometry import CapDomain, cap_volume, tangent_basis
 
 WEIGHT_SUM_TOL = 1e-10
 
@@ -38,43 +37,6 @@ class QuadratureRule:
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
-
-    def cache_key(self) -> str:
-        payload = {
-            "center": [float(c) for c in self.domain.center.x],
-            "radius": self.domain.radius,
-            "orders": list(self.orders),
-            "kind": self.kind,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    def save(self, path) -> None:
-        np.savez(
-            path,
-            nodes=self.nodes,
-            weights=self.weights,
-            center=self.domain.center.x,
-            radius=self.domain.radius,
-            kind=self.kind,
-            orders=np.asarray(self.orders),
-            seed=-1 if self.seed is None else self.seed,
-            estimated_error=self.estimated_error,
-        )
-
-    @classmethod
-    def load(cls, path) -> "QuadratureRule":
-        data = np.load(path, allow_pickle=False)
-        seed = int(data["seed"])
-        return cls(
-            nodes=data["nodes"],
-            weights=data["weights"],
-            domain=CapDomain(SpherePoint(data["center"]), float(data["radius"])),
-            kind=str(data["kind"]),
-            orders=tuple(int(o) for o in data["orders"]),
-            seed=None if seed < 0 else seed,
-            estimated_error=float(data["estimated_error"]),
-        )
 
 
 def _polar_nodes(cap: CapDomain, rho, theta, phi):

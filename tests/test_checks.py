@@ -19,6 +19,7 @@ from hopfcap import (
     check_small_cap_counterexample,
     check_volume_bound,
     hopf_field,
+    jet_batch,
     perturbed_field,
     run_all,
     small_cap_field,
@@ -27,6 +28,10 @@ from hopfcap import (
 )
 
 NORTH = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+def jets_of(field, rule, mode="ad"):
+    return jet_batch(field, rule.nodes, mode=mode)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +64,8 @@ class TestHopfConstants:
 
 class TestBoundaryIdentity:
     def test_hopf(self, cap, rule):
-        rep = check_boundary_identity(hopf_field(), cap, rule)
+        f = hopf_field()
+        rep = check_boundary_identity(f, cap, rule, jets_of(f, rule))
         assert rep.passed and rep.rel_err < 1e-10
 
     @pytest.mark.parametrize(
@@ -73,27 +79,31 @@ class TestBoundaryIdentity:
         cap = CapDomain(NORTH, radius)
         rule = build_gauss_rule(cap, 48, 24, 48)
         f = perturbed_field(cap, BumpProfile(amplitude, exponent), twist=twist)
-        rep = check_boundary_identity(f, cap, rule)
+        jets = jets_of(f, rule)
+        rep = check_boundary_identity(f, cap, rule, jets)
         assert rep.passed, rep
-        rep1 = check_sigma1_integral(f, cap, rule)
+        rep1 = check_sigma1_integral(f, cap, rule, jets)
         assert rep1.passed, rep1
 
     def test_incompatible_field_raises(self, cap, rule):
         with pytest.raises(ValueError, match="not known to match"):
-            check_boundary_identity(small_cap_field(CapDomain(NORTH, 0.1)), cap, rule)
+            f = small_cap_field(CapDomain(NORTH, 0.1))
+            check_boundary_identity(f, cap, rule, jets_of(f, rule))
 
     def test_smaller_target_cap_raises(self, cap, rule):
         f = perturbed_field(cap, BumpProfile(0.5, 3))
         small = CapDomain(NORTH, 0.5)
         small_rule = build_gauss_rule(small, 16, 8, 16)
         with pytest.raises(ValueError):
-            check_boundary_identity(f, small, small_rule)
+            check_boundary_identity(f, small, small_rule, jets_of(f, small_rule))
 
 
 class TestBounds:
     def test_equality_at_hopf(self, cap, rule):
-        e = check_energy_bound(hopf_field(), cap, rule)
-        v = check_volume_bound(hopf_field(), cap, rule)
+        f = hopf_field()
+        jets = jets_of(f, rule)
+        e = check_energy_bound(f, cap, rule, jets)
+        v = check_volume_bound(f, cap, rule, jets)
         assert e.passed and v.passed
         assert e.lhs == pytest.approx(e.rhs, rel=1e-10)
         assert v.lhs == pytest.approx(v.rhs, rel=1e-10)
@@ -102,8 +112,9 @@ class TestBounds:
         surpluses = []
         for a in (0.5, 1.2):
             f = perturbed_field(cap, BumpProfile(a, 3))
-            e = check_energy_bound(f, cap, rule)
-            v = check_volume_bound(f, cap, rule)
+            jets = jets_of(f, rule)
+            e = check_energy_bound(f, cap, rule, jets)
+            v = check_volume_bound(f, cap, rule, jets)
             assert e.passed and v.passed
             surpluses.append((e.lhs - e.rhs, v.lhs - v.rhs))
         assert surpluses[1][0] > surpluses[0][0] > 0
@@ -112,16 +123,20 @@ class TestBounds:
 
 class TestChangeOfVariables:
     def test_hopf_passes(self, cap, rule):
-        reports = check_change_of_variables(hopf_field(), cap, rule, (0.1, 0.2, 0.3))
+        f = hopf_field()
+        reports = check_change_of_variables(f, cap, rule, jets_of(f, rule), (0.1, 0.2, 0.3))
         assert len(reports) == 3
         assert all(r.passed for r in reports)
 
     def test_twisted_field_reports_rejection(self, cap, rule):
         f = perturbed_field(cap, BumpProfile(1.2, 2), twist="angular")
-        reports = check_change_of_variables(f, cap, rule, (0.1,))
+        reports = check_change_of_variables(f, cap, rule, jets_of(f, rule), (0.1,))
         assert len(reports) == 1
         assert not reports[0].passed
         assert "det_floor_rejection" in reports[0].context
+        # The rejected value has no number: it serializes as null.
+        d = reports[0].to_dict()
+        assert d["lhs"] is None and d["abs_err"] is None and d["rel_err"] is None
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from hopfcap.cli import OUTPUT_DIR_ENV, RunConfig, main
+from hopfcap.cli import OUTPUT_DIR_ENV, main
 
 CHECK_FIELDS = {
     "name", "lhs", "rhs", "abs_err", "rel_err", "tolerance", "passed", "policy", "context",
@@ -146,15 +147,84 @@ class TestSweepCommand:
         assert main(["sweep", "--amplitudes", "0.25,0.5"]) == 2
 
 
-class TestRunConfig:
-    def test_round_trip(self, tmp_path):
-        out = tmp_path / "x.json"
-        # Build a config through the parser path, then round-trip it.
-        from hopfcap.cli import _build_parser, _config_from_args
+@pytest.fixture
+def no_compute(monkeypatch):
+    """Fail the test if a command gets as far as evaluating a field."""
 
-        args = _build_parser().parse_args(
-            ["verify", "--field", "perturbed", "--amplitude", "0.7", "--output", str(out)]
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("heavy work started before input validation")
+
+    monkeypatch.setattr("hopfcap.cli.run_all", refuse)
+    monkeypatch.setattr("hopfcap.cli.energy_and_volume", refuse)
+    monkeypatch.setattr("hopfcap.cli.sweep_family", refuse)
+
+
+class TestInputValidation:
+    def test_orders_need_three_entries(self, tmp_path, no_compute, capsys):
+        code, out = run_verify(tmp_path, "--orders", "8,8,8,8")
+        assert code == 2
+        assert "3 entries" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_output_directory(self, tmp_path, no_compute):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["verify", "--output", str(out), *FAST]) == 2
+        assert main(["functionals", "--output", str(out)]) == 2
+        assert main(["sweep", "--output", str(out)]) == 2
+
+    def test_missing_output_dir_env(self, tmp_path, monkeypatch, no_compute):
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "missing"))
+        assert main(["verify", *FAST]) == 2
+
+    def test_verify_rejects_csv(self, tmp_path, no_compute):
+        code, out = run_verify(tmp_path, "--format", "csv")
+        assert code == 2
+        assert not out.exists()
+
+    def test_sweep_rejects_json(self, tmp_path, no_compute):
+        assert main(["sweep", "--format", "json", "--output", str(tmp_path / "s.json")]) == 2
+
+    def test_offset_out_of_range(self, tmp_path, no_compute):
+        code, _ = run_verify(tmp_path, "--t-grid", "0.1,0.6")
+        assert code == 2
+
+
+def _strict_loads(text):
+    def reject(constant):
+        raise ValueError(f"non-finite {constant} in JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictReports:
+    def test_det_floor_rejection_is_null(self, tmp_path):
+        code, out = run_verify(
+            tmp_path, "--field", "perturbed", "--amplitude", "3.0", "--t-grid", "0.5"
         )
-        config = _config_from_args(args)
-        back = RunConfig.from_dict(json.loads(json.dumps(config.to_dict())))
-        assert back == config
+        assert code == 1
+        report = {r["name"]: r for r in _strict_loads(out.read_text())}["image_volume_t0.5"]
+        assert report["passed"] is False
+        assert report["lhs"] is None
+        assert report["abs_err"] is None and report["rel_err"] is None
+        assert "below the floor" in report["context"]["det_floor_rejection"]
+
+    def test_sweep_exit_one_when_minimality_fails(self, tmp_path, monkeypatch):
+        from hopfcap import SweepResult
+
+        amps = np.array([0.0, 0.5])
+
+        def off_center_sweep(*_args, **_kwargs):
+            return SweepResult(
+                amplitudes=amps,
+                energies=np.array([2.0, 1.0]),
+                volumes=np.array([2.0, 1.0]),
+                argmin_energy=1,
+                argmin_volume=1,
+                refined_energy_min=0.5,
+                refined_volume_min=0.5,
+            )
+
+        monkeypatch.setattr("hopfcap.cli.sweep_family", off_center_sweep)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--orders", "16,8,16", "--output", str(out)]) == 1
+        assert "argmin_energy=0.5" in out.read_text()

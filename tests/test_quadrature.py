@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from hopfcap import (
     CapDomain,
-    QuadratureRule,
     SpherePoint,
     build_gauss_rule,
     build_mc_rule,
@@ -153,29 +152,3 @@ class TestIntegrate:
         val, err = integrate(rule, lambda x: np.full(len(x), 3.0))
         assert val == pytest.approx(3.0 * cap_volume(cap), rel=1e-12)
         assert err < 1e-10
-
-
-class TestRuleSerialization:
-    @pytest.mark.parametrize("kind", ["gauss", "montecarlo"])
-    def test_roundtrip(self, north, tmp_path, kind):
-        cap = CapDomain(north, 0.8)
-        if kind == "gauss":
-            rule = build_gauss_rule(cap, 16, 8, 16)
-        else:
-            rule = build_mc_rule(cap, 2000, seed=4)
-        path = tmp_path / "rule.npz"
-        rule.save(path)
-        back = QuadratureRule.load(path)
-        assert np.array_equal(back.nodes, rule.nodes)
-        assert np.array_equal(back.weights, rule.weights)
-        assert back.kind == rule.kind
-        assert back.orders == rule.orders
-        assert back.seed == rule.seed
-        assert back.cache_key() == rule.cache_key()
-
-    def test_cache_key_distinguishes_rules(self, north):
-        cap = CapDomain(north, 0.8)
-        a = build_gauss_rule(cap, 16, 8, 16)
-        b = build_gauss_rule(cap, 16, 8, 20)
-        c = build_gauss_rule(CapDomain(north, 0.9), 16, 8, 16)
-        assert len({a.cache_key(), b.cache_key(), c.cache_key()}) == 3
