@@ -5,16 +5,7 @@ unit fields that agree with it on the cap boundary, and that the boundary
 hypothesis is essential (small-cap counterexample).
 """
 
-from .calculus import (
-    FieldJet,
-    JetBatch,
-    adapted_frame,
-    ambient_jacobian,
-    covariant_derivative,
-    field_jet,
-    jet_batch,
-    wedge_norm_sq,
-)
+from .calculus import JetBatch, covariant_derivative, jet_batch
 from .checks import (
     CheckReport,
     SweepResult,

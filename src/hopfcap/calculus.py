@@ -2,10 +2,12 @@
 
 The covariant derivative on S^3 is obtained from ambient directional
 derivatives of the 0-homogeneous field extension by tangential projection
-(the immersion relation for S^3 in R^4).  From the derivatives in an
-adapted orthonormal frame {e1, e2, v} we assemble the 2x2 shape-like matrix
-h_ij = <grad_{e_i} v, e_j>, its trace and determinant, the energy density
-and the volume integrand.
+(the immersion relation for S^3 in R^4).  ``jet_batch`` differentiates the
+field along the left-invariant tangent basis (i x, j x, k x) and reads
+sigma1, sigma2, the energy density and the volume integrand off the 3x3
+matrix of those derivatives; all four are symmetric functions of grad v,
+so no frame adapted to v is needed.  The adapted frame {e1, e2, v} is kept
+for the independent numeric determinant in ``displace.frame_matrix``.
 """
 
 from __future__ import annotations
@@ -22,40 +24,6 @@ from .geometry import QUAT_I, QUAT_J, QUAT_K, SpherePoint, TangentVector, left_m
 FD_STEP = 1e-5
 
 _FRAME_MATS = [left_mult_matrix(a) for a in (QUAT_I, QUAT_J, QUAT_K)]
-
-
-def ambient_jacobian(field: UnitField, points: np.ndarray, mode: str = "ad", step: float = FD_STEP) -> np.ndarray:
-    """(..., 4, 4) matrix J[i, j] = d v_i / d x_j of the ambient extension.
-
-    mode "ad" seeds dual numbers along the four coordinate directions;
-    mode "fd" uses central differences with the given step.
-    """
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    if mode == "ad":
-        try:
-            tiled = np.broadcast_to(x, (4,) + x.shape)
-            seeds = np.broadcast_to(np.eye(4)[:, None, :], (4,) + x.shape)
-            out = field(du.Dual(tiled, seeds))
-            jac = np.moveaxis(out.eps, 0, -1)  # (..., 4 components, 4 directions)
-        except (TypeError, AttributeError):
-            warnings.warn(
-                f"field {getattr(field, 'label', '?')!r} does not support dual "
-                "numbers; falling back to finite differences",
-                stacklevel=2,
-            )
-            return ambient_jacobian(field, points, mode="fd", step=step)
-    elif mode == "fd":
-        cols = []
-        for j in range(4):
-            e = np.zeros(4)
-            e[j] = step
-            cols.append((du.value(field(x + e)) - du.value(field(x - e))) / (2.0 * step))
-        jac = np.stack(cols, axis=-1)
-    else:
-        raise ValueError(f"unknown differentiation mode {mode!r}")
-    if np.asarray(points).ndim == 1:
-        return jac[0]
-    return jac
 
 
 def directional_derivative(field: UnitField, points, directions, mode: str = "ad", step: float = FD_STEP):
@@ -120,21 +88,6 @@ def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.stack(comps, axis=-1)
 
 
-def adapted_frame(point: SpherePoint, v: TangentVector) -> tuple[TangentVector, TangentVector]:
-    if abs(v.norm - 1.0) > 1e-9:
-        raise ValueError("frame requires a unit tangent vector")
-    e1, e2 = adapted_frame_batch(point.x[None, :], v.w[None, :])
-    return TangentVector(point, e1[0]), TangentVector(point, e2[0])
-
-
-def wedge_norm_sq(a, b):
-    """Squared area of the parallelogram: |a|^2 |b|^2 - <a, b>^2."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return (
-        np.sum(a * a, axis=-1) * np.sum(b * b, axis=-1)
-        - np.sum(a * b, axis=-1) ** 2
-    )
 
 
 @dataclass(frozen=True)
@@ -143,32 +96,11 @@ class JetBatch:
 
     points: np.ndarray          # (N, 4)
     v: np.ndarray               # (N, 4)
-    e1: np.ndarray              # (N, 4)
-    e2: np.ndarray              # (N, 4)
-    nabla: np.ndarray           # (N, 3, 4): grad_{e1} v, grad_{e2} v, grad_v v
-    h: np.ndarray               # (N, 2, 2)
+    grad: np.ndarray            # (N, 3, 3): <grad_{e_a} v, e_b> for e = (i x, j x, k x)
     sigma1: np.ndarray          # (N,)
     sigma2: np.ndarray          # (N,)
-    accel: np.ndarray           # (N, 2): components of grad_v v on e1, e2
     energy_density: np.ndarray  # (N,)
     volume_integrand: np.ndarray  # (N,)
-
-
-@dataclass(frozen=True)
-class FieldJet:
-    """Single-point view of JetBatch."""
-
-    point: SpherePoint
-    v: TangentVector
-    e1: TangentVector
-    e2: TangentVector
-    nabla: np.ndarray
-    h: np.ndarray
-    sigma1: float
-    sigma2: float
-    accel: np.ndarray
-    energy_density: float
-    volume_integrand: float
 
 
 def jet_batch(
@@ -180,64 +112,47 @@ def jet_batch(
 ) -> JetBatch:
     """Assemble all per-point invariants at each row of ``points``.
 
-    ``frame_rotation`` optionally rotates (e1, e2) by the given angles; all
-    scalar invariants must be unchanged under this.
+    With B[a, b] = <grad_{e_a} v, e_b> in the orthonormal tangent basis e,
+    G = B B^T the Gram matrix of the derivatives, and C the cofactor matrix
+    of B (row a is the cross product of rows a+1 and a+2, cyclically):
+
+    * sigma1 = tr B and sigma2 = e2(B) = ((tr B)^2 - tr B^2) / 2 = tr C.
+      The image of grad v lies in v-perp, so these equal the trace and
+      determinant of the 2x2 block h on v-perp.
+    * energy density = tr G = |B|_F^2.
+    * volume integrand = sqrt(det(I + G)) = sqrt(1 + tr G + e2(G)), with
+      e2(G) = |C|_F^2 by Cauchy-Binet (the sum of |grad_a v ^ grad_b v|^2);
+      the cubic term det G vanishes because B has rank <= 2 (Gluck-Ziller).
+
+    The cofactor forms avoid the cancellation of the trace forms where
+    |grad v| is large.  ``frame_rotation`` optionally rotates the first two
+    basis vectors (i x, j x) by the given angles; all scalar invariants
+    must be unchanged under this.
     """
     x = np.asarray(points, dtype=float)
     v = du.value(field(x))
-    jac = ambient_jacobian(field, x, mode=mode, step=step)
-    e1, e2 = adapted_frame_batch(x, v)
+    basis = np.stack([x @ m.T for m in _FRAME_MATS])  # (3, N, 4): i x, j x, k x
     if frame_rotation is not None:
         th = np.asarray(frame_rotation, dtype=float)[..., None]
-        e1, e2 = (
-            np.cos(th) * e1 + np.sin(th) * e2,
-            -np.sin(th) * e1 + np.cos(th) * e2,
+        basis[0], basis[1] = (
+            np.cos(th) * basis[0] + np.sin(th) * basis[1],
+            -np.sin(th) * basis[0] + np.cos(th) * basis[1],
         )
-    frame = np.stack([e1, e2, v], axis=-2)  # (N, 3, 4)
-    deriv = np.einsum("...ij,...aj->...ai", jac, frame)
-    nabla = deriv - np.sum(deriv * x[..., None, :], axis=-1, keepdims=True) * x[..., None, :]
+    deriv = directional_derivative(field, np.broadcast_to(x, basis.shape), basis, mode=mode, step=step)
+    grad = np.moveaxis(deriv, 0, -2) @ np.moveaxis(basis, 0, -1)
+    cof = np.cross(grad[..., [1, 2, 0], :], grad[..., [2, 0, 1], :])
 
-    h = np.einsum("...ai,...bi->...ab", nabla[..., :2, :], frame[..., :2, :])
-    sigma1 = h[..., 0, 0] + h[..., 1, 1]
-    sigma2 = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
-    accel = np.einsum("...i,...bi->...b", nabla[..., 2, :], frame[..., :2, :])
-
-    energy_density = np.sum(h * h, axis=(-2, -1)) + np.sum(accel * accel, axis=-1)
-
-    sq_norms = np.sum(nabla * nabla, axis=-1)  # (N, 3)
-    pair_sum = np.zeros_like(sigma1)
-    for a in range(3):
-        for b in range(a + 1, 3):
-            pair_sum = pair_sum + wedge_norm_sq(nabla[..., a, :], nabla[..., b, :])
-    volume_integrand = np.sqrt(1.0 + np.sum(sq_norms, axis=-1) + pair_sum)
+    sigma1 = np.trace(grad, axis1=-2, axis2=-1)
+    sigma2 = np.trace(cof, axis1=-2, axis2=-1)
+    energy_density = np.sum(grad * grad, axis=(-2, -1))
+    volume_integrand = np.sqrt(1.0 + energy_density + np.sum(cof * cof, axis=(-2, -1)))
 
     return JetBatch(
         points=x,
         v=v,
-        e1=e1,
-        e2=e2,
-        nabla=nabla,
-        h=h,
+        grad=grad,
         sigma1=sigma1,
         sigma2=sigma2,
-        accel=accel,
         energy_density=energy_density,
         volume_integrand=volume_integrand,
-    )
-
-
-def field_jet(field: UnitField, point: SpherePoint, mode: str = "ad") -> FieldJet:
-    batch = jet_batch(field, point.x[None, :], mode=mode)
-    return FieldJet(
-        point=point,
-        v=TangentVector(point, batch.v[0]),
-        e1=TangentVector(point, batch.e1[0]),
-        e2=TangentVector(point, batch.e2[0]),
-        nabla=batch.nabla[0],
-        h=batch.h[0],
-        sigma1=float(batch.sigma1[0]),
-        sigma2=float(batch.sigma2[0]),
-        accel=batch.accel[0],
-        energy_density=float(batch.energy_density[0]),
-        volume_integrand=float(batch.volume_integrand[0]),
     )

@@ -41,7 +41,9 @@ class CheckReport:
     policy "lower-bound": pass iff lhs >= rhs - tolerance (abs_err is the
     shortfall, clamped at zero).
     A value that could not be computed is None (JSON null), with None errors
-    and a failed check; the context says why.
+    and a failed check; the context says why.  A relative error has no
+    meaning against a zero target: rel_err is None when rhs is 0, and a
+    "rel" check against a zero target fails.
     """
 
     name: str
@@ -70,15 +72,14 @@ class CheckReport:
 
 def _report(name, lhs, rhs, tolerance, policy, context=None) -> CheckReport:
     rhs = float(rhs)
-    scale = max(abs(rhs), 1e-300)
-    if lhs is None:
-        abs_err = rel_err = None
-        passed = False
-    else:
+    abs_err = rel_err = None
+    if lhs is not None:
         lhs = float(lhs)
         abs_err = max(0.0, rhs - lhs) if policy == "lower-bound" else abs(lhs - rhs)
-        rel_err = abs_err / scale
-        passed = (rel_err if policy == "rel" else abs_err) <= tolerance
+        if rhs != 0.0:
+            rel_err = abs_err / abs(rhs)
+    err = rel_err if policy == "rel" else abs_err
+    passed = err is not None and err <= tolerance
     return CheckReport(
         name=name,
         lhs=lhs,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual as du
-from .calculus import FD_STEP, JetBatch, adapted_frame_batch, ambient_jacobian, jet_batch
+from .calculus import FD_STEP, JetBatch, adapted_frame_batch, directional_derivative, jet_batch
 from .fields import UnitField
 from .geometry import CapDomain
 from .quadrature import QuadratureRule, integrate
@@ -75,11 +75,11 @@ def frame_matrix(dm: DisplacementMap, points: np.ndarray, mode: str = "ad", step
     v = du.value(dm.field(x))
     e1, e2 = adapted_frame_batch(x, v)
     u = (v - dm.t * x) / dm.image_radius()
-    jac = ambient_jacobian(dm.field, x, mode=mode, step=step)
-    frame = np.stack([e1, e2, v], axis=-2)           # domain frame rows
-    image_frame = np.stack([e1, e2, u], axis=-2)     # image frame rows
+    frame = np.stack([e1, e2, v])                    # (3, N, 4) domain frame
+    image_frame = np.stack([e1, e2, u], axis=-2)     # (N, 3, 4) image frame rows
+    deriv = directional_derivative(dm.field, np.broadcast_to(x, frame.shape), frame, mode=mode, step=step)
     # d(phi)(e_a) = e_a + t Dv[e_a] in ambient coordinates.
-    dphi = frame + dm.t * np.einsum("...ij,...aj->...ai", jac, frame)
+    dphi = np.moveaxis(frame + dm.t * deriv, 0, -2)
     return np.einsum("...ai,...bi->...ab", dphi, image_frame)
 
 

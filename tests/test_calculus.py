@@ -7,15 +7,11 @@ from hopfcap import (
     SpherePoint,
     TangentVector,
     UnitField,
-    adapted_frame,
-    ambient_jacobian,
     covariant_derivative,
-    field_jet,
     hopf_field,
     jet_batch,
     perturbed_field,
     small_cap_field,
-    wedge_norm_sq,
 )
 from hopfcap.calculus import adapted_frame_batch, directional_derivative
 from hopfcap.geometry import QUAT_I, left_mult_matrix, random_sphere_points
@@ -44,24 +40,26 @@ def builtin_fields(cap):
 
 
 class TestAmbientJacobian:
+    """The ambient Jacobian Dv, applied to directions by directional_derivative."""
+
     def test_hopf_is_left_multiplication(self):
-        # Oracle: the hand-written product matrix, restricted to tangent
-        # directions (the radial column differs by homogeneity).
+        # Oracle: the hand-written product matrix, applied to tangent
+        # directions (radial ones differ by homogeneity).
         h = hopf_field()
         pts = random_sphere_points(100, 1)
-        jac = ambient_jacobian(h, pts)
         y = random_tangents(pts, 2)
-        lhs = np.einsum("nij,nj->ni", jac, y)
+        lhs = directional_derivative(h, pts, y)
         rhs = y @ left_mult_matrix(QUAT_I).T
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     def test_ad_vs_fd(self, cap):
         # Smooth fields: central differences at h = 1e-5 agree to 1e-8.
         pts = random_sphere_points(200, 3)
+        y = random_tangents(pts, 20)
         for f in [hopf_field(), perturbed_field(cap, BumpProfile(0.5, 3))]:
-            j_ad = ambient_jacobian(f, pts, mode="ad")
-            j_fd = ambient_jacobian(f, pts, mode="fd")
-            assert np.max(np.abs(j_ad - j_fd)) < 1e-8
+            d_ad = directional_derivative(f, pts, y, mode="ad")
+            d_fd = directional_derivative(f, pts, y, mode="fd")
+            assert np.max(np.abs(d_ad - d_fd)) < 1e-8
 
     def test_fallback_warns_for_ad_incompatible_field(self):
         h = hopf_field()
@@ -73,13 +71,15 @@ class TestAmbientJacobian:
 
         f = UnitField("opaque", value_only)
         pts = random_sphere_points(10, 4)
+        y = random_tangents(pts, 21)
         with pytest.warns(UserWarning):
-            jac = ambient_jacobian(f, pts, mode="ad")
-        assert np.max(np.abs(jac - ambient_jacobian(h, pts, mode="fd"))) < 1e-12
+            d = directional_derivative(f, pts, y, mode="ad")
+        assert np.max(np.abs(d - directional_derivative(h, pts, y, mode="fd"))) < 1e-12
 
     def test_unknown_mode(self):
+        x = np.array([1.0, 0, 0, 0])
         with pytest.raises(ValueError):
-            ambient_jacobian(hopf_field(), np.array([1.0, 0, 0, 0]), mode="symbolic")
+            directional_derivative(hopf_field(), x, np.array([0.0, 1, 0, 0]), mode="symbolic")
 
     def test_small_cap_radial_column_at_center(self):
         cap = CapDomain(SpherePoint(np.array([1.0, 0, 0, 0])), 0.1)
@@ -100,10 +100,12 @@ class TestCovariantDerivative:
         assert np.allclose(out.w, [0, 0, 0, 1], atol=1e-14)  # ij = k
 
     def test_hopf_self_derivative_vanishes(self):
+        # Hopf fibers are geodesics: grad_v v = 0.
         h = hopf_field()
         pts = random_sphere_points(1000, 6)
-        jets = jet_batch(h, pts)
-        assert np.max(np.linalg.norm(jets.nabla[:, 2, :], axis=-1)) < 1e-9
+        d = directional_derivative(h, pts, h(pts))
+        nab = d - np.sum(d * pts, axis=-1, keepdims=True) * pts
+        assert np.max(np.linalg.norm(nab, axis=-1)) < 1e-9
 
     def test_orthogonal_to_field(self, builtin_fields):
         pts = random_sphere_points(500, 7)
@@ -161,48 +163,66 @@ class TestAdaptedFrame:
         assert np.max(np.linalg.norm(np.diff(e1, axis=0), axis=-1)) < 1e-3
         assert np.max(np.linalg.norm(np.diff(e2, axis=0), axis=-1)) < 1e-3
 
-    def test_single_point_api(self):
-        p = SpherePoint(np.array([1.0, 0, 0, 0]))
-        v = hopf_field().at(p)
-        e1, e2 = adapted_frame(p, v)
-        for t in (e1, e2):
-            assert abs(t.norm - 1.0) < 1e-12
-            assert abs(np.dot(t.w, v.w)) < 1e-12
 
+def frame_based_invariants(field, pts):
+    """The four invariants by the adapted-frame route, as an oracle for jet_batch.
 
-class TestWedgeNormSq:
-    def test_orthonormal_pair(self):
-        assert wedge_norm_sq([1, 0, 0, 0], [0, 1, 0, 0]) == pytest.approx(1.0)
-
-    def test_parallel_pair(self):
-        a = np.array([0.3, -0.1, 0.8, 0.2])
-        assert wedge_norm_sq(a, 2.5 * a) == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_gram_minor_expansion(self):
-        # Oracle: sum of squared 2x2 minors of the (2, 4) matrix.
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            a, b = rng.standard_normal((2, 4))
-            m = np.stack([a, b])
-            minors = [
-                np.linalg.det(m[:, [i, j]]) for i in range(4) for j in range(i + 1, 4)
-            ]
-            assert wedge_norm_sq(a, b) == pytest.approx(np.sum(np.square(minors)), rel=1e-12)
+    Derivatives along the frame {e1, e2, v}, projected to the tangent space;
+    the 2x2 block h on v-perp, the acceleration grad_v v and the sum of the
+    squared wedge norms of the derivative pairs.
+    """
+    v = np.asarray(field(pts))
+    e1, e2 = adapted_frame_batch(pts, v)
+    frame = np.stack([e1, e2, v])  # (3, N, 4)
+    d = directional_derivative(field, np.broadcast_to(pts, frame.shape), frame)
+    nabla = d - np.sum(d * pts, axis=-1, keepdims=True) * pts
+    h = np.einsum("ani,bni->nab", nabla[:2], frame[:2])
+    accel = np.einsum("ni,bni->nb", nabla[2], frame[:2])
+    sq = np.sum(nabla * nabla, axis=-1)  # (3, N)
+    pair_sum = sum(
+        sq[a] * sq[b] - np.sum(nabla[a] * nabla[b], axis=-1) ** 2
+        for a, b in ((0, 1), (0, 2), (1, 2))
+    )
+    return {
+        "sigma1": h[:, 0, 0] + h[:, 1, 1],
+        "sigma2": h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0],
+        "energy_density": np.sum(h * h, axis=(1, 2)) + np.sum(accel * accel, axis=-1),
+        "volume_integrand": np.sqrt(1.0 + np.sum(sq, axis=0) + pair_sum),
+    }
 
 
 class TestFieldJet:
     def test_hopf_jet(self):
-        jet = field_jet(hopf_field(), SpherePoint(np.array([0.5, 0.5, 0.5, 0.5])))
-        assert jet.sigma1 == pytest.approx(0.0, abs=1e-12)
-        assert jet.sigma2 == pytest.approx(1.0, abs=1e-12)
-        assert jet.energy_density == pytest.approx(2.0, abs=1e-12)
-        assert jet.volume_integrand == pytest.approx(2.0, abs=1e-12)
+        jets = jet_batch(hopf_field(), np.array([[0.5, 0.5, 0.5, 0.5]]))
+        assert jets.sigma1[0] == pytest.approx(0.0, abs=1e-12)
+        assert jets.sigma2[0] == pytest.approx(1.0, abs=1e-12)
+        assert jets.energy_density[0] == pytest.approx(2.0, abs=1e-12)
+        assert jets.volume_integrand[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_hopf_h_matrix_antisymmetric(self):
+        # A Hopf field is Killing: grad v is skew, and sigma2 = 1.
         jets = jet_batch(hopf_field(), random_sphere_points(500, 14))
-        assert np.max(np.abs(jets.h[:, 0, 0])) < 1e-12
-        assert np.max(np.abs(jets.h[:, 1, 1])) < 1e-12
-        assert np.max(np.abs(jets.h[:, 0, 1] * jets.h[:, 1, 0] + 1.0)) < 1e-12
+        sym = jets.grad + np.swapaxes(jets.grad, -1, -2)
+        assert np.max(np.linalg.norm(sym, axis=(-2, -1))) < 1e-12
+        assert np.max(np.abs(jets.sigma2 - 1.0)) < 1e-12
+
+    def test_matches_frame_based_invariants(self, builtin_fields):
+        pts = random_sphere_points(2000, 22)
+        for f in builtin_fields:
+            jets = jet_batch(f, pts)
+            for attr, want in frame_based_invariants(f, pts).items():
+                got = getattr(jets, attr)
+                assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-10
+
+    def test_kernel_builds_no_frame(self, cap, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("jet_batch built an adapted frame")
+
+        monkeypatch.setattr("hopfcap.calculus.adapted_frame_batch", refuse)
+        monkeypatch.setattr("hopfcap.calculus._cross4", refuse)
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        jets = jet_batch(perturbed_field(cap, BumpProfile(0.5, 3)), random_sphere_points(50, 23))
+        assert jets.grad.shape == (50, 3, 3)
 
     def test_zero_amplitude_matches_hopf(self, cap):
         pts = random_sphere_points(300, 15)

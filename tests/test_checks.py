@@ -250,3 +250,21 @@ class TestRunAll:
                 "name", "lhs", "rhs", "abs_err", "rel_err",
                 "tolerance", "passed", "policy", "context",
             }
+
+    def test_zero_targets_have_no_relative_error(self, cap):
+        config = VerifyConfig(
+            cap=cap,
+            fields=[perturbed_field(cap, BumpProfile(0.5, 3))],
+            orders=(16, 8, 16),
+            t_grid=(0.1,),
+            hopf_points=5_000,
+        )
+        reports = {r.name: r for r in run_all(config)}
+        for name in ("hopf_sigma1_zero", "hopf_sigma2_one", "boundary_sigma1_integral"):
+            r = reports[name]
+            assert r.rhs == 0.0 and r.policy == "abs"
+            assert r.rel_err is None and r.to_dict()["rel_err"] is None
+            assert r.passed and r.abs_err == abs(r.lhs)
+        for r in reports.values():
+            if r.rhs != 0.0:
+                assert r.rel_err == pytest.approx(r.abs_err / abs(r.rhs))

@@ -188,6 +188,25 @@ class TestInputValidation:
         code, _ = run_verify(tmp_path, "--t-grid", "0.1,0.6")
         assert code == 2
 
+    def test_functionals_rejects_verify_flags(self, no_compute, capsys):
+        assert main(["functionals", "--t-grid", "0.4", "--integral-tol", "5"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sweep_rejects_field_flags(self, no_compute, capsys):
+        argv = ["sweep", "--field", "small-cap", "--amplitude", "9", "--axis", "0,0,1,0"]
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c in ("functionals", "sweep")
+         for f in ("--t-grid=0.1", "--sigma-tol=1", "--integral-tol=1", "--bound-tol=1",
+                   "--det-floor=1")]
+        + [("sweep", f) for f in ("--field=hopf", "--amplitude=1", "--axis=0,0,1,0")],
+    )
+    def test_flag_not_read_is_rejected(self, command, flag, no_compute):
+        assert main([command, flag]) == 2
+
 
 def _strict_loads(text):
     def reject(constant):
