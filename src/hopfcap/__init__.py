@@ -10,25 +10,18 @@ from .checks import (
     CheckReport,
     SweepResult,
     VerifyConfig,
-    check_boundary_identity,
-    check_change_of_variables,
-    check_energy_bound,
     check_hopf_constants,
-    check_sigma1_integral,
     check_small_cap_counterexample,
-    check_volume_bound,
     run_all,
     sweep_family,
     sweep_reports,
 )
 from .displace import (
     DisplacementMap,
-    fit_volume_polynomial,
     image_volume,
     image_volume_from_jets,
     jacobian_det_analytic,
     jacobian_det_numeric,
-    shifted_unit_field,
 )
 from .fields import BumpProfile, UnitField, hopf_field, hopf_frame, perturbed_field, small_cap_field
 from .functionals import (
@@ -36,7 +29,8 @@ from .functionals import (
     energy,
     energy_and_volume,
     energy_from_jets,
-    energy_lower_bound_gap,
+    hopf_energy,
+    hopf_volume,
     volume,
     volume_from_jets,
 )

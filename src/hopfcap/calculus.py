@@ -12,7 +12,6 @@ for the independent numeric determinant in ``displace.frame_matrix``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,23 +25,25 @@ FD_STEP = 1e-5
 _FRAME_MATS = [left_mult_matrix(a) for a in (QUAT_I, QUAT_J, QUAT_K)]
 
 
-def directional_derivative(field: UnitField, points, directions, mode: str = "ad", step: float = FD_STEP):
-    """Ambient derivative Dv[Y] of the field extension along Y."""
+def directional_derivative(field: UnitField, points, directions, mode: str = "ad"):
+    """Ambient derivative Dv[Y] of the field extension along Y.
+
+    In "ad" mode the field must return dual numbers; a field that cannot is
+    rejected rather than silently differentiated by finite differences, so
+    the AD and FD routes stay independent oracles.
+    """
     x = np.asarray(points, dtype=float)
     y = np.asarray(directions, dtype=float)
     if mode == "ad":
-        try:
-            out = field(du.Dual(x, y))
-            return out.eps
-        except (TypeError, AttributeError):
-            warnings.warn(
-                f"field {getattr(field, 'label', '?')!r} does not support dual "
-                "numbers; falling back to finite differences",
-                stacklevel=2,
+        out = field(du.Dual(x, y))
+        if not isinstance(out, du.Dual):
+            raise TypeError(
+                f"field {getattr(field, 'label', '?')!r} does not propagate dual "
+                'numbers; differentiate it with mode="fd"'
             )
-            return directional_derivative(field, points, directions, mode="fd", step=step)
+        return out.eps
     if mode == "fd":
-        return (du.value(field(x + step * y)) - du.value(field(x - step * y))) / (2.0 * step)
+        return (du.value(field(x + FD_STEP * y)) - du.value(field(x - FD_STEP * y))) / (2.0 * FD_STEP)
     raise ValueError(f"unknown differentiation mode {mode!r}")
 
 
@@ -88,14 +89,10 @@ def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.stack(comps, axis=-1)
 
 
-
-
 @dataclass(frozen=True)
 class JetBatch:
     """Per-point derivative data for a batch of points (leading axis N)."""
 
-    points: np.ndarray          # (N, 4)
-    v: np.ndarray               # (N, 4)
     grad: np.ndarray            # (N, 3, 3): <grad_{e_a} v, e_b> for e = (i x, j x, k x)
     sigma1: np.ndarray          # (N,)
     sigma2: np.ndarray          # (N,)
@@ -107,7 +104,6 @@ def jet_batch(
     field: UnitField,
     points: np.ndarray,
     mode: str = "ad",
-    step: float = FD_STEP,
     frame_rotation: np.ndarray | None = None,
 ) -> JetBatch:
     """Assemble all per-point invariants at each row of ``points``.
@@ -130,7 +126,6 @@ def jet_batch(
     must be unchanged under this.
     """
     x = np.asarray(points, dtype=float)
-    v = du.value(field(x))
     basis = np.stack([x @ m.T for m in _FRAME_MATS])  # (3, N, 4): i x, j x, k x
     if frame_rotation is not None:
         th = np.asarray(frame_rotation, dtype=float)[..., None]
@@ -138,7 +133,7 @@ def jet_batch(
             np.cos(th) * basis[0] + np.sin(th) * basis[1],
             -np.sin(th) * basis[0] + np.cos(th) * basis[1],
         )
-    deriv = directional_derivative(field, np.broadcast_to(x, basis.shape), basis, mode=mode, step=step)
+    deriv = directional_derivative(field, np.broadcast_to(x, basis.shape), basis, mode=mode)
     grad = np.moveaxis(deriv, 0, -2) @ np.moveaxis(basis, 0, -1)
     cof = np.cross(grad[..., [1, 2, 0], :], grad[..., [2, 0, 1], :])
 
@@ -148,8 +143,6 @@ def jet_batch(
     volume_integrand = np.sqrt(1.0 + energy_density + np.sum(cof * cof, axis=(-2, -1)))
 
     return JetBatch(
-        points=x,
-        v=v,
         grad=grad,
         sigma1=sigma1,
         sigma2=sigma2,

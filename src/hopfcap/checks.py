@@ -2,7 +2,9 @@
 
 Each check compares two independently computed quantities and returns a
 ``CheckReport``; ``run_all`` executes the full matrix for a configured
-field and cap and is the engine behind the CLI ``verify`` command.
+field and cap and is the engine behind the CLI ``verify`` command.  A
+field's boundary checks are rows (name, lhs, target, tolerance, policy)
+reduced from its one ``JetBatch`` at the rule's nodes.
 """
 
 from __future__ import annotations
@@ -12,10 +14,17 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .calculus import JetBatch, jet_batch
+from .calculus import jet_batch
 from .displace import DET_FLOOR, T_MAX, image_volume_from_jets
 from .fields import BumpProfile, UnitField, hopf_field, perturbed_field, small_cap_field
-from .functionals import energy, energy_and_volume, energy_from_jets, volume_from_jets
+from .functionals import (
+    energy,
+    energy_and_volume,
+    energy_from_jets,
+    hopf_energy,
+    hopf_volume,
+    volume_from_jets,
+)
 from .geometry import CapDomain, SpherePoint, cap_volume, random_sphere_points
 from .quadrature import QuadratureRule, build_gauss_rule, build_mc_rule, integrate
 
@@ -24,6 +33,9 @@ TOL_SIGMA = {"ad": 1e-9, "fd": 1e-6}
 TOL_INTEGRAL_REL = 1e-5
 TOL_BOUND_REL = 1e-6
 TOL_SWEEP_LOC = 0.02
+# Small-cap counterexample: mean |grad v|^2 limit and log-log slope tolerance.
+SMALL_CAP_MEAN_DENSITY_LIMIT = 0.1
+SMALL_CAP_SLOPE_TOL = 0.2
 
 # Default run parameters; the CLI reads its flag defaults from here.
 GAUSS_ORDERS = (64, 32, 64)
@@ -97,13 +109,12 @@ def check_hopf_constants(
     n_points: int = 100_000,
     seed: int = 0,
     mode: str = "ad",
-    axis=(0.0, 1.0, 0.0, 0.0),
     tolerance: float | None = None,
 ) -> list[CheckReport]:
     """max |sigma1| and max |sigma2 - 1| for a Hopf field at random points."""
     tol = TOL_SIGMA[mode] if tolerance is None else tolerance
     pts = random_sphere_points(n_points, seed=seed)
-    jets = jet_batch(hopf_field(axis), pts, mode=mode)
+    jets = jet_batch(hopf_field(), pts, mode=mode)
     ctx = {"n_points": n_points, "seed": seed, "mode": mode}
     return [
         _report("hopf_sigma1_zero", np.max(np.abs(jets.sigma1)), 0.0, tol, "abs", ctx),
@@ -136,118 +147,6 @@ def _field_context(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode:
         "orders": list(rule.orders),
         "mode": mode,
     }
-
-
-def check_boundary_identity(
-    field: UnitField,
-    cap: CapDomain,
-    rule: QuadratureRule,
-    jets: JetBatch,
-    mode: str = "ad",
-    tolerance: float = TOL_INTEGRAL_REL,
-) -> CheckReport:
-    """Integral of sigma2 over the cap equals the cap volume."""
-    _require_hopf_boundary(field, cap)
-    s2, _ = integrate(rule, lambda _n: jets.sigma2)
-    return _report(
-        "boundary_sigma2_integral",
-        s2,
-        cap_volume(cap),
-        tolerance,
-        "rel",
-        _field_context(field, cap, rule, mode),
-    )
-
-
-def check_sigma1_integral(
-    field: UnitField,
-    cap: CapDomain,
-    rule: QuadratureRule,
-    jets: JetBatch,
-    mode: str = "ad",
-    tolerance: float = TOL_INTEGRAL_REL,
-) -> CheckReport:
-    """Integral of sigma1 over the cap vanishes (t^1 coefficient)."""
-    _require_hopf_boundary(field, cap)
-    s1, _ = integrate(rule, lambda _n: jets.sigma1)
-    return _report(
-        "boundary_sigma1_integral",
-        s1,
-        0.0,
-        tolerance * cap_volume(cap),
-        "abs",
-        _field_context(field, cap, rule, mode),
-    )
-
-
-def check_energy_bound(
-    field: UnitField,
-    cap: CapDomain,
-    rule: QuadratureRule,
-    jets: JetBatch,
-    mode: str = "ad",
-    tolerance: float = TOL_BOUND_REL,
-) -> CheckReport:
-    """E(v) >= (5/2) vol(K), the Hopf energy on the cap."""
-    _require_hopf_boundary(field, cap)
-    e = energy_from_jets(jets, cap, rule)
-    return _report(
-        "energy_bound",
-        e.value,
-        2.5 * cap_volume(cap),
-        tolerance * cap_volume(cap),
-        "lower-bound",
-        _field_context(field, cap, rule, mode),
-    )
-
-
-def check_volume_bound(
-    field: UnitField,
-    cap: CapDomain,
-    rule: QuadratureRule,
-    jets: JetBatch,
-    mode: str = "ad",
-    tolerance: float = TOL_BOUND_REL,
-) -> CheckReport:
-    """vol(v) >= 2 vol(K), the Hopf volume on the cap."""
-    _require_hopf_boundary(field, cap)
-    v = volume_from_jets(jets, cap, rule)
-    return _report(
-        "volume_bound",
-        v.value,
-        2.0 * cap_volume(cap),
-        tolerance * cap_volume(cap),
-        "lower-bound",
-        _field_context(field, cap, rule, mode),
-    )
-
-
-def check_change_of_variables(
-    field: UnitField,
-    cap: CapDomain,
-    rule: QuadratureRule,
-    jets: JetBatch,
-    t_grid,
-    mode: str = "ad",
-    tolerance: float = TOL_INTEGRAL_REL,
-    det_floor: float = DET_FLOOR,
-) -> list[CheckReport]:
-    """Image volume equals vol(K) (1 + t^2)^(3/2) for each offset t."""
-    _require_hopf_boundary(field, cap)
-    reports = []
-    for t in t_grid:
-        ctx = _field_context(field, cap, rule, mode)
-        ctx["t"] = float(t)
-        target = cap_volume(cap) * (1.0 + t * t) ** 1.5
-        try:
-            val, _ = image_volume_from_jets(float(t), jets, rule, det_floor)
-        except ValueError as exc:
-            # Determinant dipped below the floor: t is outside the
-            # diffeomorphism window for this field; report, don't crash.
-            ctx["det_floor_rejection"] = str(exc)
-            val = None
-        reports.append(_report(f"image_volume_t{t:g}", val, target, tolerance, "rel", ctx))
-    return reports
 
 
 @dataclass(frozen=True)
@@ -353,13 +252,11 @@ def check_small_cap_counterexample(
     center=None,
     orders=(32, 16, 32),
     mode: str = "ad",
-    mean_density_limit: float = 0.1,
-    scaling_slope_tol: float = 0.2,
 ) -> list[CheckReport]:
     """Unconstrained small-cap field beats the Hopf field on both functionals.
 
     Also fits mean |grad v|^2 = C r^2 over the scaling radii and checks the
-    log-log slope is 2 within ``scaling_slope_tol``.
+    log-log slope is 2 within ``SMALL_CAP_SLOPE_TOL``.
     """
     center = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0])) if center is None else center
     cap = CapDomain(center, radius)
@@ -368,13 +265,13 @@ def check_small_cap_counterexample(
     vol_k = cap_volume(cap)
     ctx = {"cap_radius": radius, "orders": list(orders), "mode": mode}
     reports = [
-        _report("small_cap_energy_below_hopf", 2.5 * vol_k, e.value, 0.0, "lower-bound", ctx),
-        _report("small_cap_volume_below_hopf", 2.0 * vol_k, v.value, 0.0, "lower-bound", ctx),
+        _report("small_cap_energy_below_hopf", hopf_energy(cap), e.value, 0.0, "lower-bound", ctx),
+        _report("small_cap_volume_below_hopf", hopf_volume(cap), v.value, 0.0, "lower-bound", ctx),
         _report(
             "small_cap_mean_gradient_sq",
             e.derivative_term / vol_k,
             0.0,
-            mean_density_limit,
+            SMALL_CAP_MEAN_DENSITY_LIMIT,
             "abs",
             ctx,
         ),
@@ -389,7 +286,7 @@ def check_small_cap_counterexample(
     slope = float(np.polyfit(np.log(np.asarray(scaling_radii)), np.log(np.asarray(means)), 1)[0])
     scale_ctx = dict(ctx, radii=list(scaling_radii), means=[float(m) for m in means])
     reports.append(
-        _report("small_cap_gradient_scaling", slope, 2.0, scaling_slope_tol, "abs", scale_ctx)
+        _report("small_cap_gradient_scaling", slope, 2.0, SMALL_CAP_SLOPE_TOL, "abs", scale_ctx)
     )
     return reports
 
@@ -420,6 +317,11 @@ class VerifyConfig:
             )
         if not all(0.0 <= t <= T_MAX for t in self.t_grid):
             raise ValueError(f"offsets t must lie in [0, {T_MAX}], got {list(self.t_grid)}")
+        for field in self.fields:
+            if field.label != "small-cap":
+                _require_hopf_boundary(field, self.cap)
+            elif self.rule_kind != "gauss":
+                raise ValueError("the small-cap counterexample integrates with Gauss rules only")
 
     def build_rule(self) -> QuadratureRule:
         if self.rule_kind == "gauss":
@@ -446,36 +348,46 @@ def run_all(config: VerifyConfig) -> list[CheckReport]:
 
 
 def _field_reports(field: UnitField, config: VerifyConfig, rule: QuadratureRule) -> list[CheckReport]:
-    """The checks of one field, all reduced from its one jet at the rule's nodes.
+    """The checks of one field, each a row reduced from its one jet at the rule's nodes.
 
     The jet is local, so only one field's batch is alive at a time.
     """
+    cap = config.cap
     if field.label == "small-cap":
         return check_small_cap_counterexample(
-            radius=min(config.cap.radius, 0.2),
-            center=config.cap.center,
-            mode=config.mode,
+            radius=cap.radius, center=cap.center, orders=config.orders, mode=config.mode
         )
-    _require_hopf_boundary(field, config.cap)
     jets = jet_batch(field, rule.nodes, mode=config.mode)
-    args = (field, config.cap, rule, jets)
-    reports = [
-        check_boundary_identity(*args, mode=config.mode, tolerance=config.integral_tolerance),
-        check_sigma1_integral(*args, mode=config.mode, tolerance=config.integral_tolerance),
-        check_energy_bound(*args, mode=config.mode, tolerance=config.bound_tolerance),
-        check_volume_bound(*args, mode=config.mode, tolerance=config.bound_tolerance),
+    vol_k = cap_volume(cap)
+    ctx = _field_context(field, cap, rule, config.mode)
+    s2, _ = integrate(rule, lambda _n: jets.sigma2)
+    s1, _ = integrate(rule, lambda _n: jets.sigma1)
+    rows = [
+        # int sigma2 = vol(K) and int sigma1 = 0: the t^2 and t^1 coefficients.
+        ("boundary_sigma2_integral", s2, vol_k, config.integral_tolerance, "rel"),
+        ("boundary_sigma1_integral", s1, 0.0, config.integral_tolerance * vol_k, "abs"),
+        # E(v) >= E(H) and vol(v) >= vol(H).
+        ("energy_bound", energy_from_jets(jets, cap, rule).value, hopf_energy(cap),
+         config.bound_tolerance * vol_k, "lower-bound"),
+        ("volume_bound", volume_from_jets(jets, cap, rule).value, hopf_volume(cap),
+         config.bound_tolerance * vol_k, "lower-bound"),
     ]
+    reports = [_report(*row, ctx) for row in rows]
     # Twisted fields have sigma2 unbounded below near the twist axis, so
     # no positive offset keeps the displacement a diffeomorphism; the
     # image-volume identity does not apply to them.
-    if field.params.get("twist", "none") == "none":
-        reports.extend(
-            check_change_of_variables(
-                *args,
-                config.t_grid,
-                mode=config.mode,
-                tolerance=config.integral_tolerance,
-                det_floor=config.det_floor,
-            )
-        )
+    if field.params.get("twist", "none") != "none":
+        return reports
+    # Image volume equals vol(K) (1 + t^2)^(3/2) for each offset t.
+    for t in config.t_grid:
+        t_ctx = dict(ctx, t=float(t))
+        try:
+            val, _ = image_volume_from_jets(float(t), jets, rule, config.det_floor)
+        except ValueError as exc:
+            # Determinant dipped below the floor: t is outside the
+            # diffeomorphism window for this field; report, don't crash.
+            t_ctx["det_floor_rejection"] = str(exc)
+            val = None
+        target = vol_k * (1.0 + t * t) ** 1.5
+        reports.append(_report(f"image_volume_t{t:g}", val, target, config.integral_tolerance, "rel", t_ctx))
     return reports

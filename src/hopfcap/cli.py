@@ -40,8 +40,8 @@ from .checks import (
 )
 from .displace import DET_FLOOR
 from .fields import BumpProfile, UnitField, hopf_field, perturbed_field, small_cap_field
-from .functionals import energy_and_volume
-from .geometry import CapDomain, SpherePoint, cap_volume
+from .functionals import energy_and_volume, hopf_energy, hopf_volume
+from .geometry import CapDomain, SpherePoint
 
 OUTPUT_DIR_ENV = "HOPFCAP_OUTPUT_DIR"
 # The report formats each command writes; the first is its default.
@@ -175,15 +175,14 @@ def cmd_functionals(args: argparse.Namespace) -> int:
                          mc_samples=args.samples, seed=args.seed)
     rule = vconf.build_rule()
     e, v = energy_and_volume(field, cap, rule, mode=args.mode)
-    vol_k = cap_volume(cap)
     rows = {
         "field": field.label,
         "energy": e.value,
         "volume": v.value,
-        "hopf_energy": 2.5 * vol_k,
-        "hopf_volume": 2.0 * vol_k,
-        "energy_surplus": e.value - 2.5 * vol_k,
-        "volume_surplus": v.value - 2.0 * vol_k,
+        "hopf_energy": hopf_energy(cap),
+        "hopf_volume": hopf_volume(cap),
+        "energy_surplus": e.value - hopf_energy(cap),
+        "volume_surplus": v.value - hopf_volume(cap),
     }
     if args.fmt == "json":
         text = json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual as du
-from .calculus import FD_STEP, JetBatch, adapted_frame_batch, directional_derivative, jet_batch
+from .calculus import JetBatch, adapted_frame_batch, directional_derivative, jet_batch
 from .fields import UnitField
 from .geometry import CapDomain
 from .quadrature import QuadratureRule, integrate
@@ -44,24 +44,9 @@ class DisplacementMap:
         return math.sqrt(1.0 + self.t * self.t)
 
 
-def shifted_unit_field(dm: DisplacementMap):
-    """Unit field tangent to the image sphere at the image point.
-
-    u(x) = (v(x) - t x) / sqrt(1 + t^2); satisfies <u, x + t v(x)> = 0.
-    """
-    s = math.sqrt(1.0 + dm.t * dm.t)
-
-    def evaluate(x):
-        xs = du.normalize(x)
-        return (dm.field(xs) - dm.t * xs) / s
-
-    return evaluate
-
-
-def jacobian_det_analytic(dm: DisplacementMap, points, jets: JetBatch | None = None, mode: str = "ad"):
+def jacobian_det_analytic(dm: DisplacementMap, points, mode: str = "ad"):
     """sqrt(1 + t^2) (1 + sigma1 t + sigma2 t^2) at each point."""
-    if jets is None:
-        jets = jet_batch(dm.field, np.atleast_2d(points), mode=mode)
+    jets = jet_batch(dm.field, np.atleast_2d(points), mode=mode)
     t = dm.t
     out = math.sqrt(1.0 + t * t) * (1.0 + jets.sigma1 * t + jets.sigma2 * t * t)
     if np.asarray(points).ndim == 1:
@@ -69,7 +54,7 @@ def jacobian_det_analytic(dm: DisplacementMap, points, jets: JetBatch | None = N
     return out
 
 
-def frame_matrix(dm: DisplacementMap, points: np.ndarray, mode: str = "ad", step: float = FD_STEP) -> np.ndarray:
+def frame_matrix(dm: DisplacementMap, points: np.ndarray, mode: str = "ad") -> np.ndarray:
     """(N, 3, 3) matrix of the differential in frames {e1,e2,v} -> {e1,e2,u}."""
     x = np.atleast_2d(np.asarray(points, dtype=float))
     v = du.value(dm.field(x))
@@ -77,15 +62,15 @@ def frame_matrix(dm: DisplacementMap, points: np.ndarray, mode: str = "ad", step
     u = (v - dm.t * x) / dm.image_radius()
     frame = np.stack([e1, e2, v])                    # (3, N, 4) domain frame
     image_frame = np.stack([e1, e2, u], axis=-2)     # (N, 3, 4) image frame rows
-    deriv = directional_derivative(dm.field, np.broadcast_to(x, frame.shape), frame, mode=mode, step=step)
+    deriv = directional_derivative(dm.field, np.broadcast_to(x, frame.shape), frame, mode=mode)
     # d(phi)(e_a) = e_a + t Dv[e_a] in ambient coordinates.
     dphi = np.moveaxis(frame + dm.t * deriv, 0, -2)
     return np.einsum("...ai,...bi->...ab", dphi, image_frame)
 
 
-def jacobian_det_numeric(dm: DisplacementMap, points, mode: str = "ad", step: float = FD_STEP):
+def jacobian_det_numeric(dm: DisplacementMap, points, mode: str = "ad"):
     """Determinant of the numeric frame matrix; <= 0 flags a folded map."""
-    m = frame_matrix(dm, points, mode=mode, step=step)
+    m = frame_matrix(dm, points, mode=mode)
     det = np.linalg.det(m)
     if np.asarray(points).ndim == 1:
         return float(det[0])
@@ -121,25 +106,3 @@ def image_volume_from_jets(
         )
     det = math.sqrt(1.0 + t * t) * poly
     return integrate(rule, lambda _nodes: det)
-
-
-def fit_volume_polynomial(
-    field: UnitField,
-    rule: QuadratureRule,
-    t_grid,
-    mode: str = "ad",
-) -> np.ndarray:
-    """Least-squares (c0, c1, c2) with image_volume(t)/sqrt(1+t^2) = c0 + c1 t + c2 t^2.
-
-    Recovers (vol(K), integral of sigma1, integral of sigma2) from the
-    fitted coefficients.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    jets = jet_batch(field, rule.nodes, mode=mode)
-    reduced = []
-    for t in t_grid:
-        vol, _ = image_volume_from_jets(float(t), jets, rule)
-        reduced.append(vol / math.sqrt(1.0 + t * t))
-    vand = np.vander(t_grid, 3, increasing=True)
-    coeffs, *_ = np.linalg.lstsq(vand, np.asarray(reduced), rcond=None)
-    return coeffs

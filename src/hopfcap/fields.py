@@ -26,7 +26,6 @@ import numpy as np
 from . import dual as du
 from .geometry import (
     CapDomain,
-    SpherePoint,
     TangentVector,
     left_mult_matrix,
     quat_mul,
@@ -53,10 +52,6 @@ class UnitField:
 
     def __call__(self, x):
         return self.evaluator(x)
-
-    def at(self, p: SpherePoint) -> TangentVector:
-        v = self.evaluator(p.x)
-        return TangentVector(p, np.asarray(v, dtype=float))
 
 
 def _check_axis(axis) -> np.ndarray:

@@ -22,15 +22,21 @@ from .quadrature import QuadratureRule, integrate
 
 @dataclass(frozen=True)
 class FunctionalReport:
-    """Value of a functional with its additive decomposition and rule info."""
+    """Value of a functional with its additive decomposition."""
 
-    name: str
     value: float
     base_term: float
     derivative_term: float
-    error_estimate: float
-    rule_kind: str
-    rule_orders: tuple
+
+
+def hopf_energy(cap: CapDomain) -> float:
+    """E(H) = (5/2) vol(K), the energy of every Hopf field on the cap."""
+    return 2.5 * cap_volume(cap)
+
+
+def hopf_volume(cap: CapDomain) -> float:
+    """vol(H) = 2 vol(K), the volume of every Hopf field on the cap."""
+    return 2.0 * cap_volume(cap)
 
 
 def energy(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "ad") -> FunctionalReport:
@@ -40,17 +46,9 @@ def energy(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "
 
 def energy_from_jets(jets: JetBatch, cap: CapDomain, rule: QuadratureRule) -> FunctionalReport:
     """The energy reduced from a jet already evaluated at the rule's nodes."""
-    deriv, err = integrate(rule, lambda _nodes: jets.energy_density)
+    deriv, _ = integrate(rule, lambda _nodes: jets.energy_density)
     base = 1.5 * cap_volume(cap)
-    return FunctionalReport(
-        name="energy",
-        value=base + 0.5 * deriv,
-        base_term=base,
-        derivative_term=deriv,
-        error_estimate=0.5 * err,
-        rule_kind=rule.kind,
-        rule_orders=rule.orders,
-    )
+    return FunctionalReport(value=base + 0.5 * deriv, base_term=base, derivative_term=deriv)
 
 
 def volume(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "ad") -> FunctionalReport:
@@ -60,17 +58,9 @@ def volume(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "
 
 def volume_from_jets(jets: JetBatch, cap: CapDomain, rule: QuadratureRule) -> FunctionalReport:
     """The volume reduced from a jet already evaluated at the rule's nodes."""
-    value, err = integrate(rule, lambda _nodes: jets.volume_integrand)
+    value, _ = integrate(rule, lambda _nodes: jets.volume_integrand)
     base = cap_volume(cap)
-    return FunctionalReport(
-        name="volume",
-        value=value,
-        base_term=base,
-        derivative_term=value - base,
-        error_estimate=err,
-        rule_kind=rule.kind,
-        rule_orders=rule.orders,
-    )
+    return FunctionalReport(value=value, base_term=base, derivative_term=value - base)
 
 
 def energy_and_volume(
@@ -79,16 +69,3 @@ def energy_and_volume(
     """Both functionals, reduced from one jet at the rule's nodes."""
     jets = jet_batch(field, rule.nodes, mode=mode)
     return energy_from_jets(jets, cap, rule), volume_from_jets(jets, cap, rule)
-
-
-def energy_lower_bound_gap(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "ad") -> float:
-    """E(v) minus its determinant-based lower bound 1.5 vol(K) + integral of sigma2.
-
-    Nonnegative up to quadrature error for any unit field; zero exactly when
-    the h matrix is antisymmetric and the field-direction derivative vanishes,
-    as for Hopf fields.
-    """
-    jets = jet_batch(field, rule.nodes, mode=mode)
-    e = energy_from_jets(jets, cap, rule).value
-    s2, _ = integrate(rule, lambda _nodes: jets.sigma2)
-    return e - (1.5 * cap_volume(cap) + s2)

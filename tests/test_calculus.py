@@ -62,6 +62,8 @@ class TestAmbientJacobian:
             assert np.max(np.abs(d_ad - d_fd)) < 1e-8
 
     def test_fallback_warns_for_ad_incompatible_field(self):
+        # A field that drops the dual part is rejected in AD mode, not
+        # silently differentiated by finite differences.
         h = hopf_field()
 
         def value_only(x):
@@ -72,8 +74,9 @@ class TestAmbientJacobian:
         f = UnitField("opaque", value_only)
         pts = random_sphere_points(10, 4)
         y = random_tangents(pts, 21)
-        with pytest.warns(UserWarning):
-            d = directional_derivative(f, pts, y, mode="ad")
+        with pytest.raises(TypeError, match='mode="fd"'):
+            directional_derivative(f, pts, y, mode="ad")
+        d = directional_derivative(f, pts, y, mode="fd")
         assert np.max(np.abs(d - directional_derivative(h, pts, y, mode="fd"))) < 1e-12
 
     def test_unknown_mode(self):

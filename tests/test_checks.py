@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,16 +8,11 @@ from hopfcap import (
     SpherePoint,
     VerifyConfig,
     build_gauss_rule,
+    UnitField,
     cap_volume,
-    check_boundary_identity,
-    check_change_of_variables,
-    check_energy_bound,
     check_hopf_constants,
-    check_sigma1_integral,
     check_small_cap_counterexample,
-    check_volume_bound,
     hopf_field,
-    jet_batch,
     perturbed_field,
     run_all,
     small_cap_field,
@@ -30,18 +23,15 @@ from hopfcap import (
 NORTH = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
 
 
-def jets_of(field, rule, mode="ad"):
-    return jet_batch(field, rule.nodes, mode=mode)
+def field_rows(field, cap, orders=(48, 24, 48), t_grid=()):
+    """run_all's reports for one field, by name, without the Hopf-constant rows."""
+    config = VerifyConfig(cap=cap, fields=[field], orders=orders, t_grid=t_grid, hopf_points=2_000)
+    return {r.name: r for r in run_all(config)[2:]}
 
 
 @pytest.fixture(scope="module")
 def cap():
     return CapDomain(NORTH, 1.0)
-
-
-@pytest.fixture(scope="module")
-def rule(cap):
-    return build_gauss_rule(cap, 48, 24, 48)
 
 
 class TestHopfConstants:
@@ -63,9 +53,8 @@ class TestHopfConstants:
 
 
 class TestBoundaryIdentity:
-    def test_hopf(self, cap, rule):
-        f = hopf_field()
-        rep = check_boundary_identity(f, cap, rule, jets_of(f, rule))
+    def test_hopf(self, cap):
+        rep = field_rows(hopf_field(), cap)["boundary_sigma2_integral"]
         assert rep.passed and rep.rel_err < 1e-10
 
     @pytest.mark.parametrize(
@@ -77,44 +66,37 @@ class TestBoundaryIdentity:
     )
     def test_perturbed(self, amplitude, exponent, radius, twist):
         cap = CapDomain(NORTH, radius)
-        rule = build_gauss_rule(cap, 48, 24, 48)
         f = perturbed_field(cap, BumpProfile(amplitude, exponent), twist=twist)
-        jets = jets_of(f, rule)
-        rep = check_boundary_identity(f, cap, rule, jets)
-        assert rep.passed, rep
-        rep1 = check_sigma1_integral(f, cap, rule, jets)
-        assert rep1.passed, rep1
+        rows = field_rows(f, cap)
+        assert rows["boundary_sigma2_integral"].passed, rows
+        assert rows["boundary_sigma1_integral"].passed, rows
 
-    def test_incompatible_field_raises(self, cap, rule):
+    def test_incompatible_field_raises(self, cap):
+        # Rejected when the configuration is built, before any jet.
+        f = UnitField("opaque", small_cap_field(CapDomain(NORTH, 0.1)).evaluator)
         with pytest.raises(ValueError, match="not known to match"):
-            f = small_cap_field(CapDomain(NORTH, 0.1))
-            check_boundary_identity(f, cap, rule, jets_of(f, rule))
+            VerifyConfig(cap=cap, fields=[f])
 
-    def test_smaller_target_cap_raises(self, cap, rule):
+    def test_smaller_target_cap_raises(self, cap):
         f = perturbed_field(cap, BumpProfile(0.5, 3))
-        small = CapDomain(NORTH, 0.5)
-        small_rule = build_gauss_rule(small, 16, 8, 16)
-        with pytest.raises(ValueError):
-            check_boundary_identity(f, small, small_rule, jets_of(f, small_rule))
+        with pytest.raises(ValueError, match="not known to match"):
+            VerifyConfig(cap=CapDomain(NORTH, 0.5), fields=[f])
 
 
 class TestBounds:
-    def test_equality_at_hopf(self, cap, rule):
-        f = hopf_field()
-        jets = jets_of(f, rule)
-        e = check_energy_bound(f, cap, rule, jets)
-        v = check_volume_bound(f, cap, rule, jets)
+    def test_equality_at_hopf(self, cap):
+        rows = field_rows(hopf_field(), cap)
+        e, v = rows["energy_bound"], rows["volume_bound"]
         assert e.passed and v.passed
+        assert e.rhs == 2.5 * cap_volume(cap) and v.rhs == 2.0 * cap_volume(cap)
         assert e.lhs == pytest.approx(e.rhs, rel=1e-10)
         assert v.lhs == pytest.approx(v.rhs, rel=1e-10)
 
-    def test_surplus_ordering(self, cap, rule):
+    def test_surplus_ordering(self, cap):
         surpluses = []
         for a in (0.5, 1.2):
-            f = perturbed_field(cap, BumpProfile(a, 3))
-            jets = jets_of(f, rule)
-            e = check_energy_bound(f, cap, rule, jets)
-            v = check_volume_bound(f, cap, rule, jets)
+            rows = field_rows(perturbed_field(cap, BumpProfile(a, 3)), cap)
+            e, v = rows["energy_bound"], rows["volume_bound"]
             assert e.passed and v.passed
             surpluses.append((e.lhs - e.rhs, v.lhs - v.rhs))
         assert surpluses[1][0] > surpluses[0][0] > 0
@@ -122,20 +104,21 @@ class TestBounds:
 
 
 class TestChangeOfVariables:
-    def test_hopf_passes(self, cap, rule):
-        f = hopf_field()
-        reports = check_change_of_variables(f, cap, rule, jets_of(f, rule), (0.1, 0.2, 0.3))
-        assert len(reports) == 3
+    def test_hopf_passes(self, cap):
+        rows = field_rows(hopf_field(), cap, t_grid=(0.1, 0.2, 0.3))
+        reports = [r for name, r in rows.items() if name.startswith("image_volume")]
+        assert [r.name for r in reports] == ["image_volume_t0.1", "image_volume_t0.2", "image_volume_t0.3"]
         assert all(r.passed for r in reports)
 
-    def test_twisted_field_reports_rejection(self, cap, rule):
-        f = perturbed_field(cap, BumpProfile(1.2, 2), twist="angular")
-        reports = check_change_of_variables(f, cap, rule, jets_of(f, rule), (0.1,))
-        assert len(reports) == 1
-        assert not reports[0].passed
-        assert "det_floor_rejection" in reports[0].context
+    def test_twisted_field_reports_rejection(self, cap):
+        # run_all gives twisted fields no image-volume rows (they fold for
+        # every t > 0), so a large untwisted bump folds the map instead.
+        f = perturbed_field(cap, BumpProfile(3.0, 3))
+        rep = field_rows(f, cap, t_grid=(0.5,))["image_volume_t0.5"]
+        assert not rep.passed
+        assert "det_floor_rejection" in rep.context
         # The rejected value has no number: it serializes as null.
-        d = reports[0].to_dict()
+        d = rep.to_dict()
         assert d["lhs"] is None and d["abs_err"] is None and d["rel_err"] is None
 
 

@@ -208,6 +208,40 @@ class TestInputValidation:
         assert main([command, flag]) == 2
 
 
+class TestSmallCapFlags:
+    """verify --field small-cap runs the counterexample on the cap and rule it is given."""
+
+    def small_cap(self, tmp_path, *extra):
+        out = tmp_path / "small.json"
+        code = main(["verify", "--field", "small-cap", "--output", str(out), *extra])
+        reports = {r["name"]: r for r in json.loads(out.read_text())} if out.exists() else {}
+        return code, reports
+
+    def test_cap_radius_is_honoured(self, tmp_path):
+        code, reports = self.small_cap(tmp_path, "--cap-radius", "0.3", "--orders", "16,8,16")
+        assert code == 0
+        rep = reports["small_cap_energy_below_hopf"]
+        assert rep["context"]["cap_radius"] == 0.3
+        assert rep["lhs"] == pytest.approx(2.5 * (0.3 - math.sin(0.6) / 2) * 2 * math.pi)
+
+    def test_orders_are_honoured(self, tmp_path):
+        code, reports = self.small_cap(tmp_path, "--cap-radius", "0.3", "--orders", "16,8,16")
+        assert code == 0
+        assert all(r["context"]["orders"] == [16, 8, 16] for n, r in reports.items() if n.startswith("small"))
+
+    def test_montecarlo_rejected(self, tmp_path, no_compute, capsys):
+        code, reports = self.small_cap(tmp_path, "--rule", "montecarlo", "--samples", "5000")
+        assert code == 2 and not reports
+        assert "Gauss rules only" in capsys.readouterr().err
+
+    def test_default_radius_fails_mean_gradient(self, tmp_path):
+        # On the unit-radius cap the mean |grad v|^2 (about 0.2 r^2) exceeds 0.1.
+        code, reports = self.small_cap(tmp_path, "--orders", "16,8,16")
+        assert code == 1
+        assert [n for n, r in reports.items() if not r["passed"]] == ["small_cap_mean_gradient_sq"]
+        assert reports["small_cap_mean_gradient_sq"]["lhs"] == pytest.approx(0.217, abs=0.005)
+
+
 def _strict_loads(text):
     def reject(constant):
         raise ValueError(f"non-finite {constant} in JSON")

@@ -10,18 +10,14 @@ from hopfcap import (
     SpherePoint,
     build_gauss_rule,
     cap_volume,
-    fit_volume_polynomial,
     hopf_field,
     image_volume,
     jacobian_det_analytic,
     jacobian_det_numeric,
     perturbed_field,
-    shifted_unit_field,
 )
-from hopfcap.calculus import jet_batch
 from hopfcap.displace import frame_matrix
 from hopfcap.geometry import random_sphere_points
-from hopfcap.quadrature import integrate
 
 
 @pytest.fixture(scope="module")
@@ -55,13 +51,7 @@ class TestDisplacementMap:
 
 
 class TestShiftedUnitField:
-    def test_unit_and_tangent_to_image(self, smooth_fields):
-        pts = random_sphere_points(1000, 31)
-        for f in smooth_fields:
-            dm = DisplacementMap(f, 0.25)
-            u = shifted_unit_field(dm)(pts)
-            assert np.max(np.abs(np.linalg.norm(u, axis=-1) - 1.0)) < 1e-12
-            assert np.max(np.abs(np.sum(u * dm(pts), axis=-1))) < 1e-12
+    """u = (v - t x) / sqrt(1 + t^2), the third image-frame vector of frame_matrix."""
 
     def test_differential_along_field_direction(self, smooth_fields):
         # <dphi(v), u> = sqrt(1 + t^2); <dphi(e_i), u> = 0.
@@ -153,26 +143,3 @@ class TestImageVolume:
         dm = DisplacementMap(f, 0.1)
         with pytest.raises(ValueError, match="diffeomorphism window"):
             image_volume(dm, cap, rule)
-
-
-class TestVolumePolynomialFit:
-    def test_recovers_sigma_integrals(self, cap):
-        rule = build_gauss_rule(cap, 64, 32, 64)
-        t_grid = np.arange(0.05, 0.31, 0.05)
-        vol_k = cap_volume(cap)
-        for f in [hopf_field(), perturbed_field(cap, BumpProfile(0.5, 3))]:
-            c0, c1, c2 = fit_volume_polynomial(f, rule, t_grid)
-            jets = jet_batch(f, rule.nodes)
-            s1, _ = integrate(rule, lambda _n: jets.sigma1)
-            s2, _ = integrate(rule, lambda _n: jets.sigma2)
-            assert c0 == pytest.approx(vol_k, rel=1e-5)
-            assert c1 == pytest.approx(s1, abs=1e-5 * vol_k)
-            assert c2 == pytest.approx(s2, rel=1e-5)
-
-    def test_hopf_coefficients(self, cap):
-        rule = build_gauss_rule(cap, 32, 16, 32)
-        c0, c1, c2 = fit_volume_polynomial(hopf_field(), rule, np.arange(0.05, 0.31, 0.05))
-        vol_k = cap_volume(cap)
-        assert c0 == pytest.approx(vol_k, rel=1e-9)
-        assert abs(c1) < 1e-9 * vol_k
-        assert c2 == pytest.approx(vol_k, rel=1e-9)

@@ -11,8 +11,10 @@ from hopfcap import (
     build_gauss_rule,
     cap_volume,
     energy,
-    energy_lower_bound_gap,
+    energy_from_jets,
     hopf_field,
+    integrate,
+    jet_batch,
     perturbed_field,
     small_cap_field,
     volume,
@@ -102,9 +104,20 @@ class TestVolume:
         assert s[1] > s[0] > 2.0 * cap_volume(cap)
 
 
+def sigma2_energy_gap(field, cap, rule):
+    """E(v) minus its determinant-based lower bound 1.5 vol(K) + integral of sigma2.
+
+    Nonnegative because |h|^2 >= 2 det h pointwise; zero exactly when h is
+    antisymmetric and the field-direction derivative vanishes (Hopf fields).
+    """
+    jets = jet_batch(field, rule.nodes)
+    s2, _ = integrate(rule, lambda _n: jets.sigma2)
+    return energy_from_jets(jets, cap, rule).value - (1.5 * cap_volume(cap) + s2)
+
+
 class TestEnergyLowerBoundGap:
     def test_hopf_gap_vanishes(self, cap, rule):
-        assert abs(energy_lower_bound_gap(hopf_field(), cap, rule)) < 1e-10
+        assert abs(sigma2_energy_gap(hopf_field(), cap, rule)) < 1e-10
 
     def test_gap_nonnegative_for_builtins(self, cap, rule):
         fields = [
@@ -114,11 +127,11 @@ class TestEnergyLowerBoundGap:
             small_cap_field(CapDomain(cap.center, 0.1)),
         ]
         for f in fields:
-            assert energy_lower_bound_gap(f, cap, rule) >= -1e-8
+            assert sigma2_energy_gap(f, cap, rule) >= -1e-8
 
     def test_twisted_gap_strictly_positive(self, cap, rule):
         f = perturbed_field(cap, BumpProfile(1.2, 2), twist="angular")
-        assert energy_lower_bound_gap(f, cap, rule) > 1e-3
+        assert sigma2_energy_gap(f, cap, rule) > 1e-3
 
 
 def _left_translate(field: UnitField, q) -> UnitField:

@@ -12,21 +12,21 @@ import pytest
 from hopfcap import (
     BumpProfile,
     CapDomain,
+    DisplacementMap,
     SpherePoint,
     VerifyConfig,
     build_gauss_rule,
-    check_boundary_identity,
-    check_change_of_variables,
-    check_energy_bound,
+    cap_volume,
     check_hopf_constants,
-    check_sigma1_integral,
-    check_volume_bound,
-    energy_lower_bound_gap,
+    energy,
     hopf_field,
+    image_volume,
+    integrate,
     jet_batch,
     perturbed_field,
     run_all,
     sweep_family,
+    volume,
 )
 from hopfcap.cli import main
 
@@ -87,25 +87,37 @@ class TestJetCounts:
         assert main([*args, "--output", str(out)]) == 0
         assert len(jet_calls) == 2
 
-    def test_energy_lower_bound_gap_one_jet(self, jet_calls):
-        energy_lower_bound_gap(perturbed(), CAP, build_gauss_rule(CAP, *ORDERS))
-        assert len(jet_calls) == 1
-
 
 @pytest.mark.parametrize("field", [hopf_field(), perturbed()], ids=["hopf", "perturbed"])
 def test_run_all_equals_standalone_checks(field):
+    """run_all's rows against the entry points that build their own jet from the field."""
     config = VerifyConfig(CAP, [field], orders=ORDERS, hopf_points=HOPF_POINTS)
     rule = config.build_rule()
+    vol_k = cap_volume(CAP)
+    integral_tol, bound_tol = config.integral_tolerance, config.bound_tolerance
 
-    def fresh():
-        return jet_batch(field, rule.nodes, mode=config.mode)
+    def integral(attr):
+        jets = jet_batch(field, rule.nodes, mode=config.mode)
+        return integrate(rule, lambda _n: getattr(jets, attr))[0]
 
-    expected = check_hopf_constants(n_points=HOPF_POINTS, seed=config.seed, mode=config.mode)
-    expected += [
-        check_boundary_identity(field, CAP, rule, fresh()),
-        check_sigma1_integral(field, CAP, rule, fresh()),
-        check_energy_bound(field, CAP, rule, fresh()),
-        check_volume_bound(field, CAP, rule, fresh()),
+    expected = [
+        ("boundary_sigma2_integral", integral("sigma2"), vol_k, integral_tol, "rel"),
+        ("boundary_sigma1_integral", integral("sigma1"), 0.0, integral_tol * vol_k, "abs"),
+        ("energy_bound", energy(field, CAP, rule).value, 2.5 * vol_k, bound_tol * vol_k, "lower-bound"),
+        ("volume_bound", volume(field, CAP, rule).value, 2.0 * vol_k, bound_tol * vol_k, "lower-bound"),
     ]
-    expected += check_change_of_variables(field, CAP, rule, fresh(), config.t_grid)
-    assert [r.to_dict() for r in run_all(config)] == [r.to_dict() for r in expected]
+    expected += [
+        (
+            f"image_volume_t{t:g}",
+            image_volume(DisplacementMap(field, t), CAP, rule)[0],
+            vol_k * (1.0 + t * t) ** 1.5,
+            integral_tol,
+            "rel",
+        )
+        for t in config.t_grid
+    ]
+    reports = run_all(config)
+    hopf = check_hopf_constants(n_points=HOPF_POINTS, seed=config.seed, mode=config.mode)
+    assert [r.to_dict() for r in reports[:2]] == [r.to_dict() for r in hopf]
+    assert [(r.name, r.lhs, r.rhs, r.tolerance, r.policy) for r in reports[2:]] == expected
+    assert all(r.passed for r in reports)
