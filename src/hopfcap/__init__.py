@@ -5,7 +5,7 @@ unit fields that agree with it on the cap boundary, and that the boundary
 hypothesis is essential (small-cap counterexample).
 """
 
-from .calculus import JetBatch, covariant_derivative, jet_batch
+from .calculus import JetBatch, jet_batch
 from .checks import (
     CheckReport,
     SweepResult,
@@ -34,16 +34,7 @@ from .functionals import (
     volume,
     volume_from_jets,
 )
-from .geometry import (
-    CapDomain,
-    SpherePoint,
-    TangentVector,
-    cap_volume,
-    contains,
-    exp_map,
-    parallel_transport,
-    quat_mul,
-)
+from .geometry import CapDomain, SpherePoint, cap_volume, quat_mul
 from .quadrature import QuadratureRule, build_gauss_rule, build_mc_rule, integrate
 
 __version__ = "0.1.0"

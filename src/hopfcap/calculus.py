@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dual as du
 from .fields import UnitField
-from .geometry import QUAT_I, QUAT_J, QUAT_K, SpherePoint, TangentVector, left_mult_matrix
+from .geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix
 
 FD_STEP = 1e-5
 
@@ -45,16 +45,6 @@ def directional_derivative(field: UnitField, points, directions, mode: str = "ad
     if mode == "fd":
         return (du.value(field(x + FD_STEP * y)) - du.value(field(x - FD_STEP * y))) / (2.0 * FD_STEP)
     raise ValueError(f"unknown differentiation mode {mode!r}")
-
-
-def covariant_derivative(
-    field: UnitField, point: SpherePoint, direction: TangentVector, mode: str = "ad"
-) -> TangentVector:
-    """Tangential part of the ambient derivative: grad_Y v on the sphere."""
-    if not np.allclose(direction.base.x, point.x, atol=1e-12):
-        raise ValueError("direction must be tangent at the evaluation point")
-    d = directional_derivative(field, point.x, direction.w, mode=mode)
-    return TangentVector(point, d - np.dot(d, point.x) * point.x)
 
 
 def adapted_frame_batch(points: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

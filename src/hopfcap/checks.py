@@ -10,7 +10,7 @@ reduced from its one ``JetBatch`` at the rule's nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .functionals import (
     volume_from_jets,
 )
 from .geometry import CapDomain, SpherePoint, cap_volume, random_sphere_points
-from .quadrature import QuadratureRule, build_gauss_rule, build_mc_rule, integrate
+from .quadrature import QuadratureRule, build_gauss_rule, integrate
 
 # Default tolerances, keyed by differentiation mode where they differ.
 TOL_SIGMA = {"ad": 1e-9, "fd": 1e-6}
@@ -39,6 +39,7 @@ SMALL_CAP_SLOPE_TOL = 0.2
 
 # Default run parameters; the CLI reads its flag defaults from here.
 GAUSS_ORDERS = (64, 32, 64)
+AMPLITUDE = 0.5  # of the perturbed field in verify and functionals
 MC_SAMPLES = 20_000
 T_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 SWEEP_AMPLITUDES = (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)
@@ -69,17 +70,7 @@ class CheckReport:
     context: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "policy": self.policy,
-            "context": self.context,
-        }
+        return asdict(self)
 
 
 def _report(name, lhs, rhs, tolerance, policy, context=None) -> CheckReport:
@@ -188,8 +179,6 @@ def sweep_family(
     exponent: int = 3,
     twist=None,
     mode: str = "ad",
-    refine: bool = True,
-    refine_tol: float = TOL_SWEEP_LOC,
 ) -> SweepResult:
     """Evaluate both functionals over the bump-amplitude grid; refine the minimum."""
     amps = np.asarray(sorted(float(a) for a in amplitudes))
@@ -213,15 +202,13 @@ def sweep_family(
     i_e = int(np.argmin(energies))
     i_v = int(np.argmin(volumes))
 
-    refined_e = refined_v = 0.0
-    if refine:
-        def bracket(i):
-            lo = amps[max(i - 1, 0)]
-            hi = amps[min(i + 1, len(amps) - 1)]
-            return float(lo), float(hi)
+    def bracket(i):
+        lo = amps[max(i - 1, 0)]
+        hi = amps[min(i + 1, len(amps) - 1)]
+        return float(lo), float(hi)
 
-        refined_e = _golden_section(lambda a: functionals_at(a)[0], *bracket(i_e), refine_tol)
-        refined_v = _golden_section(lambda a: functionals_at(a)[1], *bracket(i_v), refine_tol)
+    refined_e = _golden_section(lambda a: functionals_at(a)[0], *bracket(i_e), TOL_SWEEP_LOC)
+    refined_v = _golden_section(lambda a: functionals_at(a)[1], *bracket(i_v), TOL_SWEEP_LOC)
 
     return SweepResult(
         amplitudes=amps,
@@ -234,15 +221,15 @@ def sweep_family(
     )
 
 
-def sweep_reports(result: SweepResult, refine_tol: float = TOL_SWEEP_LOC) -> list[CheckReport]:
+def sweep_reports(result: SweepResult) -> list[CheckReport]:
     """Minimality reports derived from a sweep: argmin at 0, refined near 0."""
     zero = int(np.argmin(np.abs(result.amplitudes)))
     ctx = {"amplitudes": [float(a) for a in result.amplitudes]}
     return [
         _report("sweep_energy_argmin_zero", result.argmin_energy, zero, 0.0, "abs", ctx),
         _report("sweep_volume_argmin_zero", result.argmin_volume, zero, 0.0, "abs", ctx),
-        _report("sweep_energy_min_location", abs(result.refined_energy_min), 0.0, refine_tol, "abs", ctx),
-        _report("sweep_volume_min_location", abs(result.refined_volume_min), 0.0, refine_tol, "abs", ctx),
+        _report("sweep_energy_min_location", abs(result.refined_energy_min), 0.0, TOL_SWEEP_LOC, "abs", ctx),
+        _report("sweep_volume_min_location", abs(result.refined_volume_min), 0.0, TOL_SWEEP_LOC, "abs", ctx),
     ]
 
 
@@ -293,13 +280,11 @@ def check_small_cap_counterexample(
 
 @dataclass
 class VerifyConfig:
-    """Everything run_all needs; built by the CLI or directly in tests."""
+    """Everything run_all needs: one field, its cap and a built rule on that cap."""
 
     cap: CapDomain
-    fields: list  # of UnitField
-    orders: tuple = GAUSS_ORDERS
-    rule_kind: str = "gauss"
-    mc_samples: int = MC_SAMPLES
+    field: UnitField
+    rule: QuadratureRule
     seed: int = 0
     t_grid: tuple = T_GRID
     mode: str = "ad"
@@ -311,51 +296,34 @@ class VerifyConfig:
 
     def __post_init__(self):
         # Checked here so a bad configuration fails before any jet is built.
-        if len(self.orders) != 3:
-            raise ValueError(
-                f"Gauss orders need 3 entries n_rho,n_theta,n_phi, got {len(self.orders)}"
-            )
         if not all(0.0 <= t <= T_MAX for t in self.t_grid):
             raise ValueError(f"offsets t must lie in [0, {T_MAX}], got {list(self.t_grid)}")
-        for field in self.fields:
-            if field.label != "small-cap":
-                _require_hopf_boundary(field, self.cap)
-            elif self.rule_kind != "gauss":
-                raise ValueError("the small-cap counterexample integrates with Gauss rules only")
-
-    def build_rule(self) -> QuadratureRule:
-        if self.rule_kind == "gauss":
-            return build_gauss_rule(self.cap, *self.orders)
-        if self.rule_kind == "montecarlo":
-            return build_mc_rule(self.cap, self.mc_samples, seed=self.seed)
-        raise ValueError(f"unknown rule kind {self.rule_kind!r}")
+        domain = self.rule.domain
+        if domain.radius != self.cap.radius or not np.array_equal(domain.center.x, self.cap.center.x):
+            raise ValueError("the quadrature rule is built on a different cap")
+        if self.field.label != "small-cap":
+            _require_hopf_boundary(self.field, self.cap)
+        elif self.rule.kind != "gauss":
+            raise ValueError("the small-cap counterexample integrates with Gauss rules only")
 
 
 def run_all(config: VerifyConfig) -> list[CheckReport]:
-    """Execute every applicable check for each configured field."""
-    if not config.fields:
-        return []
-    rule = config.build_rule()
-    reports = check_hopf_constants(
+    """Execute every applicable check for the configured field."""
+    hopf = check_hopf_constants(
         n_points=config.hopf_points,
         seed=config.seed,
         mode=config.mode,
         tolerance=config.sigma_tolerance,
     )
-    for field in config.fields:
-        reports.extend(_field_reports(field, config, rule))
-    return reports
+    return hopf + _field_reports(config)
 
 
-def _field_reports(field: UnitField, config: VerifyConfig, rule: QuadratureRule) -> list[CheckReport]:
-    """The checks of one field, each a row reduced from its one jet at the rule's nodes.
-
-    The jet is local, so only one field's batch is alive at a time.
-    """
-    cap = config.cap
+def _field_reports(config: VerifyConfig) -> list[CheckReport]:
+    """The checks of the field, each a row reduced from its one jet at the rule's nodes."""
+    field, cap, rule = config.field, config.cap, config.rule
     if field.label == "small-cap":
         return check_small_cap_counterexample(
-            radius=cap.radius, center=cap.center, orders=config.orders, mode=config.mode
+            radius=cap.radius, center=cap.center, orders=rule.orders, mode=config.mode
         )
     jets = jet_batch(field, rule.nodes, mode=config.mode)
     vol_k = cap_volume(cap)

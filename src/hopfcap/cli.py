@@ -7,11 +7,12 @@ Subcommands:
 * ``sweep``       -- amplitude sweep of the bump family, CSV output; its
   minimality checks (argmin at 0, refined minimum near 0) set the exit code.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad flags.
-Each command accepts only the flags it reads, and flags are validated
-before any field is evaluated.  JSON reports are strict (a value a check
-could not compute is null) and byte-identical for identical configuration
-and seed.
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad flags,
+3 an unexpected error (its traceback goes to stderr).  Each command accepts
+only the flags it reads, a field or rule flag that the chosen ``--field`` or
+``--rule`` would not read exits 2, and flags are validated before any field
+is evaluated.  JSON reports are strict (a value a check could not compute
+is null) and byte-identical for identical configuration and seed.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ import json
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
 from .checks import (
+    AMPLITUDE,
     GAUSS_ORDERS,
     MC_SAMPLES,
     SWEEP_AMPLITUDES,
@@ -42,6 +45,7 @@ from .displace import DET_FLOOR
 from .fields import BumpProfile, UnitField, hopf_field, perturbed_field, small_cap_field
 from .functionals import energy_and_volume, hopf_energy, hopf_volume
 from .geometry import CapDomain, SpherePoint
+from .quadrature import QuadratureRule, build_gauss_rule, build_mc_rule
 
 OUTPUT_DIR_ENV = "HOPFCAP_OUTPUT_DIR"
 # The report formats each command writes; the first is its default.
@@ -72,19 +76,22 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, p in commands.items():
         p.add_argument("--cap-center", type=_csv_floats, default=(1.0, 0.0, 0.0, 0.0))
         p.add_argument("--cap-radius", type=float, default=1.0)
-        p.add_argument("--exponent", type=int, default=3)
-        p.add_argument("--twist", choices=["none", "angular"], default="none")
-        p.add_argument("--orders", type=_csv_ints, default=GAUSS_ORDERS)
+        # Flags that only some fields or rules read default to None, so that
+        # _make_field and _make_rule can tell a flag that was set from one that
+        # was not; unset ones take the library defaults.
+        p.add_argument("--exponent", type=int, default=None)
+        p.add_argument("--twist", choices=["none", "angular"], default=None)
+        p.add_argument("--orders", type=_csv_ints, default=None)
         p.add_argument("--rule", choices=["gauss", "montecarlo"], default="gauss")
-        p.add_argument("--samples", type=int, default=MC_SAMPLES)
+        p.add_argument("--samples", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--mode", choices=["ad", "fd"], default="ad")
         p.add_argument("--output", default=None)
         p.add_argument("--format", dest="fmt", choices=FORMATS[name], default=FORMATS[name][0])
     for p in (commands["verify"], commands["functionals"]):
         p.add_argument("--field", choices=["hopf", "perturbed", "small-cap"], default="hopf")
-        p.add_argument("--amplitude", type=float, default=0.5)
-        p.add_argument("--axis", type=_csv_floats, default=(0.0, 1.0, 0.0, 0.0))
+        p.add_argument("--amplitude", type=float, default=None)
+        p.add_argument("--axis", type=_csv_floats, default=None)
     p = commands["verify"]
     p.add_argument("--t-grid", type=_csv_floats, default=T_GRID)
     p.add_argument("--sigma-tol", type=float, default=None)
@@ -104,19 +111,41 @@ def _validate(args: argparse.Namespace) -> CapDomain:
     return CapDomain(SpherePoint(np.asarray(args.cap_center)), args.cap_radius)
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named flags that were set, as keyword arguments."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+
+
+def _reject(flags: dict, reader: str) -> None:
+    if flags:
+        names = ", ".join("--" + n for n in flags)
+        raise ValueError(f"{names} not read by {reader}")
+
+
 def _make_field(args: argparse.Namespace, cap: CapDomain) -> UnitField:
+    """The field --field names; a flag that field would not read is rejected."""
+    if args.field != "perturbed":
+        _reject(_given(args, "amplitude", "exponent", "twist"), f"--field {args.field}")
     if args.field == "hopf":
-        return hopf_field(args.axis)
+        return hopf_field(**_given(args, "axis"))
     if args.field == "perturbed":
-        return perturbed_field(
-            cap,
-            BumpProfile(args.amplitude, args.exponent),
-            twist=args.twist,
-            axis=args.axis,
-        )
-    if args.field == "small-cap":
-        return small_cap_field(cap)
-    raise ValueError(f"unknown field {args.field!r}")
+        amplitude = AMPLITUDE if args.amplitude is None else args.amplitude
+        bump = BumpProfile(amplitude, **_given(args, "exponent"))
+        return perturbed_field(cap, bump, **_given(args, "twist", "axis"))
+    _reject(_given(args, "axis"), "--field small-cap")
+    return small_cap_field(cap)
+
+
+def _make_rule(args: argparse.Namespace, cap: CapDomain) -> QuadratureRule:
+    """The rule --rule names; --samples and --orders are each read by one rule only."""
+    if args.rule == "montecarlo":
+        _reject(_given(args, "orders"), "--rule montecarlo")
+        return build_mc_rule(cap, MC_SAMPLES if args.samples is None else args.samples, seed=args.seed)
+    _reject(_given(args, "samples"), "--rule gauss")
+    orders = GAUSS_ORDERS if args.orders is None else args.orders
+    if len(orders) != 3:
+        raise ValueError(f"Gauss orders need 3 entries n_rho,n_theta,n_phi, got {len(orders)}")
+    return build_gauss_rule(cap, *orders)
 
 
 def _resolve_output(args: argparse.Namespace, default_name: str) -> str | None:
@@ -144,13 +173,10 @@ def _emit(text: str, path: str | None) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     cap = _validate(args)
     path = _resolve_output(args, "verify.json")
-    field = _make_field(args, cap)
     vconf = VerifyConfig(
         cap=cap,
-        fields=[field],
-        orders=args.orders,
-        rule_kind=args.rule,
-        mc_samples=args.samples,
+        field=_make_field(args, cap),
+        rule=_make_rule(args, cap),
         seed=args.seed,
         t_grid=args.t_grid,
         mode=args.mode,
@@ -171,10 +197,7 @@ def cmd_functionals(args: argparse.Namespace) -> int:
     cap = _validate(args)
     path = _resolve_output(args, f"functionals.{args.fmt}")
     field = _make_field(args, cap)
-    vconf = VerifyConfig(cap=cap, fields=[], orders=args.orders, rule_kind=args.rule,
-                         mc_samples=args.samples, seed=args.seed)
-    rule = vconf.build_rule()
-    e, v = energy_and_volume(field, cap, rule, mode=args.mode)
+    e, v = energy_and_volume(field, cap, _make_rule(args, cap), mode=args.mode)
     rows = {
         "field": field.label,
         "energy": e.value,
@@ -199,16 +222,12 @@ def cmd_functionals(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cap = _validate(args)
     path = _resolve_output(args, "sweep.csv")
-    vconf = VerifyConfig(cap=cap, fields=[], orders=args.orders, rule_kind=args.rule,
-                         mc_samples=args.samples, seed=args.seed)
-    rule = vconf.build_rule()
     result = sweep_family(
         cap,
         args.amplitudes,
-        rule,
-        exponent=args.exponent,
-        twist=args.twist if args.twist != "none" else None,
+        _make_rule(args, cap),
         mode=args.mode,
+        **_given(args, "exponent", "twist"),
     )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -237,6 +256,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # A crash must not read as a failed check (exit 1).
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

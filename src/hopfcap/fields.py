@@ -19,20 +19,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from . import dual as du
-from .geometry import (
-    CapDomain,
-    TangentVector,
-    left_mult_matrix,
-    quat_mul,
-    tangent_basis,
-)
-
-UNIT_EVAL_TOL = 1e-10
+from .geometry import CapDomain, left_mult_matrix, quat_mul, tangent_basis
 
 
 @dataclass(frozen=True)
@@ -119,21 +111,17 @@ class BumpProfile:
             raise ValueError("bump exponent must be >= 2 for a C^1 boundary match")
 
 
-TwistSpec = Union[str, Callable, None]
-
-
 def perturbed_field(
     cap: CapDomain,
     bump: BumpProfile,
-    twist: TwistSpec = None,
+    twist: str | None = None,
     axis=(0.0, 1.0, 0.0, 0.0),
 ) -> UnitField:
     """Hopf field rotated by a compactly supported bump inside ``cap``.
 
     v = cos(f) H + sin(f) (cos(g) E1 + sin(g) E2) with f the bump profile of
     the geodesic distance to the cap center.  ``twist`` selects g: None/"none"
-    for g = 0, "angular" for the azimuth around the cap axis, or a callable
-    g(x) on (..., 4) arrays.
+    for g = 0, "angular" for the azimuth around the cap axis.
     """
     if abs(bump.amplitude) >= np.pi:
         warnings.warn(
@@ -155,9 +143,6 @@ def perturbed_field(
             return du.arctan2(du.vdot(xs, b2), du.vdot(xs, b1))
 
         twist_name = "angular"
-    elif callable(twist):
-        twist_fn = twist
-        twist_name = getattr(twist, "__name__", "custom")
     else:
         raise ValueError(f"unknown twist {twist!r}")
 
@@ -190,11 +175,12 @@ def perturbed_field(
     )
 
 
-def small_cap_field(cap: CapDomain, u0: Optional[TangentVector] = None) -> UnitField:
-    """Radial parallel extension of u0 from the cap center.
+def small_cap_field(cap: CapDomain) -> UnitField:
+    """Radial parallel extension of u0 = i p from the cap center p.
 
-    Along each geodesic leaving the center, the value is the parallel
-    transport of u0; in closed form
+    u0 is the first ``tangent_basis`` vector at p.  Along each geodesic
+    leaving the center, the value is the parallel transport of u0; in
+    closed form
 
         v(x) = u0 - <u0, x> p - <u0, x> / (1 + <x, p>) (x - <x, p> p)
 
@@ -203,13 +189,7 @@ def small_cap_field(cap: CapDomain, u0: Optional[TangentVector] = None) -> UnitF
     derivative stays small.
     """
     p = cap.center.x
-    if u0 is None:
-        u0 = TangentVector(cap.center, tangent_basis(cap.center)[0])
-    if not np.allclose(u0.base.x, p):
-        raise ValueError("u0 must be tangent at the cap center")
-    if abs(u0.norm - 1.0) > 1e-9:
-        raise ValueError("u0 must be a unit vector")
-    u = u0.w
+    u = tangent_basis(cap.center)[0]
 
     def evaluate(x):
         xs = du.normalize(x)

@@ -1,18 +1,17 @@
 """Quaternionic model of the unit 3-sphere.
 
 Points of S^3 are unit 4-vectors read as quaternions (w, i, j, k).  This
-module provides the quaternion algebra, geodesics, parallel transport along
-geodesics, and geodesic-ball (cap) domains.
+module provides the quaternion algebra, geodesic-ball (cap) domains, the
+tangent basis (i x, j x, k x) and uniform random points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-UNIT_TOL = 1e-12
 DRIFT_GUARD = 1e-9
 
 QUAT_ONE = np.array([1.0, 0.0, 0.0, 0.0])
@@ -36,11 +35,6 @@ def quat_mul(p, q):
         ],
         axis=-1,
     )
-
-
-def quat_conj(p):
-    p = np.asarray(p, dtype=float)
-    return p * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def left_mult_matrix(a):
@@ -76,31 +70,6 @@ class SpherePoint:
 
 
 @dataclass(frozen=True)
-class TangentVector:
-    """Ambient 4-vector attached to (and orthogonal to) a base point."""
-
-    base: SpherePoint
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.shape != (4,):
-            raise ValueError(f"TangentVector needs a 4-vector, got shape {w.shape}")
-        drift = float(np.dot(w, self.base.x))
-        if abs(drift) > DRIFT_GUARD:
-            raise ValueError(f"tangency defect {drift} exceeds {DRIFT_GUARD}")
-        # Strip rounding-level normal component so the invariant holds at 1e-12.
-        object.__setattr__(self, "w", w - drift * self.base.x)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.w))
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.w, dtype=dtype)
-
-
-@dataclass(frozen=True)
 class CapDomain:
     """Geodesic ball in S^3: all points within ``radius`` of ``center``.
 
@@ -115,40 +84,10 @@ class CapDomain:
             raise ValueError(f"cap radius must lie in (0, pi], got {self.radius}")
 
 
-def exp_map(p: SpherePoint, w: TangentVector, rho: float) -> SpherePoint:
-    """Geodesic flow: cos(rho) p + sin(rho) w for a unit tangent w."""
-    if abs(w.norm - 1.0) > 1e-9:
-        raise ValueError(f"exp_map needs a unit tangent vector, got norm {w.norm}")
-    return SpherePoint(math.cos(rho) * p.x + math.sin(rho) * w.w)
-
-
-def parallel_transport(
-    p: SpherePoint, w: TangentVector, u0: TangentVector, rho: float
-) -> TangentVector:
-    """Transport u0 along the geodesic s -> exp_map(p, w, s) to s = rho.
-
-    The component of u0 along w rotates in the (p, w) plane; the component
-    normal to the plane is constant.  Norms and angles are preserved.
-    """
-    if abs(w.norm - 1.0) > 1e-9:
-        raise ValueError("transport direction must be unit")
-    a = float(np.dot(u0.w, w.w))
-    normal = u0.w - a * w.w
-    rotated = a * (-math.sin(rho) * p.x + math.cos(rho) * w.w)
-    return TangentVector(exp_map(p, w, rho), rotated + normal)
-
-
 def cap_volume(cap: CapDomain) -> float:
     """3-volume of a geodesic ball: 4 pi * integral of sin^2 from 0 to r."""
     r = cap.radius
     return 2.0 * math.pi * r - math.pi * math.sin(2.0 * r)
-
-
-def contains(cap: CapDomain, x: SpherePoint) -> tuple[bool, float]:
-    """Membership test plus the geodesic distance to the cap center."""
-    c = float(np.clip(np.dot(x.x, cap.center.x), -1.0, 1.0))
-    dist = math.acos(c)
-    return dist <= cap.radius + UNIT_TOL, dist
 
 
 def tangent_basis(p: SpherePoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -31,7 +31,6 @@ class QuadratureRule:
     domain: CapDomain
     kind: str            # "gauss" | "montecarlo"
     orders: tuple        # (n_rho, n_theta, n_phi) or (n_samples,)
-    seed: int | None = None
     estimated_error: float = 0.0
 
     @property
@@ -50,7 +49,7 @@ def _polar_nodes(cap: CapDomain, rho, theta, phi):
     return np.cos(rho)[:, None] * cap.center.x + np.sin(rho)[:, None] * direction
 
 
-def build_gauss_rule(cap: CapDomain, n_rho: int = 64, n_theta: int = 32, n_phi: int = 64) -> QuadratureRule:
+def build_gauss_rule(cap: CapDomain, n_rho: int, n_theta: int, n_phi: int) -> QuadratureRule:
     """Tensor-product rule: Gauss-Legendre in rho, theta; trapezoid in phi."""
     if min(n_rho, n_theta, n_phi) < 4:
         raise ValueError("quadrature orders must be >= 4")
@@ -95,7 +94,7 @@ def _radial_inverse_cdf(cap: CapDomain, u: np.ndarray) -> np.ndarray:
     return np.clip(rho, 0.0, cap.radius)
 
 
-def build_mc_rule(cap: CapDomain, n_samples: int = 10_000, seed: int = 0) -> QuadratureRule:
+def build_mc_rule(cap: CapDomain, n_samples: int, seed: int) -> QuadratureRule:
     """Uniform Monte Carlo samples on the cap with equal weights vol/n."""
     if n_samples < 1000:
         raise ValueError("Monte Carlo rule needs at least 1000 samples")
@@ -113,7 +112,6 @@ def build_mc_rule(cap: CapDomain, n_samples: int = 10_000, seed: int = 0) -> Qua
         domain=cap,
         kind="montecarlo",
         orders=(n_samples,),
-        seed=seed,
         estimated_error=vol / math.sqrt(n_samples),
     )
 

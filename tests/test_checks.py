@@ -23,9 +23,13 @@ from hopfcap import (
 NORTH = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
 
 
+def verify_config(cap, field, orders, **kwargs):
+    return VerifyConfig(cap=cap, field=field, rule=build_gauss_rule(cap, *orders), **kwargs)
+
+
 def field_rows(field, cap, orders=(48, 24, 48), t_grid=()):
     """run_all's reports for one field, by name, without the Hopf-constant rows."""
-    config = VerifyConfig(cap=cap, fields=[field], orders=orders, t_grid=t_grid, hopf_points=2_000)
+    config = verify_config(cap, field, orders, t_grid=t_grid, hopf_points=2_000)
     return {r.name: r for r in run_all(config)[2:]}
 
 
@@ -75,12 +79,12 @@ class TestBoundaryIdentity:
         # Rejected when the configuration is built, before any jet.
         f = UnitField("opaque", small_cap_field(CapDomain(NORTH, 0.1)).evaluator)
         with pytest.raises(ValueError, match="not known to match"):
-            VerifyConfig(cap=cap, fields=[f])
+            verify_config(cap, f, (16, 8, 16))
 
     def test_smaller_target_cap_raises(self, cap):
         f = perturbed_field(cap, BumpProfile(0.5, 3))
         with pytest.raises(ValueError, match="not known to match"):
-            VerifyConfig(cap=CapDomain(NORTH, 0.5), fields=[f])
+            verify_config(CapDomain(NORTH, 0.5), f, (16, 8, 16))
 
 
 class TestBounds:
@@ -143,12 +147,12 @@ class TestSweep:
         assert all(r.passed for r in reports)
 
     def test_even_in_amplitude(self, cap, coarse_rule):
-        result = sweep_family(cap, (-0.5, 0.0, 0.5), coarse_rule, refine=False)
+        result = sweep_family(cap, (-0.5, 0.0, 0.5), coarse_rule)
         assert result.energies[0] == pytest.approx(result.energies[2], rel=1e-9)
         assert result.volumes[0] == pytest.approx(result.volumes[2], rel=1e-9)
 
     def test_monotone_on_positive_branch(self, cap, coarse_rule):
-        result = sweep_family(cap, (0.0, 0.5, 1.0), coarse_rule, refine=False)
+        result = sweep_family(cap, (0.0, 0.5, 1.0), coarse_rule)
         assert result.energies[1] < result.energies[2]
         assert result.volumes[1] < result.volumes[2]
 
@@ -181,41 +185,34 @@ class TestSmallCapCounterexample:
 
 
 class TestRunAll:
-    def test_empty_field_matrix(self, cap):
-        assert run_all(VerifyConfig(cap=cap, fields=[])) == []
-
     def test_default_matrix_all_pass(self, cap):
-        config = VerifyConfig(
-            cap=cap,
-            fields=[hopf_field(), perturbed_field(cap, BumpProfile(0.5, 3))],
-            orders=(48, 24, 48),
-        )
-        reports = run_all(config)
-        assert reports and all(r.passed for r in reports)
+        for field in (hopf_field(), perturbed_field(cap, BumpProfile(0.5, 3))):
+            reports = run_all(verify_config(cap, field, (48, 24, 48)))
+            assert reports and all(r.passed for r in reports)
+
+    def test_rule_on_other_cap_raises(self, cap):
+        rule = build_gauss_rule(CapDomain(NORTH, 0.5), 16, 8, 16)
+        with pytest.raises(ValueError, match="different cap"):
+            VerifyConfig(cap=cap, field=hopf_field(), rule=rule)
 
     def test_twisted_field_skips_image_volume(self, cap):
-        config = VerifyConfig(
-            cap=cap,
-            fields=[perturbed_field(cap, BumpProfile(1.2, 2), twist="angular")],
-            orders=(32, 16, 32),
-        )
+        field = perturbed_field(cap, BumpProfile(1.2, 2), twist="angular")
+        config = verify_config(cap, field, (32, 16, 32))
         reports = run_all(config)
         assert all(r.passed for r in reports)
         assert not any(r.name.startswith("image_volume") for r in reports)
 
     def test_small_cap_field_routes_to_counterexample(self, cap):
-        config = VerifyConfig(
-            cap=cap, fields=[small_cap_field(CapDomain(NORTH, 0.1))], orders=(32, 16, 32)
-        )
+        config = verify_config(cap, small_cap_field(CapDomain(NORTH, 0.1)), (32, 16, 32))
         names = {r.name for r in run_all(config)}
         assert "small_cap_energy_below_hopf" in names
         assert "boundary_sigma2_integral" not in names
 
     def test_tightened_tolerance_fails(self, cap):
-        config = VerifyConfig(
-            cap=cap,
-            fields=[hopf_field()],
-            orders=(16, 8, 16),
+        config = verify_config(
+            cap,
+            hopf_field(),
+            (16, 8, 16),
             t_grid=(0.1,),
             mode="fd",
             sigma_tolerance=1e-12,
@@ -225,7 +222,7 @@ class TestRunAll:
         assert any(not r.passed for r in reports)
 
     def test_reports_serialize(self, cap):
-        config = VerifyConfig(cap=cap, fields=[hopf_field()], orders=(16, 8, 16), t_grid=(0.1,))
+        config = verify_config(cap, hopf_field(), (16, 8, 16), t_grid=(0.1,))
         for r in run_all(config):
             d = r.to_dict()
             assert isinstance(r, CheckReport)
@@ -235,10 +232,10 @@ class TestRunAll:
             }
 
     def test_zero_targets_have_no_relative_error(self, cap):
-        config = VerifyConfig(
-            cap=cap,
-            fields=[perturbed_field(cap, BumpProfile(0.5, 3))],
-            orders=(16, 8, 16),
+        config = verify_config(
+            cap,
+            perturbed_field(cap, BumpProfile(0.5, 3)),
+            (16, 8, 16),
             t_grid=(0.1,),
             hopf_points=5_000,
         )

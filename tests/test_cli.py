@@ -207,6 +207,40 @@ class TestInputValidation:
     def test_flag_not_read_is_rejected(self, command, flag, no_compute):
         assert main([command, flag]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--field", "hopf", "--amplitude", "9"],
+            ["verify", "--field", "hopf", "--exponent", "7"],
+            ["verify", "--field", "hopf", "--twist", "angular"],
+            ["functionals", "--field", "small-cap", "--amplitude", "2"],
+            ["functionals", "--field", "small-cap", "--axis", "0,0,1,0"],
+            ["sweep", "--samples", "7"],
+            ["functionals", "--rule", "montecarlo", "--samples", "5000", "--orders", "8,8,8,8"],
+        ],
+    )
+    def test_flag_the_field_or_rule_ignores_is_rejected(self, argv, no_compute, capsys):
+        assert main(argv) == 2
+        assert "not read by" in capsys.readouterr().err
+
+
+class TestUnexpectedErrors:
+    def test_crash_exits_three(self, monkeypatch, capsys):
+        def crash(*_args, **_kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("hopfcap.cli.run_all", crash)
+        assert main(["verify", "--orders", "16,8,16"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
+
+    def test_value_error_still_exits_two(self, monkeypatch):
+        def bad_input(*_args, **_kwargs):
+            raise ValueError("bad input")
+
+        monkeypatch.setattr("hopfcap.cli.run_all", bad_input)
+        assert main(["verify", "--orders", "16,8,16"]) == 2
+
 
 class TestSmallCapFlags:
     """verify --field small-cap runs the counterexample on the cap and rule it is given."""

@@ -56,16 +56,12 @@ def perturbed(amplitude=0.5):
 class TestJetCounts:
     def test_run_all_one_jet_per_field(self, jet_calls):
         field = perturbed()
-        reports = run_all(VerifyConfig(CAP, [field], orders=ORDERS, hopf_points=HOPF_POINTS))
+        config = VerifyConfig(CAP, field, build_gauss_rule(CAP, *ORDERS), hopf_points=HOPF_POINTS)
+        reports = run_all(config)
         assert len(reports) == 12
         # The Hopf-constants points, then the field at the rule's nodes.
         assert [f.label for f in jet_calls] == ["hopf", "perturbed"]
         assert jet_calls[1] is field
-
-    def test_run_all_two_fields(self, jet_calls):
-        fields = [hopf_field(), perturbed()]
-        run_all(VerifyConfig(CAP, fields, orders=ORDERS, hopf_points=HOPF_POINTS))
-        assert jet_calls[1:] == fields
 
     def test_sweep_one_jet_per_distinct_amplitude(self, jet_calls):
         grid = (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)
@@ -91,8 +87,8 @@ class TestJetCounts:
 @pytest.mark.parametrize("field", [hopf_field(), perturbed()], ids=["hopf", "perturbed"])
 def test_run_all_equals_standalone_checks(field):
     """run_all's rows against the entry points that build their own jet from the field."""
-    config = VerifyConfig(CAP, [field], orders=ORDERS, hopf_points=HOPF_POINTS)
-    rule = config.build_rule()
+    rule = build_gauss_rule(CAP, *ORDERS)
+    config = VerifyConfig(CAP, field, rule, hopf_points=HOPF_POINTS)
     vol_k = cap_volume(CAP)
     integral_tol, bound_tol = config.integral_tolerance, config.bound_tolerance
 

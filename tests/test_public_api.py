@@ -1,0 +1,43 @@
+"""Every name hopfcap exports has a caller outside its own unit tests.
+
+A name counts as used when a package module other than ``__init__.py``
+references it, or when the acceptance gate does.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hopfcap"
+
+
+def exported_names(path):
+    tree = ast.parse(path.read_text())
+    return [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def referenced_names(path):
+    """Names a module loads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_every_export_has_a_caller():
+    exports = exported_names(PACKAGE / "__init__.py")
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources.append(ROOT / "tests" / "test_acceptance.py")
+    used = set().union(*(referenced_names(p) for p in sources))
+    assert "run_all" in exports
+    assert [name for name in exports if name not in used] == []
