@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .calculus import jet_batch
-from .displace import DET_FLOOR, T_MAX, image_volume_from_jets
+from .calculus import JetBatch, jet_batch
+from .displace import T_MAX, image_volume_from_jets
 from .fields import BumpProfile, UnitField, hopf_field, perturbed_field, small_cap_field
 from .functionals import (
     energy,
@@ -33,9 +33,11 @@ TOL_SIGMA = {"ad": 1e-9, "fd": 1e-6}
 TOL_INTEGRAL_REL = 1e-5
 TOL_BOUND_REL = 1e-6
 TOL_SWEEP_LOC = 0.02
-# Small-cap counterexample: mean |grad v|^2 limit and log-log slope tolerance.
+# Small-cap counterexample: mean |grad v|^2 limit, log-log slope tolerance
+# and the cap radii the slope is fitted over.
 SMALL_CAP_MEAN_DENSITY_LIMIT = 0.1
 SMALL_CAP_SLOPE_TOL = 0.2
+SMALL_CAP_SCALING_RADII = (0.05, 0.1, 0.2)
 
 # Default run parameters; the CLI reads its flag defaults from here.
 GAUSS_ORDERS = (64, 32, 64)
@@ -96,14 +98,9 @@ def _report(name, lhs, rhs, tolerance, policy, context=None) -> CheckReport:
     )
 
 
-def check_hopf_constants(
-    n_points: int = 100_000,
-    seed: int = 0,
-    mode: str = "ad",
-    tolerance: float | None = None,
-) -> list[CheckReport]:
+def check_hopf_constants(n_points: int = 100_000, seed: int = 0, mode: str = "ad") -> list[CheckReport]:
     """max |sigma1| and max |sigma2 - 1| for a Hopf field at random points."""
-    tol = TOL_SIGMA[mode] if tolerance is None else tolerance
+    tol = TOL_SIGMA[mode]
     pts = random_sphere_points(n_points, seed=seed)
     jets = jet_batch(hopf_field(), pts, mode=mode)
     ctx = {"n_points": n_points, "seed": seed, "mode": mode}
@@ -172,6 +169,14 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+def sweep_grid(amplitudes) -> np.ndarray:
+    """The sorted amplitude grid of a sweep; it must include 0, the Hopf field."""
+    amps = np.asarray(sorted(float(a) for a in amplitudes))
+    if not np.any(np.isclose(amps, 0.0)):
+        raise ValueError("amplitude grid must include 0")
+    return amps
+
+
 def sweep_family(
     cap: CapDomain,
     amplitudes,
@@ -181,9 +186,7 @@ def sweep_family(
     mode: str = "ad",
 ) -> SweepResult:
     """Evaluate both functionals over the bump-amplitude grid; refine the minimum."""
-    amps = np.asarray(sorted(float(a) for a in amplitudes))
-    if not np.any(np.isclose(amps, 0.0)):
-        raise ValueError("amplitude grid must include 0")
+    amps = sweep_grid(amplitudes)
 
     # Both golden-section searches revisit amplitudes, and each step reads
     # one of the two functionals: evaluate each amplitude once.
@@ -234,8 +237,8 @@ def sweep_reports(result: SweepResult) -> list[CheckReport]:
 
 
 def check_small_cap_counterexample(
-    radius: float = 0.1,
-    scaling_radii=(0.05, 0.1, 0.2),
+    radius: float,
+    scaling_radii=SMALL_CAP_SCALING_RADII,
     center=None,
     orders=(32, 16, 32),
     mode: str = "ad",
@@ -248,15 +251,27 @@ def check_small_cap_counterexample(
     center = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0])) if center is None else center
     cap = CapDomain(center, radius)
     rule = build_gauss_rule(cap, *orders)
-    e, v = energy_and_volume(small_cap_field(cap), cap, rule, mode=mode)
-    vol_k = cap_volume(cap)
-    ctx = {"cap_radius": radius, "orders": list(orders), "mode": mode}
+    jets = jet_batch(small_cap_field(cap), rule.nodes, mode=mode)
+    return _small_cap_reports(jets, cap, rule, mode, scaling_radii)
+
+
+def _small_cap_reports(
+    jets: JetBatch, cap: CapDomain, rule: QuadratureRule, mode: str, scaling_radii
+) -> list[CheckReport]:
+    """The counterexample's rows, the main cap's reduced from its jet at the rule's nodes.
+
+    The last row fits mean |grad v|^2 = C r^2 over caps of the scaling radii,
+    each with its own rule of the same orders.
+    """
+    e = energy_from_jets(jets, cap, rule)
+    v = volume_from_jets(jets, cap, rule)
+    ctx = {"cap_radius": cap.radius, "orders": list(rule.orders), "mode": mode}
     reports = [
         _report("small_cap_energy_below_hopf", hopf_energy(cap), e.value, 0.0, "lower-bound", ctx),
         _report("small_cap_volume_below_hopf", hopf_volume(cap), v.value, 0.0, "lower-bound", ctx),
         _report(
             "small_cap_mean_gradient_sq",
-            e.derivative_term / vol_k,
+            e.derivative_term / cap_volume(cap),
             0.0,
             SMALL_CAP_MEAN_DENSITY_LIMIT,
             "abs",
@@ -266,8 +281,8 @@ def check_small_cap_counterexample(
 
     means = []
     for r in scaling_radii:
-        cap_r = CapDomain(center, float(r))
-        rule_r = build_gauss_rule(cap_r, *orders)
+        cap_r = CapDomain(cap.center, float(r))
+        rule_r = build_gauss_rule(cap_r, *rule.orders)
         e_r = energy(small_cap_field(cap_r), cap_r, rule_r, mode=mode)
         means.append(e_r.derivative_term / cap_volume(cap_r))
     slope = float(np.polyfit(np.log(np.asarray(scaling_radii)), np.log(np.asarray(means)), 1)[0])
@@ -288,11 +303,6 @@ class VerifyConfig:
     seed: int = 0
     t_grid: tuple = T_GRID
     mode: str = "ad"
-    hopf_points: int = 100_000
-    sigma_tolerance: float | None = None
-    integral_tolerance: float = TOL_INTEGRAL_REL
-    bound_tolerance: float = TOL_BOUND_REL
-    det_floor: float = DET_FLOOR
 
     def __post_init__(self):
         # Checked here so a bad configuration fails before any jet is built.
@@ -309,36 +319,28 @@ class VerifyConfig:
 
 def run_all(config: VerifyConfig) -> list[CheckReport]:
     """Execute every applicable check for the configured field."""
-    hopf = check_hopf_constants(
-        n_points=config.hopf_points,
-        seed=config.seed,
-        mode=config.mode,
-        tolerance=config.sigma_tolerance,
-    )
-    return hopf + _field_reports(config)
+    return check_hopf_constants(seed=config.seed, mode=config.mode) + _field_reports(config)
 
 
 def _field_reports(config: VerifyConfig) -> list[CheckReport]:
     """The checks of the field, each a row reduced from its one jet at the rule's nodes."""
     field, cap, rule = config.field, config.cap, config.rule
-    if field.label == "small-cap":
-        return check_small_cap_counterexample(
-            radius=cap.radius, center=cap.center, orders=rule.orders, mode=config.mode
-        )
     jets = jet_batch(field, rule.nodes, mode=config.mode)
+    if field.label == "small-cap":
+        return _small_cap_reports(jets, cap, rule, config.mode, SMALL_CAP_SCALING_RADII)
     vol_k = cap_volume(cap)
     ctx = _field_context(field, cap, rule, config.mode)
     s2, _ = integrate(rule, lambda _n: jets.sigma2)
     s1, _ = integrate(rule, lambda _n: jets.sigma1)
     rows = [
         # int sigma2 = vol(K) and int sigma1 = 0: the t^2 and t^1 coefficients.
-        ("boundary_sigma2_integral", s2, vol_k, config.integral_tolerance, "rel"),
-        ("boundary_sigma1_integral", s1, 0.0, config.integral_tolerance * vol_k, "abs"),
+        ("boundary_sigma2_integral", s2, vol_k, TOL_INTEGRAL_REL, "rel"),
+        ("boundary_sigma1_integral", s1, 0.0, TOL_INTEGRAL_REL * vol_k, "abs"),
         # E(v) >= E(H) and vol(v) >= vol(H).
         ("energy_bound", energy_from_jets(jets, cap, rule).value, hopf_energy(cap),
-         config.bound_tolerance * vol_k, "lower-bound"),
+         TOL_BOUND_REL * vol_k, "lower-bound"),
         ("volume_bound", volume_from_jets(jets, cap, rule).value, hopf_volume(cap),
-         config.bound_tolerance * vol_k, "lower-bound"),
+         TOL_BOUND_REL * vol_k, "lower-bound"),
     ]
     reports = [_report(*row, ctx) for row in rows]
     # Twisted fields have sigma2 unbounded below near the twist axis, so
@@ -350,12 +352,12 @@ def _field_reports(config: VerifyConfig) -> list[CheckReport]:
     for t in config.t_grid:
         t_ctx = dict(ctx, t=float(t))
         try:
-            val, _ = image_volume_from_jets(float(t), jets, rule, config.det_floor)
+            val, _ = image_volume_from_jets(float(t), jets, rule)
         except ValueError as exc:
             # Determinant dipped below the floor: t is outside the
             # diffeomorphism window for this field; report, don't crash.
             t_ctx["det_floor_rejection"] = str(exc)
             val = None
         target = vol_k * (1.0 + t * t) ** 1.5
-        reports.append(_report(f"image_volume_t{t:g}", val, target, config.integral_tolerance, "rel", t_ctx))
+        reports.append(_report(f"image_volume_t{t:g}", val, target, TOL_INTEGRAL_REL, "rel", t_ctx))
     return reports

@@ -7,11 +7,15 @@ Subcommands:
 * ``sweep``       -- amplitude sweep of the bump family, CSV output; its
   minimality checks (argmin at 0, refined minimum near 0) set the exit code.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad flags,
-3 an unexpected error (its traceback goes to stderr).  Each command accepts
-only the flags it reads, a field or rule flag that the chosen ``--field`` or
-``--rule`` would not read exits 2, and flags are validated before any field
-is evaluated.  JSON reports are strict (a value a check could not compute
+Each command runs in two phases: it validates its flags and builds its
+inputs (cap, field, rule, configuration, output path), then computes.
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input
+(a ``ValueError`` in the first phase), 3 any other error, such as a
+``ValueError`` during the computation (its traceback goes to stderr).
+Each command accepts only the flags it reads, and a field or rule flag
+that the chosen ``--field`` or ``--rule`` would not read exits 2.
+Tolerances, the determinant floor and the Hopf sample count are fixed by
+the library.  JSON reports are strict (a value a check could not compute
 is null) and byte-identical for identical configuration and seed.
 """
 
@@ -25,6 +29,7 @@ import math
 import os
 import sys
 import traceback
+from collections.abc import Callable
 
 import numpy as np
 
@@ -34,14 +39,12 @@ from .checks import (
     MC_SAMPLES,
     SWEEP_AMPLITUDES,
     T_GRID,
-    TOL_BOUND_REL,
-    TOL_INTEGRAL_REL,
     VerifyConfig,
     run_all,
     sweep_family,
+    sweep_grid,
     sweep_reports,
 )
-from .displace import DET_FLOOR
 from .fields import BumpProfile, UnitField, hopf_field, perturbed_field, small_cap_field
 from .functionals import energy_and_volume, hopf_energy, hopf_volume
 from .geometry import CapDomain, SpherePoint
@@ -94,10 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--axis", type=_csv_floats, default=None)
     p = commands["verify"]
     p.add_argument("--t-grid", type=_csv_floats, default=T_GRID)
-    p.add_argument("--sigma-tol", type=float, default=None)
-    p.add_argument("--integral-tol", type=float, default=TOL_INTEGRAL_REL)
-    p.add_argument("--bound-tol", type=float, default=TOL_BOUND_REL)
-    p.add_argument("--det-floor", type=float, default=DET_FLOOR)
     commands["sweep"].add_argument("--amplitudes", type=_csv_floats, default=SWEEP_AMPLITUDES)
     return parser
 
@@ -170,7 +169,7 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Callable[[], int]:
     cap = _validate(args)
     path = _resolve_output(args, "verify.json")
     vconf = VerifyConfig(
@@ -180,68 +179,75 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         t_grid=args.t_grid,
         mode=args.mode,
-        sigma_tolerance=args.sigma_tol,
-        integral_tolerance=args.integral_tol,
-        bound_tolerance=args.bound_tol,
-        det_floor=args.det_floor,
     )
-    reports = run_all(vconf)
-    text = json.dumps(
-        [r.to_dict() for r in reports], indent=2, sort_keys=True, allow_nan=False
-    ) + "\n"
-    _emit(text, path)
-    return 0 if all(r.passed for r in reports) else 1
+
+    def compute() -> int:
+        reports = run_all(vconf)
+        text = json.dumps(
+            [r.to_dict() for r in reports], indent=2, sort_keys=True, allow_nan=False
+        ) + "\n"
+        _emit(text, path)
+        return 0 if all(r.passed for r in reports) else 1
+
+    return compute
 
 
-def cmd_functionals(args: argparse.Namespace) -> int:
+def cmd_functionals(args: argparse.Namespace) -> Callable[[], int]:
     cap = _validate(args)
     path = _resolve_output(args, f"functionals.{args.fmt}")
     field = _make_field(args, cap)
-    e, v = energy_and_volume(field, cap, _make_rule(args, cap), mode=args.mode)
-    rows = {
-        "field": field.label,
-        "energy": e.value,
-        "volume": v.value,
-        "hopf_energy": hopf_energy(cap),
-        "hopf_volume": hopf_volume(cap),
-        "energy_surplus": e.value - hopf_energy(cap),
-        "volume_surplus": v.value - hopf_volume(cap),
-    }
-    if args.fmt == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(rows))
-        writer.writerow([rows[k] for k in rows])
-        text = buf.getvalue()
-    _emit(text, path)
-    return 0
+    rule = _make_rule(args, cap)
+
+    def compute() -> int:
+        e, v = energy_and_volume(field, cap, rule, mode=args.mode)
+        rows = {
+            "field": field.label,
+            "energy": e.value,
+            "volume": v.value,
+            "hopf_energy": hopf_energy(cap),
+            "hopf_volume": hopf_volume(cap),
+            "energy_surplus": e.value - hopf_energy(cap),
+            "volume_surplus": v.value - hopf_volume(cap),
+        }
+        if args.fmt == "json":
+            text = json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(list(rows))
+            writer.writerow([rows[k] for k in rows])
+            text = buf.getvalue()
+        _emit(text, path)
+        return 0
+
+    return compute
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> Callable[[], int]:
     cap = _validate(args)
     path = _resolve_output(args, "sweep.csv")
-    result = sweep_family(
-        cap,
-        args.amplitudes,
-        _make_rule(args, cap),
-        mode=args.mode,
-        **_given(args, "exponent", "twist"),
-    )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["amplitude", "energy", "volume"])
-    for a, e, v in zip(result.amplitudes, result.energies, result.volumes):
-        writer.writerow([a, e, v])
-    buf.write(
-        f"# argmin_energy={result.amplitudes[result.argmin_energy]} "
-        f"argmin_volume={result.amplitudes[result.argmin_volume]} "
-        f"refined_energy_min={result.refined_energy_min} "
-        f"refined_volume_min={result.refined_volume_min}\n"
-    )
-    _emit(buf.getvalue(), path)
-    return 0 if all(r.passed for r in sweep_reports(result)) else 1
+    amplitudes = sweep_grid(args.amplitudes)
+    # The family's bump profile, built here so a bad --exponent is input.
+    BumpProfile(0.0, **_given(args, "exponent"))
+    rule = _make_rule(args, cap)
+
+    def compute() -> int:
+        result = sweep_family(cap, amplitudes, rule, mode=args.mode, **_given(args, "exponent", "twist"))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["amplitude", "energy", "volume"])
+        for a, e, v in zip(result.amplitudes, result.energies, result.volumes):
+            writer.writerow([a, e, v])
+        buf.write(
+            f"# argmin_energy={result.amplitudes[result.argmin_energy]} "
+            f"argmin_volume={result.amplitudes[result.argmin_volume]} "
+            f"refined_energy_min={result.refined_energy_min} "
+            f"refined_volume_min={result.refined_volume_min}\n"
+        )
+        _emit(buf.getvalue(), path)
+        return 0 if all(r.passed for r in sweep_reports(result)) else 1
+
+    return compute
 
 
 def main(argv=None) -> int:
@@ -252,12 +258,14 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     handlers = {"verify": cmd_verify, "functionals": cmd_functionals, "sweep": cmd_sweep}
     try:
-        return handlers[args.command](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            compute = handlers[args.command](args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return compute()
     except Exception:
-        # A crash must not read as a failed check (exit 1).
+        # A crash must not read as a failed check (exit 1) or as bad input.
         traceback.print_exc()
         return 3
 

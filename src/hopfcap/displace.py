@@ -35,11 +35,6 @@ class DisplacementMap:
         if not (0.0 <= self.t <= T_MAX):
             raise ValueError(f"offset t must lie in [0, {T_MAX}], got {self.t}")
 
-    def __call__(self, x):
-        """Ambient image point(s); norm sqrt(1 + t^2) for on-sphere input."""
-        xs = du.normalize(x)
-        return xs + self.t * self.field(xs)
-
     def image_radius(self) -> float:
         return math.sqrt(1.0 + self.t * self.t)
 
@@ -78,31 +73,25 @@ def jacobian_det_numeric(dm: DisplacementMap, points, mode: str = "ad"):
 
 
 def image_volume(
-    dm: DisplacementMap,
-    cap: CapDomain,
-    rule: QuadratureRule,
-    mode: str = "ad",
-    det_floor: float = DET_FLOOR,
+    dm: DisplacementMap, cap: CapDomain, rule: QuadratureRule, mode: str = "ad"
 ) -> tuple[float, float]:
     """Volume of the image of the cap, by change of variables.
 
     Integrates the analytic determinant over the cap after verifying the
-    determinant polynomial stays above ``det_floor`` at every node.
+    determinant polynomial stays above ``DET_FLOOR`` at every node.
     """
     jets = jet_batch(dm.field, rule.nodes, mode=mode)
-    return image_volume_from_jets(dm.t, jets, rule, det_floor)
+    return image_volume_from_jets(dm.t, jets, rule)
 
 
-def image_volume_from_jets(
-    t: float, jets: JetBatch, rule: QuadratureRule, det_floor: float = DET_FLOOR
-) -> tuple[float, float]:
+def image_volume_from_jets(t: float, jets: JetBatch, rule: QuadratureRule) -> tuple[float, float]:
     """Image volume at offset t, reduced from a jet evaluated at the rule's nodes."""
     poly = 1.0 + jets.sigma1 * t + jets.sigma2 * t * t
-    if np.min(poly) <= det_floor:
+    if np.min(poly) <= DET_FLOOR:
         i = int(np.argmin(poly))
         raise ValueError(
             f"determinant factor {poly[i]:.3e} at node {i} is below the floor "
-            f"{det_floor}; t={t} is outside the diffeomorphism window"
+            f"{DET_FLOOR}; t={t} is outside the diffeomorphism window"
         )
     det = math.sqrt(1.0 + t * t) * poly
     return integrate(rule, lambda _nodes: det)

@@ -28,13 +28,6 @@ class Dual:
         self.val = np.asarray(val, dtype=float)
         self.eps = np.asarray(eps, dtype=float)
 
-    @property
-    def shape(self):
-        return self.val.shape
-
-    def __repr__(self):
-        return f"Dual(val={self.val!r}, eps={self.eps!r})"
-
     def __getitem__(self, idx):
         return Dual(self.val[idx], self.eps[idx])
 

@@ -65,9 +65,6 @@ class SpherePoint:
             raise ValueError(f"point norm {n} drifts from 1 by more than {DRIFT_GUARD}")
         object.__setattr__(self, "x", x / n)
 
-    def __array__(self, dtype=None):
-        return np.asarray(self.x, dtype=dtype)
-
 
 @dataclass(frozen=True)
 class CapDomain:

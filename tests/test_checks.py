@@ -19,6 +19,7 @@ from hopfcap import (
     sweep_family,
     sweep_reports,
 )
+from hopfcap.checks import SMALL_CAP_SCALING_RADII, _field_reports
 
 NORTH = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
 
@@ -28,9 +29,9 @@ def verify_config(cap, field, orders, **kwargs):
 
 
 def field_rows(field, cap, orders=(48, 24, 48), t_grid=()):
-    """run_all's reports for one field, by name, without the Hopf-constant rows."""
-    config = verify_config(cap, field, orders, t_grid=t_grid, hopf_points=2_000)
-    return {r.name: r for r in run_all(config)[2:]}
+    """The field's reports (run_all without the Hopf-constant rows), by name."""
+    config = verify_config(cap, field, orders, t_grid=t_grid)
+    return {r.name: r for r in _field_reports(config)}
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +53,9 @@ class TestHopfConstants:
         assert all(r.context["mode"] == "fd" for r in reports)
 
     def test_fd_mode_fails_at_machine_tolerance(self):
-        reports = check_hopf_constants(n_points=5_000, mode="fd", tolerance=1e-12)
-        assert not all(r.passed for r in reports)
+        # FD is an oracle separate from AD: its error is far above round-off.
+        reports = check_hopf_constants(n_points=5_000, mode="fd")
+        assert max(r.lhs for r in reports) > 1e-12
 
 
 class TestBoundaryIdentity:
@@ -159,7 +161,7 @@ class TestSweep:
 
 class TestSmallCapCounterexample:
     def test_all_reports_pass(self):
-        reports = check_small_cap_counterexample()
+        reports = check_small_cap_counterexample(radius=0.1)
         names = [r.name for r in reports]
         assert names == [
             "small_cap_energy_below_hopf",
@@ -168,9 +170,10 @@ class TestSmallCapCounterexample:
             "small_cap_gradient_scaling",
         ]
         assert all(r.passed for r in reports), reports
+        assert reports[-1].context["radii"] == list(SMALL_CAP_SCALING_RADII)
 
     def test_strictly_beats_hopf(self):
-        reports = {r.name: r for r in check_small_cap_counterexample()}
+        reports = {r.name: r for r in check_small_cap_counterexample(radius=0.1)}
         e = reports["small_cap_energy_below_hopf"]
         v = reports["small_cap_volume_below_hopf"]
         # lhs is the Hopf value, rhs the small-cap field value: strict win.
@@ -178,7 +181,7 @@ class TestSmallCapCounterexample:
         assert v.lhs > v.rhs
 
     def test_quadratic_scaling_slope(self):
-        rep = {r.name: r for r in check_small_cap_counterexample()}[
+        rep = {r.name: r for r in check_small_cap_counterexample(radius=0.1)}[
             "small_cap_gradient_scaling"
         ]
         assert rep.lhs == pytest.approx(2.0, abs=0.2)
@@ -208,19 +211,6 @@ class TestRunAll:
         assert "small_cap_energy_below_hopf" in names
         assert "boundary_sigma2_integral" not in names
 
-    def test_tightened_tolerance_fails(self, cap):
-        config = verify_config(
-            cap,
-            hopf_field(),
-            (16, 8, 16),
-            t_grid=(0.1,),
-            mode="fd",
-            sigma_tolerance=1e-12,
-            hopf_points=5_000,
-        )
-        reports = run_all(config)
-        assert any(not r.passed for r in reports)
-
     def test_reports_serialize(self, cap):
         config = verify_config(cap, hopf_field(), (16, 8, 16), t_grid=(0.1,))
         for r in run_all(config):
@@ -232,14 +222,8 @@ class TestRunAll:
             }
 
     def test_zero_targets_have_no_relative_error(self, cap):
-        config = verify_config(
-            cap,
-            perturbed_field(cap, BumpProfile(0.5, 3)),
-            (16, 8, 16),
-            t_grid=(0.1,),
-            hopf_points=5_000,
-        )
-        reports = {r.name: r for r in run_all(config)}
+        config = verify_config(cap, perturbed_field(cap, BumpProfile(0.5, 3)), (16, 8, 16), t_grid=(0.1,))
+        reports = {r.name: r for r in check_hopf_constants(n_points=5_000) + _field_reports(config)}
         for name in ("hopf_sigma1_zero", "hopf_sigma2_one", "boundary_sigma1_integral"):
             r = reports[name]
             assert r.rhs == 0.0 and r.policy == "abs"

@@ -1,10 +1,16 @@
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hopfcap.cli import OUTPUT_DIR_ENV, main
+from hopfcap.cli import OUTPUT_DIR_ENV, _build_parser, main
+from hopfcap.quadrature import build_gauss_rule
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 CHECK_FIELDS = {
     "name", "lhs", "rhs", "abs_err", "rel_err", "tolerance", "passed", "policy", "context",
@@ -46,8 +52,9 @@ class TestVerifyCommand:
         assert not any(n.startswith("image_volume") for n in names)
 
     def test_failure_exit_code(self, tmp_path):
+        # t = 0.5 folds the map of a large bump: its image-volume row fails.
         code, out = run_verify(
-            tmp_path, "--field", "hopf", "--mode", "fd", "--sigma-tol", "1e-14"
+            tmp_path, "--field", "perturbed", "--amplitude", "3.0", "--t-grid", "0.5"
         )
         assert code == 1
         assert any(not r["passed"] for r in json.loads(out.read_text()))
@@ -143,8 +150,9 @@ class TestSweepCommand:
         lines = out.read_text().strip().splitlines()
         assert len([l for l in lines[1:] if not l.startswith("#")]) == 1
 
-    def test_grid_without_zero_rejected(self):
+    def test_grid_without_zero_rejected(self, no_compute, capsys):
         assert main(["sweep", "--amplitudes", "0.25,0.5"]) == 2
+        assert "must include 0" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -199,9 +207,9 @@ class TestInputValidation:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [(c, f) for c in ("functionals", "sweep")
-         for f in ("--t-grid=0.1", "--sigma-tol=1", "--integral-tol=1", "--bound-tol=1",
-                   "--det-floor=1")]
+        [(c, f) for c in ("verify", "functionals", "sweep")
+         for f in ("--sigma-tol=1", "--integral-tol=1", "--bound-tol=1", "--det-floor=1")]
+        + [(c, "--t-grid=0.1") for c in ("functionals", "sweep")]
         + [("sweep", f) for f in ("--field=hopf", "--amplitude=1", "--axis=0,0,1,0")],
     )
     def test_flag_not_read_is_rejected(self, command, flag, no_compute):
@@ -223,6 +231,15 @@ class TestInputValidation:
         assert main(argv) == 2
         assert "not read by" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--exponent", "1"], ["functionals", "--field", "perturbed", "--exponent", "1"]],
+        ids=["sweep", "functionals"],
+    )
+    def test_bad_exponent_rejected(self, argv, no_compute, capsys):
+        assert main(argv) == 2
+        assert "exponent must be >= 2" in capsys.readouterr().err
+
 
 class TestUnexpectedErrors:
     def test_crash_exits_three(self, monkeypatch, capsys):
@@ -234,12 +251,15 @@ class TestUnexpectedErrors:
         err = capsys.readouterr().err
         assert "Traceback" in err and "RuntimeError: boom" in err
 
-    def test_value_error_still_exits_two(self, monkeypatch):
-        def bad_input(*_args, **_kwargs):
-            raise ValueError("bad input")
+    def test_value_error_in_compute_exits_three(self, monkeypatch, capsys):
+        # Input is validated before the computation starts, so a ValueError
+        # raised inside it (say integrate's non-finite guard) is a crash.
+        def compute_error(*_args, **_kwargs):
+            raise ValueError("non-finite integrand value")
 
-        monkeypatch.setattr("hopfcap.cli.run_all", bad_input)
-        assert main(["verify", "--orders", "16,8,16"]) == 2
+        monkeypatch.setattr("hopfcap.cli.run_all", compute_error)
+        assert main(["verify", "--orders", "16,8,16"]) == 3
+        assert "ValueError: non-finite integrand value" in capsys.readouterr().err
 
 
 class TestSmallCapFlags:
@@ -262,6 +282,20 @@ class TestSmallCapFlags:
         code, reports = self.small_cap(tmp_path, "--cap-radius", "0.3", "--orders", "16,8,16")
         assert code == 0
         assert all(r["context"]["orders"] == [16, 8, 16] for n, r in reports.items() if n.startswith("small"))
+
+    def test_main_cap_rule_built_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting(cap, *orders):
+            built.append((cap.radius, orders))
+            return build_gauss_rule(cap, *orders)
+
+        for module in ("hopfcap.cli", "hopfcap.checks"):
+            monkeypatch.setattr(f"{module}.build_gauss_rule", counting)
+        code, _ = self.small_cap(tmp_path, "--cap-radius", "0.3", "--orders", "16,8,16")
+        assert code == 0
+        # The main cap, built by the CLI, then one rule per scaling radius.
+        assert built == [(r, (16, 8, 16)) for r in (0.3, 0.05, 0.1, 0.2)]
 
     def test_montecarlo_rejected(self, tmp_path, no_compute, capsys):
         code, reports = self.small_cap(tmp_path, "--rule", "montecarlo", "--samples", "5000")
@@ -315,3 +349,26 @@ class TestStrictReports:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--orders", "16,8,16", "--output", str(out)]) == 1
         assert "argmin_energy=0.5" in out.read_text()
+
+
+class TestReadme:
+    """README's CLI section lists exactly the flags the parser defines."""
+
+    def test_cli_section_matches_parser(self):
+        text = README.read_text()
+        section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+        subparsers = next(
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        defined = {
+            name: {
+                opt
+                for action in p._actions
+                if not isinstance(action, argparse._HelpAction)
+                for opt in action.option_strings
+            }
+            for name, p in subparsers.choices.items()
+        }
+        assert {n: sorted(opts - documented) for n, opts in defined.items()} == {n: [] for n in defined}
+        assert sorted(documented - set().union(*defined.values())) == []

@@ -31,19 +31,6 @@ def smooth_fields(cap):
 
 
 class TestDisplacementMap:
-    def test_hopf_at_one(self):
-        dm = DisplacementMap(hopf_field(), 0.5)
-        out = dm(np.array([1.0, 0, 0, 0]))
-        assert np.allclose(out, [1.0, 0.5, 0, 0])
-
-    def test_image_radius(self, smooth_fields):
-        pts = random_sphere_points(500, 30)
-        for f in smooth_fields:
-            for t in (0.0, 0.1, 0.3):
-                dm = DisplacementMap(f, t)
-                radii = np.linalg.norm(dm(pts), axis=-1)
-                assert np.max(np.abs(radii - math.sqrt(1 + t * t))) < 1e-12
-
     def test_rejects_out_of_range_offset(self):
         for t in (-0.1, 0.6):
             with pytest.raises(ValueError):

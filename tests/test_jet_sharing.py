@@ -28,11 +28,11 @@ from hopfcap import (
     sweep_family,
     volume,
 )
+from hopfcap import checks
 from hopfcap.cli import main
 
 CAP = CapDomain(SpherePoint(np.array([1.0, 0.0, 0.0, 0.0])), 1.0)
 ORDERS = (16, 8, 16)
-HOPF_POINTS = 2_000
 
 
 @pytest.fixture
@@ -56,7 +56,7 @@ def perturbed(amplitude=0.5):
 class TestJetCounts:
     def test_run_all_one_jet_per_field(self, jet_calls):
         field = perturbed()
-        config = VerifyConfig(CAP, field, build_gauss_rule(CAP, *ORDERS), hopf_points=HOPF_POINTS)
+        config = VerifyConfig(CAP, field, build_gauss_rule(CAP, *ORDERS))
         reports = run_all(config)
         assert len(reports) == 12
         # The Hopf-constants points, then the field at the rule's nodes.
@@ -88,9 +88,9 @@ class TestJetCounts:
 def test_run_all_equals_standalone_checks(field):
     """run_all's rows against the entry points that build their own jet from the field."""
     rule = build_gauss_rule(CAP, *ORDERS)
-    config = VerifyConfig(CAP, field, rule, hopf_points=HOPF_POINTS)
+    config = VerifyConfig(CAP, field, rule)
     vol_k = cap_volume(CAP)
-    integral_tol, bound_tol = config.integral_tolerance, config.bound_tolerance
+    integral_tol, bound_tol = checks.TOL_INTEGRAL_REL, checks.TOL_BOUND_REL
 
     def integral(attr):
         jets = jet_batch(field, rule.nodes, mode=config.mode)
@@ -113,7 +113,7 @@ def test_run_all_equals_standalone_checks(field):
         for t in config.t_grid
     ]
     reports = run_all(config)
-    hopf = check_hopf_constants(n_points=HOPF_POINTS, seed=config.seed, mode=config.mode)
+    hopf = check_hopf_constants(seed=config.seed, mode=config.mode)
     assert [r.to_dict() for r in reports[:2]] == [r.to_dict() for r in hopf]
     assert [(r.name, r.lhs, r.rhs, r.tolerance, r.policy) for r in reports[2:]] == expected
     assert all(r.passed for r in reports)
