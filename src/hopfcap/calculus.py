@@ -28,9 +28,12 @@ _FRAME_MATS = [left_mult_matrix(a) for a in (QUAT_I, QUAT_J, QUAT_K)]
 def directional_derivative(field: UnitField, points, directions, mode: str = "ad"):
     """Ambient derivative Dv[Y] of the field extension along Y.
 
-    In "ad" mode the field must return dual numbers; a field that cannot is
-    rejected rather than silently differentiated by finite differences, so
-    the AD and FD routes stay independent oracles.
+    ``points`` has shape (..., 4); ``directions`` and the result have shape
+    dirs + points.shape, one direction per leading index.  In "ad" mode the
+    field is evaluated once, on a ``Dual`` carrying every direction, and
+    must return dual numbers; a field that cannot is rejected rather than
+    silently differentiated by finite differences, so the AD and FD routes
+    stay independent oracles.
     """
     x = np.asarray(points, dtype=float)
     y = np.asarray(directions, dtype=float)
@@ -123,7 +126,7 @@ def jet_batch(
             np.cos(th) * basis[0] + np.sin(th) * basis[1],
             -np.sin(th) * basis[0] + np.cos(th) * basis[1],
         )
-    deriv = directional_derivative(field, np.broadcast_to(x, basis.shape), basis, mode=mode)
+    deriv = directional_derivative(field, x, basis, mode=mode)
     grad = np.moveaxis(deriv, 0, -2) @ np.moveaxis(basis, 0, -1)
     cof = np.cross(grad[..., [1, 2, 0], :], grad[..., [2, 0, 1], :])
 

@@ -57,7 +57,7 @@ def frame_matrix(dm: DisplacementMap, points: np.ndarray, mode: str = "ad") -> n
     u = (v - dm.t * x) / dm.image_radius()
     frame = np.stack([e1, e2, v])                    # (3, N, 4) domain frame
     image_frame = np.stack([e1, e2, u], axis=-2)     # (N, 3, 4) image frame rows
-    deriv = directional_derivative(dm.field, np.broadcast_to(x, frame.shape), frame, mode=mode)
+    deriv = directional_derivative(dm.field, x, frame, mode=mode)
     # d(phi)(e_a) = e_a + t Dv[e_a] in ambient coordinates.
     dphi = np.moveaxis(frame + dm.t * deriv, 0, -2)
     return np.einsum("...ai,...bi->...ab", dphi, image_frame)

@@ -1,10 +1,13 @@
 """Vectorized forward-mode dual numbers.
 
-A ``Dual`` carries a value array and a directional-derivative array of the
-same shape.  Field evaluators are written against the small function set
-below (``sqrt``, ``sin`` , ``cos``, ``arccos``, ``arctan2``, ``vdot``, ...)
-so a single code path serves both plain evaluation and exact forward-mode
-differentiation.
+A ``Dual`` carries a value ``val`` and derivatives ``eps`` of shape
+``dirs + val.shape``: the leading axes index directions and line up with
+``val`` from the right, so the value is computed once for every seeded
+direction (vector forward mode); ``dirs`` may be empty.  A plain operand of
+``+`` or ``-`` must broadcast to ``val``.  Field evaluators are written
+against the small function set below (``sqrt``, ``sin`` , ``cos``,
+``arccos``, ``arctan2``, ``vdot``, ...) so a single code path serves both
+plain evaluation and exact forward-mode differentiation.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ _DENOM_FLOOR = 1e-300
 
 
 class Dual:
-    """First-order jet ``val + eps * h`` with numpy broadcasting."""
+    """First-order jet: ``eps`` of shape ``dirs + val.shape`` holds one derivative per direction."""
 
     __slots__ = ("val", "eps")
 
@@ -28,26 +31,23 @@ class Dual:
         self.val = np.asarray(val, dtype=float)
         self.eps = np.asarray(eps, dtype=float)
 
-    def __getitem__(self, idx):
-        return Dual(self.val[idx], self.eps[idx])
-
     def __neg__(self):
         return Dual(-self.val, -self.eps)
 
     def __add__(self, other):
         if isinstance(other, Dual):
             return Dual(self.val + other.val, self.eps + other.eps)
-        return Dual(self.val + other, self.eps + np.zeros_like(np.asarray(other, dtype=float)))
+        return Dual(self.val + other, self.eps)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Dual):
             return Dual(self.val - other.val, self.eps - other.eps)
-        return Dual(self.val - other, self.eps + np.zeros_like(np.asarray(other, dtype=float)))
+        return Dual(self.val - other, self.eps)
 
     def __rsub__(self, other):
-        return Dual(other - self.val, -self.eps + np.zeros_like(np.asarray(other, dtype=float)))
+        return Dual(other - self.val, -self.eps)
 
     def __mul__(self, other):
         if isinstance(other, Dual):
@@ -110,8 +110,8 @@ def arccos(x):
 def arctan2(y, x):
     if isinstance(y, Dual) or isinstance(x, Dual):
         yv, xv = value(y), value(x)
-        ye = y.eps if isinstance(y, Dual) else np.zeros_like(yv)
-        xe = x.eps if isinstance(x, Dual) else np.zeros_like(xv)
+        ye = y.eps if isinstance(y, Dual) else 0.0
+        xe = x.eps if isinstance(x, Dual) else 0.0
         denom = np.maximum(xv * xv + yv * yv, _DENOM_FLOOR)
         return Dual(np.arctan2(yv, xv), (xv * ye - yv * xe) / denom)
     return np.arctan2(y, x)
@@ -126,11 +126,11 @@ def relu(x):
 
 
 def vdot(a, b):
-    """Inner product over the last axis."""
+    """Inner product over the last axis, which is kept with length 1."""
     p = a * b
     if isinstance(p, Dual):
-        return Dual(p.val.sum(axis=-1), p.eps.sum(axis=-1))
-    return p.sum(axis=-1)
+        return Dual(p.val.sum(axis=-1, keepdims=True), p.eps.sum(axis=-1, keepdims=True))
+    return p.sum(axis=-1, keepdims=True)
 
 
 def apply_linear(matrix, x):
@@ -143,5 +143,4 @@ def apply_linear(matrix, x):
 
 def normalize(x):
     """Scale (..., n) vectors to unit length."""
-    n = sqrt(vdot(x, x))
-    return x / n[..., None]
+    return x / sqrt(vdot(x, x))

@@ -84,14 +84,14 @@ def _complete_axis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b, c
 
 
-def hopf_frame(axis=(0.0, 1.0, 0.0, 0.0)) -> tuple[UnitField, UnitField, UnitField]:
-    """Global orthonormal tangent frame (H, E1, E2) of left translations."""
+def hopf_frame(axis=(0.0, 1.0, 0.0, 0.0)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left-multiplication matrices of the orthonormal tangent frame (H, E1, E2)."""
     axis = _check_axis(axis)
     b, c = _complete_axis(axis)
-    h = hopf_field(axis)
-    e1 = UnitField("hopf-frame-e1", hopf_field(b).evaluator, {"axis": tuple(b)})
-    e2 = UnitField("hopf-frame-e2", hopf_field(c).evaluator, {"axis": tuple(c)})
-    return h, e1, e2
+    return left_mult_matrix(axis), left_mult_matrix(b), left_mult_matrix(c)
+
+
+BUMP_EXPONENT = 3  # default m of the bump profile, also of the sweep family
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class BumpProfile:
     """
 
     amplitude: float
-    exponent: int = 3
+    exponent: int = BUMP_EXPONENT
 
     def __post_init__(self):
         if self.exponent < 2:
@@ -129,36 +129,26 @@ def perturbed_field(
             "the Hopf field inside the cap",
             stacklevel=2,
         )
+    twist = "none" if twist is None else twist
+    if twist not in ("none", "angular"):
+        raise ValueError(f"unknown twist {twist!r}")
     h, e1, e2 = hopf_frame(axis)
     center = cap.center.x
     r = cap.radius
     amp, m = bump.amplitude, bump.exponent
     b1, b2, _ = tangent_basis(cap.center)
 
-    if twist is None or twist == "none":
-        twist_fn = None
-        twist_name = "none"
-    elif twist == "angular":
-        def twist_fn(xs):
-            return du.arctan2(du.vdot(xs, b2), du.vdot(xs, b1))
-
-        twist_name = "angular"
-    else:
-        raise ValueError(f"unknown twist {twist!r}")
-
     def evaluate(x):
-        # h/e1/e2 normalize internally; keeping x raw here makes the A = 0
-        # case reproduce the Hopf field bit-for-bit.
+        # The frame is applied to the same normalized point as hopf_field,
+        # so the A = 0 case reproduces the Hopf field bit-for-bit.
         xs = du.normalize(x)
         d = du.arccos(du.vdot(xs, center))
         f = du.relu(1.0 - (d / r) ** 2) ** m * amp
-        fb = f[..., None]
-        if twist_fn is None:
-            tilt = e1(x)
-        else:
-            g = twist_fn(xs)[..., None]
-            tilt = du.cos(g) * e1(x) + du.sin(g) * e2(x)
-        return du.cos(fb) * h(x) + du.sin(fb) * tilt
+        tilt = du.apply_linear(e1, xs)
+        if twist == "angular":
+            g = du.arctan2(du.vdot(xs, b2), du.vdot(xs, b1))
+            tilt = du.cos(g) * tilt + du.sin(g) * du.apply_linear(e2, xs)
+        return du.cos(f) * du.apply_linear(h, xs) + du.sin(f) * tilt
 
     return UnitField(
         label="perturbed",
@@ -167,7 +157,7 @@ def perturbed_field(
             "axis": tuple(np.asarray(axis, dtype=float)),
             "amplitude": amp,
             "exponent": m,
-            "twist": twist_name,
+            "twist": twist,
             "cap_center": tuple(center),
             "cap_radius": r,
         },
@@ -193,8 +183,8 @@ def small_cap_field(cap: CapDomain) -> UnitField:
 
     def evaluate(x):
         xs = du.normalize(x)
-        su = du.vdot(xs, u)[..., None]
-        sp = du.vdot(xs, p)[..., None]
+        su = du.vdot(xs, u)
+        sp = du.vdot(xs, p)
         return (u - su * p) - (su / (1.0 + sp)) * (xs - sp * p)
 
     return UnitField(

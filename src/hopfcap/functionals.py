@@ -22,10 +22,9 @@ from .quadrature import QuadratureRule, integrate
 
 @dataclass(frozen=True)
 class FunctionalReport:
-    """Value of a functional with its additive decomposition."""
+    """Value of a functional with its field-dependent term."""
 
     value: float
-    base_term: float
     derivative_term: float
 
 
@@ -47,8 +46,7 @@ def energy(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "
 def energy_from_jets(jets: JetBatch, cap: CapDomain, rule: QuadratureRule) -> FunctionalReport:
     """The energy reduced from a jet already evaluated at the rule's nodes."""
     deriv, _ = integrate(rule, lambda _nodes: jets.energy_density)
-    base = 1.5 * cap_volume(cap)
-    return FunctionalReport(value=base + 0.5 * deriv, base_term=base, derivative_term=deriv)
+    return FunctionalReport(value=1.5 * cap_volume(cap) + 0.5 * deriv, derivative_term=deriv)
 
 
 def volume(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "ad") -> FunctionalReport:
@@ -59,8 +57,7 @@ def volume(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "
 def volume_from_jets(jets: JetBatch, cap: CapDomain, rule: QuadratureRule) -> FunctionalReport:
     """The volume reduced from a jet already evaluated at the rule's nodes."""
     value, _ = integrate(rule, lambda _nodes: jets.volume_integrand)
-    base = cap_volume(cap)
-    return FunctionalReport(value=value, base_term=base, derivative_term=value - base)
+    return FunctionalReport(value=value, derivative_term=value - cap_volume(cap))
 
 
 def energy_and_volume(

@@ -4,6 +4,7 @@ import pytest
 from hopfcap import (
     BumpProfile,
     CapDomain,
+    DisplacementMap,
     SpherePoint,
     UnitField,
     hopf_field,
@@ -11,7 +12,9 @@ from hopfcap import (
     perturbed_field,
     small_cap_field,
 )
+from hopfcap import dual as du
 from hopfcap.calculus import adapted_frame_batch, directional_derivative
+from hopfcap.displace import frame_matrix
 from hopfcap.geometry import QUAT_I, left_mult_matrix, random_sphere_points
 
 
@@ -168,7 +171,7 @@ def frame_based_invariants(field, pts):
     v = np.asarray(field(pts))
     e1, e2 = adapted_frame_batch(pts, v)
     frame = np.stack([e1, e2, v])  # (3, N, 4)
-    d = directional_derivative(field, np.broadcast_to(pts, frame.shape), frame)
+    d = directional_derivative(field, pts, frame)
     nabla = d - np.sum(d * pts, axis=-1, keepdims=True) * pts
     h = np.einsum("ani,bni->nab", nabla[:2], frame[:2])
     accel = np.einsum("ni,bni->nb", nabla[2], frame[:2])
@@ -253,3 +256,30 @@ class TestFieldJet:
         j_ad = jet_batch(f, pts, mode="ad")
         j_fd = jet_batch(f, pts, mode="fd")
         assert np.max(np.abs(j_ad.sigma2 - j_fd.sigma2)) < 1e-6
+
+
+def recording(field):
+    """The field, and the (val, eps) shapes of every Dual it is handed."""
+    shapes = []
+
+    def evaluate(x):
+        if isinstance(x, du.Dual):
+            shapes.append((x.val.shape, x.eps.shape))
+        return field(x)
+
+    return UnitField("recording", evaluate), shapes
+
+
+@pytest.mark.parametrize(
+    "differentiate",
+    [
+        lambda f, pts: jet_batch(f, pts),
+        lambda f, pts: frame_matrix(DisplacementMap(f, 0.2), pts),
+    ],
+    ids=["jet_batch", "frame_matrix"],
+)
+def test_one_dual_evaluation_carries_three_directions(cap, differentiate):
+    # The value is seeded once, as (N, 4); the three directions ride on eps.
+    f, shapes = recording(perturbed_field(cap, BumpProfile(0.5, 3)))
+    differentiate(f, random_sphere_points(50, 24))
+    assert shapes == [((50, 4), (3, 50, 4))]

@@ -12,6 +12,7 @@ from hopfcap import (
     cap_volume,
     check_hopf_constants,
     check_small_cap_counterexample,
+    energy,
     hopf_field,
     perturbed_field,
     run_all,
@@ -179,6 +180,22 @@ class TestSmallCapCounterexample:
         # lhs is the Hopf value, rhs the small-cap field value: strict win.
         assert e.lhs > e.rhs
         assert v.lhs > v.rhs
+
+    def test_main_radius_built_once(self, monkeypatch):
+        # The main radius 0.1 is also a scaling radius: one rule and one jet
+        # serve both, and the reused mean has the bits of a fresh one.
+        built = []
+
+        def counting(cap, *orders):
+            built.append(cap.radius)
+            return build_gauss_rule(cap, *orders)
+
+        monkeypatch.setattr("hopfcap.checks.build_gauss_rule", counting)
+        reports = check_small_cap_counterexample(radius=0.1, scaling_radii=(0.05, 0.1, 0.2))
+        assert built == [0.1, 0.05, 0.2]
+        cap = CapDomain(NORTH, 0.1)
+        fresh = energy(small_cap_field(cap), cap, build_gauss_rule(cap, 32, 16, 32))
+        assert reports[-1].context["means"][1] == fresh.derivative_term / cap_volume(cap)
 
     def test_quadratic_scaling_slope(self):
         rep = {r.name: r for r in check_small_cap_counterexample(radius=0.1)}[

@@ -97,3 +97,49 @@ def test_vdot_and_normalize():
     ref = (x + h * np.eye(4)[0]) / np.linalg.norm(x + h * np.eye(4)[0])
     ref = (ref - (x - h * np.eye(4)[0]) / np.linalg.norm(x - h * np.eye(4)[0])) / (2 * h)
     assert np.allclose(n.eps, ref, atol=1e-6)
+
+
+C4 = np.array([0.3, -0.2, 0.5, 0.1])
+M44 = np.arange(16.0).reshape(4, 4) / 7.0 - 1.0
+
+# Every operation and function, on a Dual d and plain operands of shape (4,).
+OPERATIONS = {
+    "add": lambda d: d + C4,
+    "radd": lambda d: C4 + d,
+    "sub": lambda d: d - C4,
+    "rsub": lambda d: C4 - d,
+    "neg": lambda d: -d,
+    "mul": lambda d: d * (d + 1.0),
+    "mul_plain": lambda d: d * C4,
+    "rmul_plain": lambda d: C4 * d,
+    "div": lambda d: d / (d * d + 1.0),
+    "div_plain": lambda d: d / C4,
+    "rdiv": lambda d: C4 / (d * d + 1.0),
+    "pow": lambda d: d**3,
+    "sqrt": lambda d: du.sqrt(d * d + 1.0),
+    "sin": du.sin,
+    "cos": du.cos,
+    "arccos": lambda d: du.arccos(0.5 * d),
+    "arctan2_plain_x": lambda d: du.arctan2(d, C4),
+    "arctan2_plain_y": lambda d: du.arctan2(C4, d),
+    "relu": du.relu,
+    "vdot": lambda d: du.vdot(d, d + C4),
+    "vdot_plain": lambda d: du.vdot(d, C4),
+    "apply_linear": lambda d: du.apply_linear(M44, d),
+    "normalize": du.normalize,
+}
+
+
+@pytest.mark.parametrize("name", list(OPERATIONS))
+def test_stacked_directions_match_single_directions(name):
+    # eps of shape (3, N, 4) against val of shape (N, 4): each direction's
+    # derivative is the bits of a one-direction evaluation.
+    op = OPERATIONS[name]
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, (50, 4))
+    y = rng.standard_normal((3, 50, 4))
+    out = op(du.Dual(x, y))
+    singles = [op(du.Dual(x, y[k])) for k in range(3)]
+    assert out.eps.shape == (3,) + out.val.shape
+    assert all(np.array_equal(out.val, s.val) for s in singles)
+    assert np.array_equal(out.eps, np.stack([s.eps for s in singles]))

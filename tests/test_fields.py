@@ -13,6 +13,7 @@ from hopfcap import (
     perturbed_field,
     small_cap_field,
 )
+from hopfcap import dual as du
 from hopfcap.calculus import directional_derivative, jet_batch
 from hopfcap.geometry import QUAT_I, quat_mul, random_sphere_points, tangent_basis
 
@@ -63,11 +64,15 @@ class TestHopfField:
         assert np.max(np.abs(jets.sigma2 - 1.0)) < 1e-12
 
 
+def frame_vectors(pts, axis=(0.0, 1.0, 0.0, 0.0)):
+    """(H, E1, E2) at unit points, from the left-multiplication matrices."""
+    return [du.apply_linear(m, pts) for m in hopf_frame(axis)]
+
+
 class TestHopfFrame:
     def test_pairwise_orthonormal(self):
         pts = random_sphere_points(1000, 5)
-        h, e1, e2 = hopf_frame()
-        vals = [h(pts), e1(pts), e2(pts)]
+        vals = frame_vectors(pts)
         for i in range(3):
             assert np.max(np.abs(np.linalg.norm(vals[i], axis=-1) - 1.0)) < 1e-12
             for j in range(i + 1, 3):
@@ -76,8 +81,7 @@ class TestHopfFrame:
     def test_gram_determinant(self):
         # Oracle: 4x4 determinant of {x, H, E1, E2} at sampled points.
         pts = random_sphere_points(200, 6)
-        h, e1, e2 = hopf_frame()
-        mats = np.stack([pts, h(pts), e1(pts), e2(pts)], axis=-2)
+        mats = np.stack([pts, *frame_vectors(pts)], axis=-2)
         dets = np.linalg.det(mats)
         assert np.max(np.abs(np.abs(dets) - 1.0)) < 1e-12
 
@@ -86,8 +90,10 @@ class TestHopfFrame:
         axis /= np.linalg.norm(axis)
         pts = random_sphere_points(200, 7)
         h, e1, e2 = hopf_frame(axis)
-        for f in (h, e1, e2):
-            assert_unit_tangent(f, pts, tol=1e-12)
+        for m in (h, e1, e2):
+            assert_unit_tangent(lambda p, m=m: du.apply_linear(m, p), pts, tol=1e-12)
+        # H is the Hopf field of the axis itself.
+        assert np.max(np.abs(du.apply_linear(h, pts) - hopf_field(axis)(pts))) < 1e-15
 
 
 class TestPerturbedField:
@@ -124,6 +130,24 @@ class TestPerturbedField:
     def test_large_amplitude_flagged(self, cap):
         with pytest.warns(UserWarning):
             perturbed_field(cap, BumpProfile(3.5, 3))
+
+    def test_twisted_normalizes_once(self, cap, monkeypatch):
+        # The frame is applied to the one normalized point, not re-normalized.
+        calls = []
+        normalize = du.normalize
+
+        def counting(x):
+            calls.append(x)
+            return normalize(x)
+
+        monkeypatch.setattr(du, "normalize", counting)
+        f = perturbed_field(cap, BumpProfile(0.9, 2), twist="angular")
+        f(random_sphere_points(20, 25))
+        assert len(calls) == 1
+
+    def test_unknown_twist_rejected(self, cap):
+        with pytest.raises(ValueError, match="unknown twist"):
+            perturbed_field(cap, BumpProfile(0.5, 3), twist="radial")
 
     def test_exponent_guard(self):
         with pytest.raises(ValueError):

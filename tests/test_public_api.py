@@ -1,4 +1,5 @@
-"""Every name hopfcap exports has a caller outside its own unit tests.
+"""Every name hopfcap exports has a caller outside its own unit tests, and
+the package's settable values do not grow unnoticed.
 
 A name counts as used when a package module other than ``__init__.py``
 references it, or when the acceptance gate does.
@@ -41,3 +42,24 @@ def test_every_export_has_a_caller():
     used = set().union(*(referenced_names(p) for p in sources))
     assert "run_all" in exports
     assert [name for name in exports if name not in used] == []
+
+
+# Parameters with a default plus dataclass fields with a default, over the
+# package.  A new knob must remove another or raise this ceiling in plain sight.
+SETTABLE_CEILING = 35
+
+
+def settable_values(path):
+    count = 0
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+            ast.unparse(d).startswith("dataclass") for d in node.decorator_list
+        ):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
+def test_settable_values_do_not_grow():
+    assert sum(settable_values(p) for p in PACKAGE.glob("*.py")) <= SETTABLE_CEILING
