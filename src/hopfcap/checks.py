@@ -25,7 +25,7 @@ from .functionals import (
     hopf_volume,
     volume_from_jets,
 )
-from .geometry import CapDomain, SpherePoint, cap_volume, random_sphere_points
+from .geometry import QUAT_ONE, CapDomain, SpherePoint, cap_volume, random_sphere_points
 from .quadrature import QuadratureRule, build_gauss_rule, integrate
 
 # Default tolerances, keyed by differentiation mode where they differ.
@@ -33,11 +33,13 @@ TOL_SIGMA = {"ad": 1e-9, "fd": 1e-6}
 TOL_INTEGRAL_REL = 1e-5
 TOL_BOUND_REL = 1e-6
 TOL_SWEEP_LOC = 0.02
-# Small-cap counterexample: mean |grad v|^2 limit, log-log slope tolerance
-# and the cap radii the slope is fitted over.
+# Small-cap counterexample: mean |grad v|^2 limit, log-log slope tolerance,
+# the cap radii the slope is fitted over and the Gauss orders of
+# check_small_cap_counterexample.
 SMALL_CAP_MEAN_DENSITY_LIMIT = 0.1
 SMALL_CAP_SLOPE_TOL = 0.2
 SMALL_CAP_SCALING_RADII = (0.05, 0.1, 0.2)
+SMALL_CAP_ORDERS = (32, 16, 32)
 
 # Default run parameters; the CLI reads its flag defaults from here.
 GAUSS_ORDERS = (64, 32, 64)
@@ -126,11 +128,11 @@ def _require_hopf_boundary(field: UnitField, cap: CapDomain) -> None:
     )
 
 
-def _field_context(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str) -> dict:
+def _field_context(field: UnitField, rule: QuadratureRule, mode: str) -> dict:
     return {
         "field": field.label,
         "params": {k: v for k, v in field.params.items() if not isinstance(v, tuple)},
-        "cap_radius": cap.radius,
+        "cap_radius": rule.domain.radius,
         "rule": rule.kind,
         "orders": list(rule.orders),
         "mode": mode,
@@ -170,8 +172,10 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
 
 
 def sweep_grid(amplitudes) -> np.ndarray:
-    """The sorted amplitude grid of a sweep; it must include 0, the Hopf field."""
+    """The sorted amplitude grid of a sweep; it must be finite and include 0, the Hopf field."""
     amps = np.asarray(sorted(float(a) for a in amplitudes))
+    if not np.all(np.isfinite(amps)):
+        raise ValueError(f"sweep amplitudes must be finite, got {amps.tolist()}")
     if not np.any(np.isclose(amps, 0.0)):
         raise ValueError("amplitude grid must include 0")
     return amps
@@ -237,32 +241,27 @@ def sweep_reports(result: SweepResult) -> list[CheckReport]:
 
 
 def check_small_cap_counterexample(
-    radius: float,
-    scaling_radii=SMALL_CAP_SCALING_RADII,
-    center=None,
-    orders=(32, 16, 32),
-    mode: str = "ad",
+    radius: float, scaling_radii=SMALL_CAP_SCALING_RADII
 ) -> list[CheckReport]:
     """Unconstrained small-cap field beats the Hopf field on both functionals.
 
-    Also fits mean |grad v|^2 = C r^2 over the scaling radii and checks the
-    log-log slope is 2 within ``SMALL_CAP_SLOPE_TOL``.
+    The cap is centred at the north pole and integrated at ``SMALL_CAP_ORDERS``
+    in AD mode.  Also fits mean |grad v|^2 = C r^2 over the scaling radii and
+    checks the log-log slope is 2 within ``SMALL_CAP_SLOPE_TOL``.
     """
-    center = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0])) if center is None else center
-    cap = CapDomain(center, radius)
-    rule = build_gauss_rule(cap, *orders)
-    jets = jet_batch(small_cap_field(cap), rule.nodes, mode=mode)
-    return _small_cap_reports(jets, cap, rule, mode, scaling_radii)
+    cap = CapDomain(SpherePoint(QUAT_ONE), radius)
+    rule = build_gauss_rule(cap, *SMALL_CAP_ORDERS)
+    jets = jet_batch(small_cap_field(cap), rule.nodes)
+    return _small_cap_reports(jets, rule, "ad", scaling_radii)
 
 
-def _small_cap_reports(
-    jets: JetBatch, cap: CapDomain, rule: QuadratureRule, mode: str, scaling_radii
-) -> list[CheckReport]:
+def _small_cap_reports(jets: JetBatch, rule: QuadratureRule, mode: str, scaling_radii) -> list[CheckReport]:
     """The counterexample's rows, the main cap's reduced from its jet at the rule's nodes.
 
     The last row fits mean |grad v|^2 = C r^2 over caps of the scaling radii,
     each with its own rule of the same orders unless it is the main cap's.
     """
+    cap = rule.domain
     e = energy_from_jets(jets, cap, rule)
     v = volume_from_jets(jets, cap, rule)
     mean = e.derivative_term / cap_volume(cap)
@@ -299,9 +298,8 @@ def _small_cap_reports(
 
 @dataclass
 class VerifyConfig:
-    """Everything run_all needs: one field, its cap and a built rule on that cap."""
+    """Everything run_all needs: one field and a built rule, whose domain is the cap."""
 
-    cap: CapDomain
     field: UnitField
     rule: QuadratureRule
     seed: int = 0
@@ -312,11 +310,8 @@ class VerifyConfig:
         # Checked here so a bad configuration fails before any jet is built.
         if not all(0.0 <= t <= T_MAX for t in self.t_grid):
             raise ValueError(f"offsets t must lie in [0, {T_MAX}], got {list(self.t_grid)}")
-        domain = self.rule.domain
-        if domain.radius != self.cap.radius or not np.array_equal(domain.center.x, self.cap.center.x):
-            raise ValueError("the quadrature rule is built on a different cap")
         if self.field.label != "small-cap":
-            _require_hopf_boundary(self.field, self.cap)
+            _require_hopf_boundary(self.field, self.rule.domain)
         elif self.rule.kind != "gauss":
             raise ValueError("the small-cap counterexample integrates with Gauss rules only")
 
@@ -328,12 +323,13 @@ def run_all(config: VerifyConfig) -> list[CheckReport]:
 
 def _field_reports(config: VerifyConfig) -> list[CheckReport]:
     """The checks of the field, each a row reduced from its one jet at the rule's nodes."""
-    field, cap, rule = config.field, config.cap, config.rule
+    field, rule = config.field, config.rule
+    cap = rule.domain
     jets = jet_batch(field, rule.nodes, mode=config.mode)
     if field.label == "small-cap":
-        return _small_cap_reports(jets, cap, rule, config.mode, SMALL_CAP_SCALING_RADII)
+        return _small_cap_reports(jets, rule, config.mode, SMALL_CAP_SCALING_RADII)
     vol_k = cap_volume(cap)
-    ctx = _field_context(field, cap, rule, config.mode)
+    ctx = _field_context(field, rule, config.mode)
     s2, _ = integrate(rule, lambda _n: jets.sigma2)
     s1, _ = integrate(rule, lambda _n: jets.sigma1)
     rows = [

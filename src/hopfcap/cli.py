@@ -25,7 +25,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import traceback
@@ -51,8 +50,6 @@ from .geometry import CapDomain, SpherePoint
 from .quadrature import QuadratureRule, build_gauss_rule, build_mc_rule
 
 OUTPUT_DIR_ENV = "HOPFCAP_OUTPUT_DIR"
-# The report formats each command writes; the first is its default.
-FORMATS = {"verify": ("json",), "functionals": ("json", "csv"), "sweep": ("csv",)}
 
 
 def _csv_floats(text: str) -> tuple:
@@ -76,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = {
         name: sub.add_parser(name, help=text, allow_abbrev=False) for name, text in helps.items()
     }
-    for name, p in commands.items():
+    for p in commands.values():
         p.add_argument("--cap-center", type=_csv_floats, default=(1.0, 0.0, 0.0, 0.0))
         p.add_argument("--cap-radius", type=float, default=1.0)
         # Flags that only some fields or rules read default to None, so that
@@ -90,23 +87,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--mode", choices=["ad", "fd"], default="ad")
         p.add_argument("--output", default=None)
-        p.add_argument("--format", dest="fmt", choices=FORMATS[name], default=FORMATS[name][0])
     for p in (commands["verify"], commands["functionals"]):
         p.add_argument("--field", choices=["hopf", "perturbed", "small-cap"], default="hopf")
         p.add_argument("--amplitude", type=float, default=None)
         p.add_argument("--axis", type=_csv_floats, default=None)
-    p = commands["verify"]
-    p.add_argument("--t-grid", type=_csv_floats, default=T_GRID)
+    commands["verify"].add_argument("--t-grid", type=_csv_floats, default=T_GRID)
+    commands["functionals"].add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
     commands["sweep"].add_argument("--amplitudes", type=_csv_floats, default=SWEEP_AMPLITUDES)
     return parser
 
 
-def _validate(args: argparse.Namespace) -> CapDomain:
-    """Reject bad flags before any heavy work starts; returns the cap."""
-    if not (0.0 < args.cap_radius <= math.pi):
-        raise ValueError(f"cap radius must lie in (0, pi], got {args.cap_radius}")
-    if len(args.cap_center) != 4:
-        raise ValueError("cap center needs 4 components")
+def _make_cap(args: argparse.Namespace) -> CapDomain:
+    """The cap; SpherePoint and CapDomain reject a bad center or radius."""
     return CapDomain(SpherePoint(np.asarray(args.cap_center)), args.cap_radius)
 
 
@@ -170,10 +162,9 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> Callable[[], int]:
-    cap = _validate(args)
+    cap = _make_cap(args)
     path = _resolve_output(args, "verify.json")
     vconf = VerifyConfig(
-        cap=cap,
         field=_make_field(args, cap),
         rule=_make_rule(args, cap),
         seed=args.seed,
@@ -193,7 +184,7 @@ def cmd_verify(args: argparse.Namespace) -> Callable[[], int]:
 
 
 def cmd_functionals(args: argparse.Namespace) -> Callable[[], int]:
-    cap = _validate(args)
+    cap = _make_cap(args)
     path = _resolve_output(args, f"functionals.{args.fmt}")
     field = _make_field(args, cap)
     rule = _make_rule(args, cap)
@@ -224,7 +215,7 @@ def cmd_functionals(args: argparse.Namespace) -> Callable[[], int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> Callable[[], int]:
-    cap = _validate(args)
+    cap = _make_cap(args)
     path = _resolve_output(args, "sweep.csv")
     amplitudes = sweep_grid(args.amplitudes)
     # The family's bump profile, built here so a bad --exponent is input.

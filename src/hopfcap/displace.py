@@ -41,17 +41,14 @@ class DisplacementMap:
 
 def jacobian_det_analytic(dm: DisplacementMap, points, mode: str = "ad"):
     """sqrt(1 + t^2) (1 + sigma1 t + sigma2 t^2) at each point."""
-    jets = jet_batch(dm.field, np.atleast_2d(points), mode=mode)
+    jets = jet_batch(dm.field, points, mode=mode)
     t = dm.t
-    out = math.sqrt(1.0 + t * t) * (1.0 + jets.sigma1 * t + jets.sigma2 * t * t)
-    if np.asarray(points).ndim == 1:
-        return float(out[0])
-    return out
+    return math.sqrt(1.0 + t * t) * (1.0 + jets.sigma1 * t + jets.sigma2 * t * t)
 
 
 def frame_matrix(dm: DisplacementMap, points: np.ndarray, mode: str = "ad") -> np.ndarray:
-    """(N, 3, 3) matrix of the differential in frames {e1,e2,v} -> {e1,e2,u}."""
-    x = np.atleast_2d(np.asarray(points, dtype=float))
+    """(..., 3, 3) matrix of the differential in frames {e1,e2,v} -> {e1,e2,u}."""
+    x = np.asarray(points, dtype=float)
     v = du.value(dm.field(x))
     e1, e2 = adapted_frame_batch(x, v)
     u = (v - dm.t * x) / dm.image_radius()
@@ -65,11 +62,7 @@ def frame_matrix(dm: DisplacementMap, points: np.ndarray, mode: str = "ad") -> n
 
 def jacobian_det_numeric(dm: DisplacementMap, points, mode: str = "ad"):
     """Determinant of the numeric frame matrix; <= 0 flags a folded map."""
-    m = frame_matrix(dm, points, mode=mode)
-    det = np.linalg.det(m)
-    if np.asarray(points).ndim == 1:
-        return float(det[0])
-    return det
+    return np.linalg.det(frame_matrix(dm, points, mode=mode))
 
 
 def image_volume(

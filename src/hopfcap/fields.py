@@ -50,6 +50,8 @@ def _check_axis(axis) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (4,):
         raise ValueError("axis must be a 4-vector quaternion")
+    if not np.all(np.isfinite(axis)):
+        raise ValueError(f"axis must have finite components, got {axis}")
     if abs(axis[0]) > 1e-12:
         raise ValueError("axis must be purely imaginary")
     if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
@@ -107,6 +109,8 @@ class BumpProfile:
     exponent: int = BUMP_EXPONENT
 
     def __post_init__(self):
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"bump amplitude must be finite, got {self.amplitude}")
         if self.exponent < 2:
             raise ValueError("bump exponent must be >= 2 for a C^1 boundary match")
 
@@ -175,8 +179,8 @@ def small_cap_field(cap: CapDomain) -> UnitField:
         v(x) = u0 - <u0, x> p - <u0, x> / (1 + <x, p>) (x - <x, p> p)
 
     which is smooth away from the antipode of the center.  Meaningful on
-    small caps (documented default radius 0.1) where the covariant
-    derivative stays small.
+    small caps, where the covariant derivative stays small: its mean square
+    grows like 0.2 r^2.
     """
     p = cap.center.x
     u = tangent_basis(cap.center)[0]

@@ -61,8 +61,9 @@ class SpherePoint:
         if x.shape != (4,):
             raise ValueError(f"SpherePoint needs a 4-vector, got shape {x.shape}")
         n = float(np.linalg.norm(x))
-        if abs(n - 1.0) > DRIFT_GUARD:
-            raise ValueError(f"point norm {n} drifts from 1 by more than {DRIFT_GUARD}")
+        # Written so that a NaN norm fails the guard too.
+        if not abs(n - 1.0) <= DRIFT_GUARD:
+            raise ValueError(f"point {x} has norm {n}, which drifts from 1 by more than {DRIFT_GUARD}")
         object.__setattr__(self, "x", x / n)
 
 

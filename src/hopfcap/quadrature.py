@@ -70,7 +70,10 @@ def build_gauss_rule(cap: CapDomain, n_rho: int, n_theta: int, n_phi: int) -> Qu
     total = float(np.sum(weights))
     vol = cap_volume(cap)
     if abs(total - vol) > WEIGHT_SUM_TOL * max(1.0, vol):
-        raise AssertionError(f"weight sum {total} misses cap volume {vol}")
+        raise ValueError(
+            f"Gauss orders ({n_rho}, {n_theta}, {n_phi}) are too low: the weight sum {total} "
+            f"misses the cap volume {vol}; raise the orders"
+        )
     return QuadratureRule(
         nodes=nodes,
         weights=weights,

@@ -26,7 +26,7 @@ NORTH = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 def verify_config(cap, field, orders, **kwargs):
-    return VerifyConfig(cap=cap, field=field, rule=build_gauss_rule(cap, *orders), **kwargs)
+    return VerifyConfig(field=field, rule=build_gauss_rule(cap, *orders), **kwargs)
 
 
 def field_rows(field, cap, orders=(48, 24, 48), t_grid=()):
@@ -209,11 +209,6 @@ class TestRunAll:
         for field in (hopf_field(), perturbed_field(cap, BumpProfile(0.5, 3))):
             reports = run_all(verify_config(cap, field, (48, 24, 48)))
             assert reports and all(r.passed for r in reports)
-
-    def test_rule_on_other_cap_raises(self, cap):
-        rule = build_gauss_rule(CapDomain(NORTH, 0.5), 16, 8, 16)
-        with pytest.raises(ValueError, match="different cap"):
-            VerifyConfig(cap=cap, field=hopf_field(), rule=rule)
 
     def test_twisted_field_skips_image_volume(self, cap):
         field = perturbed_field(cap, BumpProfile(1.2, 2), twist="angular")

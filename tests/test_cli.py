@@ -240,6 +240,24 @@ class TestInputValidation:
         assert main(argv) == 2
         assert "exponent must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["verify", "--cap-center", "nan,0,0,0", "--orders", "16,8,16"], "nan"),
+            (["functionals", "--cap-center", "nan,0,0,0", "--orders", "16,8,16"], "nan"),
+            (["verify", "--field", "perturbed", "--amplitude", "nan", "--orders", "16,8,16"], "nan"),
+            (["functionals", "--field", "perturbed", "--amplitude", "inf", "--orders", "16,8,16"], "inf"),
+            (["verify", "--field", "hopf", "--axis", "0,nan,0,0", "--orders", "16,8,16"], "nan"),
+            (["sweep", "--amplitudes", "nan,0", "--orders", "16,8,16"], "nan"),
+            (["verify", "--orders", "8,4,8"], "(8, 4, 8)"),
+            (["functionals", "--orders", "12,6,12"], "(12, 6, 12)"),
+        ],
+    )
+    def test_bad_value_exits_two_naming_it(self, argv, named, no_compute, capsys):
+        # Non-finite values and orders too low for the rule are input errors.
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+
 
 class TestUnexpectedErrors:
     def test_crash_exits_three(self, monkeypatch, capsys):
@@ -351,6 +369,24 @@ class TestStrictReports:
         assert "argmin_energy=0.5" in out.read_text()
 
 
+def subcommand_parsers():
+    """The parser of each subcommand, by name."""
+    return next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
+def test_no_option_has_a_single_choice():
+    """An option with one allowed value could only ever be set to its default."""
+    single = [
+        (name, action.option_strings)
+        for name, p in subcommand_parsers().items()
+        for action in p._actions
+        if action.choices is not None and len(action.choices) == 1
+    ]
+    assert single == []
+
+
 class TestReadme:
     """README's CLI section lists exactly the flags the parser defines."""
 
@@ -358,9 +394,6 @@ class TestReadme:
         text = README.read_text()
         section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
         documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
-        subparsers = next(
-            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        )
         defined = {
             name: {
                 opt
@@ -368,7 +401,7 @@ class TestReadme:
                 if not isinstance(action, argparse._HelpAction)
                 for opt in action.option_strings
             }
-            for name, p in subparsers.choices.items()
+            for name, p in subcommand_parsers().items()
         }
         assert {n: sorted(opts - documented) for n, opts in defined.items()} == {n: [] for n in defined}
         assert sorted(documented - set().union(*defined.values())) == []

@@ -57,6 +57,8 @@ class TestHopfField:
             hopf_field((1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             hopf_field((0.0, 2.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            hopf_field((0.0, math.nan, 0.0, 0.0))
 
     def test_sigma_constants(self):
         jets = jet_batch(hopf_field(), random_sphere_points(500, 4))
@@ -152,6 +154,9 @@ class TestPerturbedField:
     def test_exponent_guard(self):
         with pytest.raises(ValueError):
             BumpProfile(0.5, 1)
+        for amplitude in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                BumpProfile(amplitude, 3)
 
 
 class TestSmallCapField:

@@ -47,8 +47,9 @@ class TestSpherePoint:
         assert abs(np.linalg.norm(p.x) - 1.0) < 1e-12
 
     def test_drift_guard(self):
-        with pytest.raises(ValueError):
-            SpherePoint(np.array([1.1, 0.0, 0.0, 0.0]))
+        for first in (1.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="drifts from 1"):
+                SpherePoint(np.array([first, 0.0, 0.0, 0.0]))
 
 
 class TestCapVolume:

@@ -56,7 +56,7 @@ def perturbed(amplitude=0.5):
 class TestJetCounts:
     def test_run_all_one_jet_per_field(self, jet_calls):
         field = perturbed()
-        config = VerifyConfig(CAP, field, build_gauss_rule(CAP, *ORDERS))
+        config = VerifyConfig(field, build_gauss_rule(CAP, *ORDERS))
         reports = run_all(config)
         assert len(reports) == 12
         # The Hopf-constants points, then the field at the rule's nodes.
@@ -88,7 +88,7 @@ class TestJetCounts:
 def test_run_all_equals_standalone_checks(field):
     """run_all's rows against the entry points that build their own jet from the field."""
     rule = build_gauss_rule(CAP, *ORDERS)
-    config = VerifyConfig(CAP, field, rule)
+    config = VerifyConfig(field, rule)
     vol_k = cap_volume(CAP)
     integral_tol, bound_tol = checks.TOL_INTEGRAL_REL, checks.TOL_BOUND_REL
 

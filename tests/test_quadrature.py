@@ -74,6 +74,10 @@ class TestGaussRule:
     def test_rejects_tiny_orders(self, north):
         with pytest.raises(ValueError):
             build_gauss_rule(CapDomain(north, 1.0), 3, 16, 16)
+        # Orders >= 4 whose weights still miss the cap volume are bad input too.
+        for orders in ((8, 4, 8), (12, 6, 12)):
+            with pytest.raises(ValueError, match=r"too low.*raise the orders"):
+                build_gauss_rule(CapDomain(north, 1.0), *orders)
 
     def test_deterministic(self, north):
         cap = CapDomain(north, 0.8)
