@@ -6,8 +6,11 @@ derivatives of the 0-homogeneous field extension by tangential projection
 field along the left-invariant tangent basis (i x, j x, k x) and reads
 sigma1, sigma2, the energy density and the volume integrand off the 3x3
 matrix of those derivatives; all four are symmetric functions of grad v,
-so no frame adapted to v is needed.  The adapted frame {e1, e2, v} is kept
-for the independent numeric determinant in ``displace.frame_matrix``.
+so no frame adapted to v is needed.  The points are taken in blocks of
+``JET_BLOCK`` nodes, each block one dual evaluation with value (n, 4) and
+tangent (3, n, 4), so the working set does not grow with the node count.
+The adapted frame {e1, e2, v} is kept for the independent numeric
+determinant in ``displace.frame_matrix``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .fields import UnitField
 from .geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix
 
 FD_STEP = 1e-5
+JET_BLOCK = 32768
 
 _FRAME_MATS = [left_mult_matrix(a) for a in (QUAT_I, QUAT_J, QUAT_K)]
 
@@ -84,9 +88,8 @@ def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JetBatch:
-    """Per-point derivative data for a batch of points (leading axis N)."""
+    """Per-point invariants for a batch of points (leading axis N)."""
 
-    grad: np.ndarray            # (N, 3, 3): <grad_{e_a} v, e_b> for e = (i x, j x, k x)
     sigma1: np.ndarray          # (N,)
     sigma2: np.ndarray          # (N,)
     energy_density: np.ndarray  # (N,)
@@ -99,7 +102,7 @@ def jet_batch(
     mode: str = "ad",
     frame_rotation: np.ndarray | None = None,
 ) -> JetBatch:
-    """Assemble all per-point invariants at each row of ``points``.
+    """Assemble all per-point invariants at each row of ``points`` (N, 4).
 
     With B[a, b] = <grad_{e_a} v, e_b> in the orthonormal tangent basis e,
     G = B B^T the Gram matrix of the derivatives, and C the cofactor matrix
@@ -115,13 +118,31 @@ def jet_batch(
 
     The cofactor forms avoid the cancellation of the trace forms where
     |grad v| is large.  ``frame_rotation`` optionally rotates the first two
-    basis vectors (i x, j x) by the given angles; all scalar invariants
-    must be unchanged under this.
+    basis vectors (i x, j x) by the given per-point angles (N,); all scalar
+    invariants must be unchanged under this.
+
+    The rows are evaluated in consecutive blocks of ``JET_BLOCK`` nodes,
+    each block one dual evaluation with value (n, 4) and tangent (3, n, 4)
+    (vector forward mode), and the per-node scalars are concatenated.  The
+    arithmetic of each node does not depend on its block, so the result is
+    bit-identical to a single block, and the dual-number temporaries are
+    bounded by the block size rather than by N.
     """
     x = np.asarray(points, dtype=float)
-    basis = np.stack([x @ m.T for m in _FRAME_MATS])  # (3, N, 4): i x, j x, k x
+    cuts = range(JET_BLOCK, len(x), JET_BLOCK)
+    if frame_rotation is None:
+        angles = [None] * (len(cuts) + 1)
+    else:
+        angles = np.split(np.asarray(frame_rotation, dtype=float), cuts)
+    blocks = [_jet_block(field, xb, mode, th) for xb, th in zip(np.split(x, cuts), angles)]
+    return JetBatch(*(np.concatenate(scalars) for scalars in zip(*blocks)))
+
+
+def _jet_block(field: UnitField, x: np.ndarray, mode: str, frame_rotation: np.ndarray | None):
+    """(sigma1, sigma2, energy density, volume integrand) at the rows of one block."""
+    basis = np.stack([x @ m.T for m in _FRAME_MATS])  # (3, n, 4): i x, j x, k x
     if frame_rotation is not None:
-        th = np.asarray(frame_rotation, dtype=float)[..., None]
+        th = frame_rotation[..., None]
         basis[0], basis[1] = (
             np.cos(th) * basis[0] + np.sin(th) * basis[1],
             -np.sin(th) * basis[0] + np.cos(th) * basis[1],
@@ -129,16 +150,10 @@ def jet_batch(
     deriv = directional_derivative(field, x, basis, mode=mode)
     grad = np.moveaxis(deriv, 0, -2) @ np.moveaxis(basis, 0, -1)
     cof = np.cross(grad[..., [1, 2, 0], :], grad[..., [2, 0, 1], :])
-
-    sigma1 = np.trace(grad, axis1=-2, axis2=-1)
-    sigma2 = np.trace(cof, axis1=-2, axis2=-1)
     energy_density = np.sum(grad * grad, axis=(-2, -1))
-    volume_integrand = np.sqrt(1.0 + energy_density + np.sum(cof * cof, axis=(-2, -1)))
-
-    return JetBatch(
-        grad=grad,
-        sigma1=sigma1,
-        sigma2=sigma2,
-        energy_density=energy_density,
-        volume_integrand=volume_integrand,
+    return (
+        np.trace(grad, axis1=-2, axis2=-1),
+        np.trace(cof, axis1=-2, axis2=-1),
+        energy_density,
+        np.sqrt(1.0 + energy_density + np.sum(cof * cof, axis=(-2, -1))),
     )

@@ -39,14 +39,21 @@ class QuadratureRule:
 
 
 def _polar_nodes(cap: CapDomain, rho, theta, phi):
-    """Map polar coordinate grids (flat, same length) to ambient points."""
+    """Ambient points on the (rho, theta, phi) tensor grid, flattened in that order.
+
+    The direction is formed once on the (theta, phi) grid; only the (N, 4)
+    result is as long as the rule.
+    """
     b1, b2, b3 = tangent_basis(cap.center)
+    st = np.sin(theta)[:, None, None]
     direction = (
-        np.sin(theta)[:, None] * np.cos(phi)[:, None] * b1
-        + np.sin(theta)[:, None] * np.sin(phi)[:, None] * b2
-        + np.cos(theta)[:, None] * b3
+        st * np.cos(phi)[:, None] * b1
+        + st * np.sin(phi)[:, None] * b2
+        + np.cos(theta)[:, None, None] * b3
     )
-    return np.cos(rho)[:, None] * cap.center.x + np.sin(rho)[:, None] * direction
+    nodes = np.sin(rho)[:, None, None, None] * direction
+    nodes += np.cos(rho)[:, None, None, None] * cap.center.x
+    return nodes.reshape(-1, 4)
 
 
 def build_gauss_rule(cap: CapDomain, n_rho: int, n_theta: int, n_phi: int) -> QuadratureRule:
@@ -63,9 +70,8 @@ def build_gauss_rule(cap: CapDomain, n_rho: int, n_theta: int, n_phi: int) -> Qu
     wphi = np.full(n_phi, 2.0 * math.pi / n_phi)
 
     # Fixed flattening order (rho, theta, phi) for reproducible reductions.
-    rr, tt, pp = [a.ravel() for a in np.meshgrid(rho, theta, phi, indexing="ij")]
     weights = (wrho[:, None, None] * wtheta[None, :, None] * wphi[None, None, :]).ravel()
-    nodes = _polar_nodes(cap, rr, tt, pp)
+    nodes = _polar_nodes(cap, rho, theta, phi)
 
     total = float(np.sum(weights))
     vol = cap_volume(cap)

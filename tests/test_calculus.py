@@ -15,7 +15,10 @@ from hopfcap import (
 from hopfcap import dual as du
 from hopfcap.calculus import adapted_frame_batch, directional_derivative
 from hopfcap.displace import frame_matrix
-from hopfcap.geometry import QUAT_I, left_mult_matrix, random_sphere_points
+from hopfcap.geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix, random_sphere_points
+
+
+INVARIANTS = ("sigma1", "sigma2", "energy_density", "volume_integrand")
 
 
 def random_tangents(pts, seed):
@@ -197,11 +200,15 @@ class TestFieldJet:
         assert jets.volume_integrand[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_hopf_h_matrix_antisymmetric(self):
-        # A Hopf field is Killing: grad v is skew, and sigma2 = 1.
-        jets = jet_batch(hopf_field(), random_sphere_points(500, 14))
-        sym = jets.grad + np.swapaxes(jets.grad, -1, -2)
+        # A Hopf field is Killing: B[a, b] = <grad_{e_a} v, e_b> in the basis
+        # e = (i x, j x, k x) is skew, and sigma2 = 1.
+        h = hopf_field()
+        pts = random_sphere_points(500, 14)
+        basis = np.stack([pts @ left_mult_matrix(q).T for q in (QUAT_I, QUAT_J, QUAT_K)])
+        grad = np.einsum("ani,bni->nab", directional_derivative(h, pts, basis), basis)
+        sym = grad + np.swapaxes(grad, -1, -2)
         assert np.max(np.linalg.norm(sym, axis=(-2, -1))) < 1e-12
-        assert np.max(np.abs(jets.sigma2 - 1.0)) < 1e-12
+        assert np.max(np.abs(jet_batch(h, pts).sigma2 - 1.0)) < 1e-12
 
     def test_matches_frame_based_invariants(self, builtin_fields):
         pts = random_sphere_points(2000, 22)
@@ -219,7 +226,8 @@ class TestFieldJet:
         monkeypatch.setattr("hopfcap.calculus._cross4", refuse)
         monkeypatch.setattr(np.linalg, "det", refuse)
         jets = jet_batch(perturbed_field(cap, BumpProfile(0.5, 3)), random_sphere_points(50, 23))
-        assert jets.grad.shape == (50, 3, 3)
+        for attr in INVARIANTS:
+            assert getattr(jets, attr).shape == (50,)
 
     def test_zero_amplitude_matches_hopf(self, cap):
         pts = random_sphere_points(300, 15)
@@ -237,7 +245,7 @@ class TestFieldJet:
         for f in builtin_fields:
             base = jet_batch(f, pts)
             rot = jet_batch(f, pts, frame_rotation=theta)
-            for attr in ("sigma1", "sigma2", "energy_density", "volume_integrand"):
+            for attr in INVARIANTS:
                 assert np.max(np.abs(getattr(base, attr) - getattr(rot, attr))) < 1e-10
 
     def test_pointwise_inequalities(self, builtin_fields):
@@ -283,3 +291,27 @@ def test_one_dual_evaluation_carries_three_directions(cap, differentiate):
     f, shapes = recording(perturbed_field(cap, BumpProfile(0.5, 3)))
     differentiate(f, random_sphere_points(50, 24))
     assert shapes == [((50, 4), (3, 50, 4))]
+
+
+@pytest.mark.parametrize("mode", ["ad", "fd"])
+@pytest.mark.parametrize("rotate", [False, True], ids=["plain", "rotated"])
+def test_block_boundaries_are_invisible(builtin_fields, monkeypatch, mode, rotate):
+    # 50 points in blocks of 7: every node's invariants are bit-identical to
+    # the one-block result, and rotation angles travel with their block.
+    pts = random_sphere_points(50, 25)
+    theta = np.random.default_rng(26).uniform(0.0, 2 * np.pi, len(pts)) if rotate else None
+    whole = [jet_batch(f, pts, mode=mode, frame_rotation=theta) for f in builtin_fields]
+    monkeypatch.setattr("hopfcap.calculus.JET_BLOCK", 7)
+    for f, one in zip(builtin_fields, whole):
+        blocked = jet_batch(f, pts, mode=mode, frame_rotation=theta)
+        for attr in INVARIANTS:
+            assert np.array_equal(getattr(blocked, attr), getattr(one, attr)), (f.label, attr)
+
+
+def test_field_sees_one_block_at_a_time(cap, monkeypatch):
+    # The working set is bounded: 50 nodes in blocks of 7 are seven duals of
+    # 7 nodes and one of 1 node, never one of 50.
+    monkeypatch.setattr("hopfcap.calculus.JET_BLOCK", 7)
+    f, shapes = recording(perturbed_field(cap, BumpProfile(0.5, 3)))
+    jet_batch(f, random_sphere_points(50, 27))
+    assert shapes == [((7, 4), (3, 7, 4))] * 7 + [((1, 4), (3, 1, 4))]

@@ -1,7 +1,10 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from hopfcap.cli import OUTPUT_DIR_ENV, _build_parser, main
 from hopfcap.quadrature import build_gauss_rule
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CHECK_FIELDS = {
     "name", "lhs", "rhs", "abs_err", "rel_err", "tolerance", "passed", "policy", "context",
@@ -123,6 +127,30 @@ class TestFunctionalsCommand:
         code = main(["functionals", "--field", "hopf", "--orders", "24,12,24"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["field"] == "hopf"
+
+
+class TestBoundedMemory:
+    def test_million_nodes_within_300_mb(self):
+        # 128 * 64 * 128 = 1 048 576 nodes.  The jet is evaluated in fixed
+        # node blocks, so the peak is the rule and the per-node scalars, not
+        # the dual-number temporaries of every node at once.  A fresh process
+        # reports its own peak (MB = 1e6 bytes, as bench/child.py counts).
+        child = (
+            "import resource, sys\n"
+            "from hopfcap.cli import main\n"
+            "code = main(['functionals', '--field', 'perturbed', '--orders', '128,64,128'])\n"
+            "print('maxrss_kb', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["field"] == "perturbed"
+        peak_mb = int(re.search(r"maxrss_kb (\d+)", proc.stderr).group(1)) * 1024 / 1e6
+        assert peak_mb <= 300.0
 
 
 class TestSweepCommand:

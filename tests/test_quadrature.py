@@ -12,6 +12,7 @@ from hopfcap import (
     cap_volume,
     integrate,
 )
+from hopfcap.geometry import tangent_basis
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,26 @@ class TestGaussRule:
         for orders in ((8, 4, 8), (12, 6, 12)):
             with pytest.raises(ValueError, match=r"too low.*raise the orders"):
                 build_gauss_rule(CapDomain(north, 1.0), *orders)
+
+    def test_nodes_follow_polar_formula(self):
+        # Node (i, j, k) of the flattened (rho, theta, phi) grid sits at
+        # cos(rho_i) c + sin(rho_i) (sin t_j cos p_k b1 + sin t_j sin p_k b2 + cos t_j b3),
+        # here at a center with no symmetry and unequal orders.
+        c = np.array([0.3, -0.5, 0.7, 0.2])
+        cap = CapDomain(SpherePoint(c / np.linalg.norm(c)), 0.3)
+        n_rho, n_theta, n_phi = 7, 9, 5
+        rule = build_gauss_rule(cap, n_rho, n_theta, n_phi)
+        rho = 0.5 * cap.radius * (np.polynomial.legendre.leggauss(n_rho)[0] + 1.0)
+        theta = 0.5 * math.pi * (np.polynomial.legendre.leggauss(n_theta)[0] + 1.0)
+        b1, b2, b3 = tangent_basis(cap.center)
+        assert rule.nodes.shape == (n_rho * n_theta * n_phi, 4)
+        for i, j, k in [(0, 0, 0), (6, 8, 4), (3, 1, 2), (2, 7, 3), (5, 4, 1)]:
+            p = 2.0 * math.pi * k / n_phi
+            want = math.cos(rho[i]) * cap.center.x + math.sin(rho[i]) * (
+                math.sin(theta[j]) * (math.cos(p) * b1 + math.sin(p) * b2) + math.cos(theta[j]) * b3
+            )
+            got = rule.nodes[(i * n_theta + j) * n_phi + k]
+            assert np.max(np.abs(got - want)) < 1e-14
 
     def test_deterministic(self, north):
         cap = CapDomain(north, 0.8)
