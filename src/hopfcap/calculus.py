@@ -8,7 +8,10 @@ sigma1, sigma2, the energy density and the volume integrand off the 3x3
 matrix of those derivatives; all four are symmetric functions of grad v,
 so no frame adapted to v is needed.  The points are taken in blocks of
 ``JET_BLOCK`` nodes, each block one dual evaluation with value (n, 4) and
-tangent (3, n, 4), so the working set does not grow with the node count.
+tangent (3, n, 4).  The block size has two reasons: the working set does
+not grow with the node count, and every (n, 4) x (4, 4) product of the jet
+stays below the 2 * 65 536 * 4 multiply-adds from which OpenBLAS splits a
+dgemm over threads, so no second BLAS thread spin-waits between products.
 The adapted frame {e1, e2, v} is kept for the independent numeric
 determinant in ``displace.frame_matrix``.
 """
@@ -24,7 +27,10 @@ from .fields import UnitField
 from .geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix
 
 FD_STEP = 1e-5
-JET_BLOCK = 32768
+# 16 * n multiply-adds per (n, 4) x (4, 4) product: OpenBLAS threads a dgemm
+# from 524 288 upward (n = 32 768), so a block of up to 16 385 nodes runs on
+# the calling thread alone.  The block also bounds the dual temporaries.
+JET_BLOCK = 16384
 
 _FRAME_MATS = [left_mult_matrix(a) for a in (QUAT_I, QUAT_J, QUAT_K)]
 
@@ -123,13 +129,15 @@ def jet_batch(
 
     The rows are evaluated in consecutive blocks of ``JET_BLOCK`` nodes,
     each block one dual evaluation with value (n, 4) and tangent (3, n, 4)
-    (vector forward mode), and the per-node scalars are concatenated.  The
-    arithmetic of each node does not depend on its block, so the result is
-    bit-identical to a single block, and the dual-number temporaries are
-    bounded by the block size rather than by N.
+    (vector forward mode), and the per-node scalars are concatenated.  A lone
+    last node joins the previous block, because numpy hands a one-row
+    product to gemv, which rounds differently from gemm.  So a block has one
+    row only when N is 1, the arithmetic of each node does not depend on
+    its block, and the result is bit-identical to a single block.  The
+    dual-number temporaries are bounded by the block size rather than by N.
     """
     x = np.asarray(points, dtype=float)
-    cuts = range(JET_BLOCK, len(x), JET_BLOCK)
+    cuts = range(JET_BLOCK, len(x) - 1, JET_BLOCK)
     if frame_rotation is None:
         angles = [None] * (len(cuts) + 1)
     else:

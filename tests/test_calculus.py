@@ -1,3 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +24,7 @@ from hopfcap.displace import frame_matrix
 from hopfcap.geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix, random_sphere_points
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 INVARIANTS = ("sigma1", "sigma2", "energy_density", "volume_integrand")
 
 
@@ -295,23 +302,69 @@ def test_one_dual_evaluation_carries_three_directions(cap, differentiate):
 
 @pytest.mark.parametrize("mode", ["ad", "fd"])
 @pytest.mark.parametrize("rotate", [False, True], ids=["plain", "rotated"])
-def test_block_boundaries_are_invisible(builtin_fields, monkeypatch, mode, rotate):
+def test_block_boundaries_are_invisible(builtin_fields, cap, monkeypatch, mode, rotate):
     # 50 points in blocks of 7: every node's invariants are bit-identical to
     # the one-block result, and rotation angles travel with their block.
+    # 50 = 7 * 7 + 1 leaves a lone last node.  On an axis off the quaternion
+    # units the frame is no signed permutation, so a one-row block would
+    # round that node differently.
+    fields = builtin_fields + [
+        hopf_field((0.0, 0.6, 0.8, 0.0)),
+        perturbed_field(cap, BumpProfile(0.5, 3), axis=(0.0, 0.48, 0.6, 0.64)),
+    ]
     pts = random_sphere_points(50, 25)
     theta = np.random.default_rng(26).uniform(0.0, 2 * np.pi, len(pts)) if rotate else None
-    whole = [jet_batch(f, pts, mode=mode, frame_rotation=theta) for f in builtin_fields]
+    whole = [jet_batch(f, pts, mode=mode, frame_rotation=theta) for f in fields]
     monkeypatch.setattr("hopfcap.calculus.JET_BLOCK", 7)
-    for f, one in zip(builtin_fields, whole):
+    for f, one in zip(fields, whole):
         blocked = jet_batch(f, pts, mode=mode, frame_rotation=theta)
         for attr in INVARIANTS:
             assert np.array_equal(getattr(blocked, attr), getattr(one, attr)), (f.label, attr)
 
 
 def test_field_sees_one_block_at_a_time(cap, monkeypatch):
-    # The working set is bounded: 50 nodes in blocks of 7 are seven duals of
-    # 7 nodes and one of 1 node, never one of 50.
+    # The working set is bounded: 50 nodes in blocks of 7 are six duals of
+    # 7 nodes and one of 8, never one of 50; the lone 50th node joins the
+    # last block.
     monkeypatch.setattr("hopfcap.calculus.JET_BLOCK", 7)
     f, shapes = recording(perturbed_field(cap, BumpProfile(0.5, 3)))
     jet_batch(f, random_sphere_points(50, 27))
-    assert shapes == [((7, 4), (3, 7, 4))] * 7 + [((1, 4), (3, 1, 4))]
+    assert shapes == [((7, 4), (3, 7, 4))] * 6 + [((8, 4), (3, 8, 4))]
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2 or not hasattr(resource, "RUSAGE_THREAD"),
+    reason="needs two CPUs and per-thread rusage",
+)
+def test_jet_products_stay_on_the_calling_thread():
+    # With two BLAS threads allowed, a jet over three blocks must not wake
+    # the second one: OpenBLAS threads a dgemm from 2 * 65 536 * 4
+    # multiply-adds, and a block's (n, 4) x (4, 4) products stay below that.
+    # CPU of the other threads is RUSAGE_SELF minus RUSAGE_THREAD, read after
+    # a pause in which the BLAS workers end the busy wait they start with.
+    # No Gauss rule is built first: its eigenvalue solve at high order is
+    # threaded.
+    child = (
+        "import resource, time\n"
+        "import numpy as np\n"
+        "from hopfcap import BumpProfile, CapDomain, SpherePoint, jet_batch, perturbed_field\n"
+        "from hopfcap.calculus import JET_BLOCK\n"
+        "from hopfcap.geometry import random_sphere_points\n"
+        "cap = CapDomain(SpherePoint(np.array([1.0, 0, 0, 0])), 1.0)\n"
+        "f = perturbed_field(cap, BumpProfile(0.5, 3), axis=(0.0, 0.48, 0.6, 0.64))\n"
+        "pts = random_sphere_points(3 * JET_BLOCK, 28)\n"
+        "def cpu(who):\n"
+        "    r = resource.getrusage(who)\n"
+        "    return r.ru_utime + r.ru_stime\n"
+        "time.sleep(0.5)\n"
+        "self0, own0 = cpu(resource.RUSAGE_SELF), cpu(resource.RUSAGE_THREAD)\n"
+        "jet_batch(f, pts)\n"
+        "own = cpu(resource.RUSAGE_THREAD) - own0\n"
+        "print(own, cpu(resource.RUSAGE_SELF) - self0 - own)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    own, other = map(float, proc.stdout.split())
+    assert other <= 0.1 * own, (own, other)
