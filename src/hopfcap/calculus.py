@@ -7,13 +7,12 @@ field along the left-invariant tangent basis (i x, j x, k x) and reads
 sigma1, sigma2, the energy density and the volume integrand off the 3x3
 matrix of those derivatives; all four are symmetric functions of grad v,
 so no frame adapted to v is needed.  The points are taken in blocks of
-``JET_BLOCK`` nodes, each block one dual evaluation with value (n, 4) and
-tangent (3, n, 4).  The block size has two reasons: the working set does
-not grow with the node count, and every (n, 4) x (4, 4) product of the jet
-stays below the 2 * 65 536 * 4 multiply-adds from which OpenBLAS splits a
-dgemm over threads, so no second BLAS thread spin-waits between products.
-The adapted frame {e1, e2, v} is kept for the independent numeric
-determinant in ``displace.frame_matrix``.
+``JET_BLOCK`` nodes, each block one dual evaluation with value (4, n) and
+tangent (3, 4, n), component-major as in ``dual``.  The jet is elementwise
+arithmetic in a fixed order, with no matrix or cross product and no BLAS
+call: its bits do not depend on the BLAS kernel, and it runs on the
+calling thread.  The adapted frame {e1, e2, v} is kept for the independent
+numeric determinant in ``displace.frame_matrix``.
 """
 
 from __future__ import annotations
@@ -27,26 +26,41 @@ from .fields import UnitField
 from .geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix
 
 FD_STEP = 1e-5
-# 16 * n multiply-adds per (n, 4) x (4, 4) product: OpenBLAS threads a dgemm
-# from 524 288 upward (n = 32 768), so a block of up to 16 385 nodes runs on
-# the calling thread alone.  The block also bounds the dual temporaries.
+# Nodes per dual evaluation.  The block bounds the dual temporaries (a
+# (3, 4, n) tangent is 1.5 MB) and keeps a block's rows in cache.
 JET_BLOCK = 16384
 
 _FRAME_MATS = [left_mult_matrix(a) for a in (QUAT_I, QUAT_J, QUAT_K)]
+_FRAME_ROWS = np.concatenate(_FRAME_MATS)  # (12, 4): i x, j x, k x in one product
 
 
 def directional_derivative(field: UnitField, points, directions, mode: str = "ad"):
     """Ambient derivative Dv[Y] of the field extension along Y.
 
     ``points`` has shape (..., 4); ``directions`` and the result have shape
-    dirs + points.shape, one direction per leading index.  In "ad" mode the
-    field is evaluated once, on a ``Dual`` carrying every direction, and
-    must return dual numbers; a field that cannot is rejected rather than
-    silently differentiated by finite differences, so the AD and FD routes
-    stay independent oracles.
+    dirs + points.shape, one direction per leading index.  The points and
+    directions are transposed to the component-major layout of
+    ``_derivative`` and the result back.
     """
     x = np.asarray(points, dtype=float)
     y = np.asarray(directions, dtype=float)
+    dirs = y.shape[: y.ndim - x.ndim]
+    xc = np.ascontiguousarray(x.reshape(-1, 4).T)
+    yc = np.ascontiguousarray(np.swapaxes(y.reshape(dirs + (-1, 4)), -1, -2))
+    d = _derivative(field, xc, yc, mode)
+    return np.ascontiguousarray(np.swapaxes(d, -1, -2)).reshape(y.shape)
+
+
+def _derivative(field: UnitField, x: np.ndarray, y: np.ndarray, mode: str) -> np.ndarray:
+    """Dv[Y] at component-major points x (4, n) along directions y (dirs..., 4, n).
+
+    In "ad" mode the field is evaluated once, on a ``Dual`` carrying every
+    direction, and must return dual numbers; a field that cannot is
+    rejected rather than silently differentiated by finite differences, so
+    the AD and FD routes stay independent oracles.  In "fd" mode the
+    displaced points of all directions are evaluated in one call on each
+    side, as plain (..., 4) points.
+    """
     if mode == "ad":
         out = field(du.Dual(x, y))
         if not isinstance(out, du.Dual):
@@ -56,7 +70,11 @@ def directional_derivative(field: UnitField, points, directions, mode: str = "ad
             )
         return out.eps
     if mode == "fd":
-        return (du.value(field(x + FD_STEP * y)) - du.value(field(x - FD_STEP * y))) / (2.0 * FD_STEP)
+
+        def at(p):
+            return np.swapaxes(field(np.swapaxes(p, -1, -2)), -1, -2)
+
+        return (at(x + FD_STEP * y) - at(x - FD_STEP * y)) / (2.0 * FD_STEP)
     raise ValueError(f"unknown differentiation mode {mode!r}")
 
 
@@ -128,16 +146,14 @@ def jet_batch(
     invariants must be unchanged under this.
 
     The rows are evaluated in consecutive blocks of ``JET_BLOCK`` nodes,
-    each block one dual evaluation with value (n, 4) and tangent (3, n, 4)
-    (vector forward mode), and the per-node scalars are concatenated.  A lone
-    last node joins the previous block, because numpy hands a one-row
-    product to gemv, which rounds differently from gemm.  So a block has one
-    row only when N is 1, the arithmetic of each node does not depend on
-    its block, and the result is bit-identical to a single block.  The
+    each block one dual evaluation with value (4, n) and tangent (3, 4, n)
+    (vector forward mode), and the per-node scalars are concatenated.  All
+    arithmetic is elementwise, so the bits of a node do not depend on its
+    block, and the result is bit-identical to a single block.  The
     dual-number temporaries are bounded by the block size rather than by N.
     """
     x = np.asarray(points, dtype=float)
-    cuts = range(JET_BLOCK, len(x) - 1, JET_BLOCK)
+    cuts = range(JET_BLOCK, len(x), JET_BLOCK)
     if frame_rotation is None:
         angles = [None] * (len(cuts) + 1)
     else:
@@ -146,22 +162,34 @@ def jet_batch(
     return JetBatch(*(np.concatenate(scalars) for scalars in zip(*blocks)))
 
 
-def _jet_block(field: UnitField, x: np.ndarray, mode: str, frame_rotation: np.ndarray | None):
+def _jet_block(field: UnitField, points: np.ndarray, mode: str, frame_rotation: np.ndarray | None):
     """(sigma1, sigma2, energy density, volume integrand) at the rows of one block."""
-    basis = np.stack([x @ m.T for m in _FRAME_MATS])  # (3, n, 4): i x, j x, k x
+    x = np.ascontiguousarray(points.T)  # (4, n)
+    basis = du.apply_linear(_FRAME_ROWS, x).reshape(3, 4, -1)  # i x, j x, k x
     if frame_rotation is not None:
-        th = frame_rotation[..., None]
-        basis[0], basis[1] = (
-            np.cos(th) * basis[0] + np.sin(th) * basis[1],
-            -np.sin(th) * basis[0] + np.cos(th) * basis[1],
-        )
-    deriv = directional_derivative(field, x, basis, mode=mode)
-    grad = np.moveaxis(deriv, 0, -2) @ np.moveaxis(basis, 0, -1)
-    cof = np.cross(grad[..., [1, 2, 0], :], grad[..., [2, 0, 1], :])
-    energy_density = np.sum(grad * grad, axis=(-2, -1))
+        cos, sin = np.cos(frame_rotation), np.sin(frame_rotation)
+        basis[0], basis[1] = cos * basis[0] + sin * basis[1], -sin * basis[0] + cos * basis[1]
+    deriv = _derivative(field, x, basis, mode)
+    # grad[a, b] = <D_{e_a} v, e_b>: the component rows summed in order.
+    grad = deriv[:, None, 0] * basis[None, :, 0]
+    for i in range(1, 4):
+        grad += deriv[:, None, i] * basis[None, :, i]
+    # Row a of the cofactor matrix is grad[a + 1] x grad[a + 2], cyclically.
+    u, w = grad[[1, 2, 0]], grad[[2, 0, 1]]
+    cof = u[:, [1, 2, 0]] * w[:, [2, 0, 1]] - u[:, [2, 0, 1]] * w[:, [1, 2, 0]]
+    energy_density = _entry_sum(grad * grad)
     return (
-        np.trace(grad, axis1=-2, axis2=-1),
-        np.trace(cof, axis1=-2, axis2=-1),
+        (grad[0, 0] + grad[1, 1]) + grad[2, 2],
+        (cof[0, 0] + cof[1, 1]) + cof[2, 2],
         energy_density,
-        np.sqrt(1.0 + energy_density + np.sum(cof * cof, axis=(-2, -1))),
+        np.sqrt((1.0 + energy_density) + _entry_sum(cof * cof)),
     )
+
+
+def _entry_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of the nine entries of a (3, 3, n) array, row-major in order."""
+    rows = a.reshape(9, -1)
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total

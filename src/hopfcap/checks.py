@@ -172,10 +172,10 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
 
 
 def sweep_grid(amplitudes) -> np.ndarray:
-    """The sorted amplitude grid of a sweep; it must be finite and include 0, the Hopf field."""
+    """The sorted amplitude grid of a sweep; each must be a bump amplitude, and 0, the Hopf field, is one."""
     amps = np.asarray(sorted(float(a) for a in amplitudes))
-    if not np.all(np.isfinite(amps)):
-        raise ValueError(f"sweep amplitudes must be finite, got {amps.tolist()}")
+    for a in amps:
+        BumpProfile(a)
     if not np.any(np.isclose(amps, 0.0)):
         raise ValueError("amplitude grid must include 0")
     return amps
@@ -288,7 +288,12 @@ def _small_cap_reports(jets: JetBatch, rule: QuadratureRule, mode: str, scaling_
         rule_r = build_gauss_rule(cap_r, *rule.orders)
         e_r = energy(small_cap_field(cap_r), cap_r, rule_r, mode=mode)
         means.append(e_r.derivative_term / cap_volume(cap_r))
-    slope = float(np.polyfit(np.log(np.asarray(scaling_radii)), np.log(np.asarray(means)), 1)[0])
+    # The least-squares slope in closed form: np.polyfit's LAPACK solve
+    # rounds differently under different BLAS kernels.
+    log_r = np.log(np.asarray(scaling_radii))
+    log_m = np.log(np.asarray(means))
+    dr = log_r - np.mean(log_r)
+    slope = float(np.sum(dr * (log_m - np.mean(log_m))) / np.sum(dr * dr))
     scale_ctx = dict(ctx, radii=list(scaling_radii), means=[float(m) for m in means])
     reports.append(
         _report("small_cap_gradient_scaling", slope, 2.0, SMALL_CAP_SLOPE_TOL, "abs", scale_ctx)

@@ -8,6 +8,13 @@ direction (vector forward mode); ``dirs`` may be empty.  A plain operand of
 against the small function set below (``sqrt``, ``sin`` , ``cos``,
 ``arccos``, ``arctan2``, ``vdot``, ...) so a single code path serves both
 plain evaluation and exact forward-mode differentiation.
+
+Vectors are stored component-major: a batch of n points in R^4 is a (4, n)
+array, one row per component, and its derivatives are (dirs..., 4, n).
+``vdot`` and ``apply_linear`` work on the component rows (axis -2) with
+elementwise multiply-adds in a fixed order, so every inner loop runs over
+the n nodes, and no product goes to BLAS: the result does not depend on
+which BLAS kernel or how many BLAS threads the host has.
 """
 
 from __future__ import annotations
@@ -125,22 +132,43 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
+def _row_sum(p):
+    """Sum of the component rows (axis -2), left to right, kept as one row."""
+    total = p[..., 0:1, :]
+    for i in range(1, p.shape[-2]):
+        total = total + p[..., i : i + 1, :]
+    return total
+
+
+def _linear(m, x):
+    """Rows sum_j m[i, j] x[j] on axis -2, each summed over j in order."""
+    out = np.empty(x.shape[:-2] + (m.shape[0], x.shape[-1]))
+    term = np.empty(x.shape[:-2] + x.shape[-1:])
+    for i in range(m.shape[0]):
+        row = out[..., i, :]
+        np.multiply(x[..., 0, :], m[i, 0], out=row)
+        for j in range(1, m.shape[1]):
+            np.multiply(x[..., j, :], m[i, j], out=term)
+            row += term
+    return out
+
+
 def vdot(a, b):
-    """Inner product over the last axis, which is kept with length 1."""
+    """Inner product over the component rows (axis -2), kept as a (1, n) row."""
     p = a * b
     if isinstance(p, Dual):
-        return Dual(p.val.sum(axis=-1, keepdims=True), p.eps.sum(axis=-1, keepdims=True))
-    return p.sum(axis=-1, keepdims=True)
+        return Dual(_row_sum(p.val), _row_sum(p.eps))
+    return _row_sum(p)
 
 
 def apply_linear(matrix, x):
-    """Right-multiply points ``x`` of shape (..., n) by a constant matrix."""
+    """The constant matrix applied to component-major points ``x`` (..., 4, n)."""
     m = np.asarray(matrix, dtype=float)
     if isinstance(x, Dual):
-        return Dual(x.val @ m.T, x.eps @ m.T)
-    return np.asarray(x, dtype=float) @ m.T
+        return Dual(_linear(m, x.val), _linear(m, x.eps))
+    return _linear(m, np.asarray(x, dtype=float))
 
 
 def normalize(x):
-    """Scale (..., n) vectors to unit length."""
+    """Scale component-major (..., 4, n) vectors to unit length."""
     return x / sqrt(vdot(x, x))

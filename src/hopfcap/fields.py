@@ -10,7 +10,10 @@ Three built-in families:
   vector from the cap center; has small covariant derivative on small caps
   and ignores the boundary condition.
 
-Every evaluator accepts points as (..., 4) arrays (or ``Dual`` jets) and is
+Every evaluator takes points component-major, as a (4, n) array or a
+``Dual`` with value (4, n), and returns tangent vectors in the same layout;
+constant vectors enter as (4, 1) columns.  Calling a ``UnitField`` on plain
+points takes and returns (..., 4) arrays instead.  Every evaluator is
 0-homogeneous: the input is normalized before use, so ambient directional
 derivatives are well-defined off the sphere.
 """
@@ -31,10 +34,10 @@ from .geometry import CapDomain, left_mult_matrix, quat_mul, tangent_basis
 class UnitField:
     """Closed-form unit tangent field v: S^3 -> T S^3.
 
-    ``evaluator`` maps (..., 4) arrays (plain or Dual) to same-shaped
-    tangent vectors.  ``hopf_boundary`` records where the field is known to
-    coincide with a Hopf field: "everywhere", a CapDomain (on and outside
-    its boundary), or None.
+    ``evaluator`` maps component-major (4, n) points (plain or Dual) to
+    tangent vectors of the same layout.  ``hopf_boundary`` records where the
+    field is known to coincide with a Hopf field: "everywhere", a CapDomain
+    (on and outside its boundary), or None.
     """
 
     label: str
@@ -43,7 +46,13 @@ class UnitField:
     hopf_boundary: Union[str, CapDomain, None] = None
 
     def __call__(self, x):
-        return self.evaluator(x)
+        """The field at a component-major ``Dual``, or at plain points of
+        shape (..., 4), returned in that shape."""
+        if isinstance(x, du.Dual):
+            return self.evaluator(x)
+        x = np.asarray(x, dtype=float)
+        v = self.evaluator(np.ascontiguousarray(x.reshape(-1, 4).T))
+        return np.ascontiguousarray(np.asarray(v).T).reshape(x.shape)
 
 
 def _check_axis(axis) -> np.ndarray:
@@ -94,6 +103,9 @@ def hopf_frame(axis=(0.0, 1.0, 0.0, 0.0)) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 BUMP_EXPONENT = 3  # default m of the bump profile, also of the sweep family
+# Largest |A| of a bump profile.  A rotation angle beyond a few pi adds
+# nothing to the family, and a huge one overflows the jet's invariants.
+AMPLITUDE_MAX = 4.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -109,8 +121,11 @@ class BumpProfile:
     exponent: int = BUMP_EXPONENT
 
     def __post_init__(self):
-        if not np.isfinite(self.amplitude):
-            raise ValueError(f"bump amplitude must be finite, got {self.amplitude}")
+        # Written so that a NaN amplitude fails the bound too.
+        if not abs(self.amplitude) <= AMPLITUDE_MAX:
+            raise ValueError(
+                f"bump amplitude must be finite with |A| <= 4 pi = {AMPLITUDE_MAX}, got {self.amplitude}"
+            )
         if self.exponent < 2:
             raise ValueError("bump exponent must be >= 2 for a C^1 boundary match")
 
@@ -137,10 +152,10 @@ def perturbed_field(
     if twist not in ("none", "angular"):
         raise ValueError(f"unknown twist {twist!r}")
     h, e1, e2 = hopf_frame(axis)
-    center = cap.center.x
+    center = cap.center.x[:, None]
     r = cap.radius
     amp, m = bump.amplitude, bump.exponent
-    b1, b2, _ = tangent_basis(cap.center)
+    b1, b2 = (b[:, None] for b in tangent_basis(cap.center)[:2])
 
     def evaluate(x):
         # The frame is applied to the same normalized point as hopf_field,
@@ -162,7 +177,7 @@ def perturbed_field(
             "amplitude": amp,
             "exponent": m,
             "twist": twist,
-            "cap_center": tuple(center),
+            "cap_center": tuple(cap.center.x),
             "cap_radius": r,
         },
         hopf_boundary=cap,
@@ -182,8 +197,8 @@ def small_cap_field(cap: CapDomain) -> UnitField:
     small caps, where the covariant derivative stays small: its mean square
     grows like 0.2 r^2.
     """
-    p = cap.center.x
-    u = tangent_basis(cap.center)[0]
+    u0 = tangent_basis(cap.center)[0]
+    p, u = cap.center.x[:, None], u0[:, None]
 
     def evaluate(x):
         xs = du.normalize(x)
@@ -195,9 +210,9 @@ def small_cap_field(cap: CapDomain) -> UnitField:
         label="small-cap",
         evaluator=evaluate,
         params={
-            "cap_center": tuple(p),
+            "cap_center": tuple(cap.center.x),
             "cap_radius": cap.radius,
-            "u0": tuple(u),
+            "u0": tuple(u0),
         },
         hopf_boundary=None,
     )

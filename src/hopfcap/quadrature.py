@@ -6,8 +6,9 @@ Geodesic polar coordinates about the cap center,
 
 carry the volume element sin^2(rho) sin(theta) drho dtheta dphi.  The
 deterministic rule is Gauss-Legendre in rho and theta and periodic
-trapezoid in phi; the stochastic rule draws uniform samples on the cap via
-the inverse CDF of the radial density.
+trapezoid in phi; its Legendre nodes come from Newton's method on the
+three-term recurrence, with no LAPACK call.  The stochastic rule draws
+uniform samples on the cap via the inverse CDF of the radial density.
 """
 
 from __future__ import annotations
@@ -56,14 +57,40 @@ def _polar_nodes(cap: CapDomain, rho, theta, phi):
     return nodes.reshape(-1, 4)
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [-1, 1] in ascending order, and their weights.
+
+    Newton's method on P_n from the three-term recurrence, started from
+    cos(pi (k - 1/4) / (n + 1/2)); the weights are 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    k = np.arange(n, 0, -1)
+    x = np.cos(math.pi * (k - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-16:
+            break
+    _, dp = _legendre(n, x)
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    prev, p = np.ones_like(x), x
+    for j in range(2, n + 1):
+        prev, p = p, ((2 * j - 1) * x * p - (j - 1) * prev) / j
+    return p, n * (x * p - prev) / (x * x - 1.0)
+
+
 def build_gauss_rule(cap: CapDomain, n_rho: int, n_theta: int, n_phi: int) -> QuadratureRule:
     """Tensor-product rule: Gauss-Legendre in rho, theta; trapezoid in phi."""
     if min(n_rho, n_theta, n_phi) < 4:
         raise ValueError("quadrature orders must be >= 4")
-    xr, wr = np.polynomial.legendre.leggauss(n_rho)
+    xr, wr = _gauss_legendre(n_rho)
     rho = 0.5 * cap.radius * (xr + 1.0)
     wrho = 0.5 * cap.radius * wr * np.sin(rho) ** 2
-    xt, wt = np.polynomial.legendre.leggauss(n_theta)
+    xt, wt = _gauss_legendre(n_theta)
     theta = 0.5 * math.pi * (xt + 1.0)
     wtheta = 0.5 * math.pi * wt * np.sin(theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi

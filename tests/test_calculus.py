@@ -80,7 +80,7 @@ class TestAmbientJacobian:
         def value_only(x):
             import hopfcap.dual as du
 
-            return h(du.value(x))
+            return h.evaluator(du.value(x))
 
         f = UnitField("opaque", value_only)
         pts = random_sphere_points(10, 4)
@@ -294,10 +294,10 @@ def recording(field):
     ids=["jet_batch", "frame_matrix"],
 )
 def test_one_dual_evaluation_carries_three_directions(cap, differentiate):
-    # The value is seeded once, as (N, 4); the three directions ride on eps.
+    # The value is seeded once, as (4, N); the three directions ride on eps.
     f, shapes = recording(perturbed_field(cap, BumpProfile(0.5, 3)))
     differentiate(f, random_sphere_points(50, 24))
-    assert shapes == [((50, 4), (3, 50, 4))]
+    assert shapes == [((4, 50), (3, 4, 50))]
 
 
 @pytest.mark.parametrize("mode", ["ad", "fd"])
@@ -305,9 +305,8 @@ def test_one_dual_evaluation_carries_three_directions(cap, differentiate):
 def test_block_boundaries_are_invisible(builtin_fields, cap, monkeypatch, mode, rotate):
     # 50 points in blocks of 7: every node's invariants are bit-identical to
     # the one-block result, and rotation angles travel with their block.
-    # 50 = 7 * 7 + 1 leaves a lone last node.  On an axis off the quaternion
-    # units the frame is no signed permutation, so a one-row block would
-    # round that node differently.
+    # 50 = 7 * 7 + 1 leaves a one-node block, and axes off the quaternion
+    # units make the frame no signed permutation.
     fields = builtin_fields + [
         hopf_field((0.0, 0.6, 0.8, 0.0)),
         perturbed_field(cap, BumpProfile(0.5, 3), axis=(0.0, 0.48, 0.6, 0.64)),
@@ -323,13 +322,12 @@ def test_block_boundaries_are_invisible(builtin_fields, cap, monkeypatch, mode, 
 
 
 def test_field_sees_one_block_at_a_time(cap, monkeypatch):
-    # The working set is bounded: 50 nodes in blocks of 7 are six duals of
-    # 7 nodes and one of 8, never one of 50; the lone 50th node joins the
-    # last block.
+    # The working set is bounded: 50 nodes in blocks of 7 are seven duals
+    # of 7 nodes and one of 1, never one of 50.
     monkeypatch.setattr("hopfcap.calculus.JET_BLOCK", 7)
     f, shapes = recording(perturbed_field(cap, BumpProfile(0.5, 3)))
     jet_batch(f, random_sphere_points(50, 27))
-    assert shapes == [((7, 4), (3, 7, 4))] * 6 + [((8, 4), (3, 8, 4))]
+    assert shapes == [((4, 7), (3, 4, 7))] * 7 + [((4, 1), (3, 4, 1))]
 
 
 @pytest.mark.skipif(
@@ -338,12 +336,9 @@ def test_field_sees_one_block_at_a_time(cap, monkeypatch):
 )
 def test_jet_products_stay_on_the_calling_thread():
     # With two BLAS threads allowed, a jet over three blocks must not wake
-    # the second one: OpenBLAS threads a dgemm from 2 * 65 536 * 4
-    # multiply-adds, and a block's (n, 4) x (4, 4) products stay below that.
+    # the second one: the jet makes no BLAS call, so no worker thread runs.
     # CPU of the other threads is RUSAGE_SELF minus RUSAGE_THREAD, read after
     # a pause in which the BLAS workers end the busy wait they start with.
-    # No Gauss rule is built first: its eigenvalue solve at high order is
-    # threaded.
     child = (
         "import resource, time\n"
         "import numpy as np\n"

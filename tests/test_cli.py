@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -153,6 +154,38 @@ class TestBoundedMemory:
         assert peak_mb <= 300.0
 
 
+def _openblas_on_x86_64() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return platform.machine().lower() in ("x86_64", "amd64") and "openblas" in str(blas.get("name"))
+
+
+@pytest.mark.skipif(not _openblas_on_x86_64(), reason="needs OpenBLAS on x86-64")
+def test_report_bytes_do_not_depend_on_the_blas_kernel():
+    # The same commands in child processes under the kernel OpenBLAS picks
+    # for this CPU and under its oldest x86-64 kernel print the same bytes.
+    commands = [
+        ["verify", "--field", "perturbed", "--amplitude", "0.5", "--orders", "32,16,32",
+         "--axis", "0,0.6,0.8,0"],
+        ["sweep", "--orders", "32,16,32"],
+        ["verify", "--field", "small-cap", "--cap-radius", "0.3", "--orders", "16,8,16"],
+        ["functionals", "--field", "perturbed", "--rule", "montecarlo", "--samples", "20000",
+         "--seed", "3", "--axis", "0,0.6,0.8,0"],
+    ]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", OUTPUT_DIR_ENV)}
+    env["PYTHONPATH"] = path
+    for argv in commands:
+        outputs = []
+        for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hopfcap.cli", *argv],
+                capture_output=True, timeout=300, env={**env, **kernel},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv
+
+
 class TestSweepCommand:
     def test_default_grid(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -285,6 +318,20 @@ class TestInputValidation:
         # Non-finite values and orders too low for the rule are input errors.
         assert main(argv) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["functionals", "--field", "perturbed", "--amplitude", "1e300", "--orders", "16,8,16"],
+            ["sweep", "--amplitudes", "0,1e300", "--orders", "16,8,16"],
+        ],
+        ids=["functionals", "sweep"],
+    )
+    def test_huge_amplitude_exits_two(self, argv, no_compute, capsys):
+        # A finite amplitude beyond the bump family's bound is bad input,
+        # not an overflow in the jet.
+        assert main(argv) == 2
+        assert "1e+300" in capsys.readouterr().err
 
 
 class TestUnexpectedErrors:

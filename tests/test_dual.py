@@ -88,21 +88,36 @@ def test_integer_power():
 
 
 def test_vdot_and_normalize():
-    x = np.array([[3.0, 4.0, 0.0, 0.0]])
-    d = du.Dual(x, np.array([[1.0, 0.0, 0.0, 0.0]]))
+    # One point, component-major (4, 1).
+    x = np.array([[3.0], [4.0], [0.0], [0.0]])
+    d = du.Dual(x, np.array([[1.0], [0.0], [0.0], [0.0]]))
     n = du.normalize(d)
-    assert np.allclose(du.value(n), [[0.6, 0.8, 0.0, 0.0]])
+    assert n.val.shape == n.eps.shape == (4, 1)
+    assert np.allclose(du.value(n), [[0.6], [0.8], [0.0], [0.0]])
     # derivative of x/|x| along e0 at (3,4,0,0)
     h = 1e-7
-    ref = (x + h * np.eye(4)[0]) / np.linalg.norm(x + h * np.eye(4)[0])
-    ref = (ref - (x - h * np.eye(4)[0]) / np.linalg.norm(x - h * np.eye(4)[0])) / (2 * h)
-    assert np.allclose(n.eps, ref, atol=1e-6)
+    x0, e0 = x[:, 0], np.eye(4)[0]
+    ref = (x0 + h * e0) / np.linalg.norm(x0 + h * e0)
+    ref = (ref - (x0 - h * e0) / np.linalg.norm(x0 - h * e0)) / (2 * h)
+    assert np.allclose(n.eps[:, 0], ref, atol=1e-6)
 
 
-C4 = np.array([0.3, -0.2, 0.5, 0.1])
+def test_apply_linear_matches_matrix_product():
+    # Component-major points (4, n) and tangents (3, 4, n): the fixed-order
+    # multiply-adds agree with BLAS to rounding.
+    rng = np.random.default_rng(4)
+    m = rng.uniform(-1.0, 1.0, (4, 4))
+    x = rng.uniform(-1.0, 1.0, (4, 1000))
+    y = rng.uniform(-1.0, 1.0, (3, 4, 1000))
+    out = du.apply_linear(m, du.Dual(x, y))
+    assert np.max(np.abs(out.val - m @ x)) < 1e-15
+    assert np.max(np.abs(out.eps - m @ y)) < 1e-15
+
+
+C4 = np.array([[0.3], [-0.2], [0.5], [0.1]])
 M44 = np.arange(16.0).reshape(4, 4) / 7.0 - 1.0
 
-# Every operation and function, on a Dual d and plain operands of shape (4,).
+# Every operation and function, on a Dual d and plain (4, 1) column operands.
 OPERATIONS = {
     "add": lambda d: d + C4,
     "radd": lambda d: C4 + d,
@@ -132,12 +147,12 @@ OPERATIONS = {
 
 @pytest.mark.parametrize("name", list(OPERATIONS))
 def test_stacked_directions_match_single_directions(name):
-    # eps of shape (3, N, 4) against val of shape (N, 4): each direction's
+    # eps of shape (3, 4, N) against val of shape (4, N): each direction's
     # derivative is the bits of a one-direction evaluation.
     op = OPERATIONS[name]
     rng = np.random.default_rng(3)
-    x = rng.uniform(-1.0, 1.0, (50, 4))
-    y = rng.standard_normal((3, 50, 4))
+    x = rng.uniform(-1.0, 1.0, (4, 50))
+    y = rng.standard_normal((3, 4, 50))
     out = op(du.Dual(x, y))
     singles = [op(du.Dual(x, y[k])) for k in range(3)]
     assert out.eps.shape == (3,) + out.val.shape

@@ -67,8 +67,8 @@ class TestHopfField:
 
 
 def frame_vectors(pts, axis=(0.0, 1.0, 0.0, 0.0)):
-    """(H, E1, E2) at unit points, from the left-multiplication matrices."""
-    return [du.apply_linear(m, pts) for m in hopf_frame(axis)]
+    """(H, E1, E2) at unit points (N, 4), from the left-multiplication matrices."""
+    return [du.apply_linear(m, pts.T).T for m in hopf_frame(axis)]
 
 
 class TestHopfFrame:
@@ -93,9 +93,9 @@ class TestHopfFrame:
         pts = random_sphere_points(200, 7)
         h, e1, e2 = hopf_frame(axis)
         for m in (h, e1, e2):
-            assert_unit_tangent(lambda p, m=m: du.apply_linear(m, p), pts, tol=1e-12)
+            assert_unit_tangent(lambda p, m=m: du.apply_linear(m, p.T).T, pts, tol=1e-12)
         # H is the Hopf field of the axis itself.
-        assert np.max(np.abs(du.apply_linear(h, pts) - hopf_field(axis)(pts))) < 1e-15
+        assert np.max(np.abs(du.apply_linear(h, pts.T).T - hopf_field(axis)(pts))) < 1e-15
 
 
 class TestPerturbedField:

@@ -139,7 +139,7 @@ def _left_translate(field: UnitField, q) -> UnitField:
     inv = mat.T  # orthogonal: left multiplication by the conjugate
 
     def evaluate(x):
-        return du.apply_linear(mat, field(du.apply_linear(inv, x)))
+        return du.apply_linear(mat, field.evaluator(du.apply_linear(inv, x)))
 
     return UnitField("translated-" + field.label, evaluate)
 

@@ -13,11 +13,31 @@ from hopfcap import (
     integrate,
 )
 from hopfcap.geometry import tangent_basis
+from hopfcap.quadrature import _gauss_legendre
 
 
 @pytest.fixture(scope="module")
 def north():
     return SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("n", [4, 7, 64, 128])
+def test_gauss_legendre_integrates_polynomials_exactly(n):
+    x, w = _gauss_legendre(n)
+    assert np.all(np.diff(x) > 0)
+    for k in range(2 * n):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(w * x**k) - exact) < 1e-14, k
+
+
+@pytest.mark.parametrize("n", [4, 7, 64, 128])
+def test_gauss_legendre_matches_leggauss(n):
+    # Relative to the largest weight: leggauss's eigenvalue solve leaves
+    # its smallest weights about 1e-11 off in relative terms at n = 128.
+    x, w = _gauss_legendre(n)
+    xl, wl = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - xl)) < 1e-11
+    assert np.max(np.abs(w - wl)) < 1e-11 * np.max(wl)
 
 
 class TestGaussRule:
