@@ -8,11 +8,15 @@ sigma1, sigma2, the energy density and the volume integrand off the 3x3
 matrix of those derivatives; all four are symmetric functions of grad v,
 so no frame adapted to v is needed.  The points are taken in blocks of
 ``JET_BLOCK`` nodes, each block one dual evaluation with value (4, n) and
-tangent (3, 4, n), component-major as in ``dual``.  The jet is elementwise
-arithmetic in a fixed order, with no matrix or cross product and no BLAS
-call: its bits do not depend on the BLAS kernel, and it runs on the
-calling thread.  The adapted frame {e1, e2, v} is kept for the independent
-numeric determinant in ``displace.frame_matrix``.
+tangent (3, 4, n), component-major as in ``dual``, and each block writes its
+four scalars straight into its columns of one (4, N) result.  Every block
+allocates and frees the same temporaries, so a process that keeps freed
+memory mapped (``cli.main`` does) reuses them instead of faulting fresh
+pages for each block.  The jet is elementwise arithmetic in a fixed order,
+with no matrix or cross product and no BLAS call: its bits do not depend on
+the BLAS kernel, and it runs on the calling thread.  The adapted frame
+{e1, e2, v} is kept for the independent numeric determinant in
+``displace.frame_matrix``.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from .fields import UnitField
 from .geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix
 
 FD_STEP = 1e-5
-# Nodes per dual evaluation.  The block bounds the dual temporaries (a
-# (3, 4, n) tangent is 1.5 MB) and keeps a block's rows in cache.
-JET_BLOCK = 16384
+# Nodes per dual evaluation.  The block bounds the dual temporaries: the
+# largest is the (3, 4, n) float64 tangent, 96 * JET_BLOCK bytes = 768 KiB,
+# and cli.main's allocator thresholds follow from it.
+JET_BLOCK = 8192
 
 _FRAME_MATS = [left_mult_matrix(a) for a in (QUAT_I, QUAT_J, QUAT_K)]
 _FRAME_ROWS = np.concatenate(_FRAME_MATS)  # (12, 4): i x, j x, k x in one product
@@ -147,23 +152,25 @@ def jet_batch(
 
     The rows are evaluated in consecutive blocks of ``JET_BLOCK`` nodes,
     each block one dual evaluation with value (4, n) and tangent (3, 4, n)
-    (vector forward mode), and the per-node scalars are concatenated.  All
-    arithmetic is elementwise, so the bits of a node do not depend on its
-    block, and the result is bit-identical to a single block.  The
-    dual-number temporaries are bounded by the block size rather than by N.
+    (vector forward mode), and each block writes its per-node scalars into
+    its columns of one preallocated (4, N) array.  All arithmetic is
+    elementwise, so the bits of a node do not depend on its block, and the
+    result is bit-identical to a single block.  The dual-number temporaries
+    are bounded by the block size rather than by N.
     """
     x = np.asarray(points, dtype=float)
-    cuts = range(JET_BLOCK, len(x), JET_BLOCK)
-    if frame_rotation is None:
-        angles = [None] * (len(cuts) + 1)
-    else:
-        angles = np.split(np.asarray(frame_rotation, dtype=float), cuts)
-    blocks = [_jet_block(field, xb, mode, th) for xb, th in zip(np.split(x, cuts), angles)]
-    return JetBatch(*(np.concatenate(scalars) for scalars in zip(*blocks)))
+    theta = None if frame_rotation is None else np.asarray(frame_rotation, dtype=float)
+    out = np.empty((4, len(x)))
+    for start in range(0, len(x), JET_BLOCK):
+        block = slice(start, start + JET_BLOCK)
+        _jet_block(field, x[block], mode, None if theta is None else theta[block], out[:, block])
+    return JetBatch(*out)
 
 
-def _jet_block(field: UnitField, points: np.ndarray, mode: str, frame_rotation: np.ndarray | None):
-    """(sigma1, sigma2, energy density, volume integrand) at the rows of one block."""
+def _jet_block(
+    field: UnitField, points: np.ndarray, mode: str, frame_rotation: np.ndarray | None, out: np.ndarray
+) -> None:
+    """Write (sigma1, sigma2, energy density, volume integrand) at the rows of one block into out (4, n)."""
     x = np.ascontiguousarray(points.T)  # (4, n)
     basis = du.apply_linear(_FRAME_ROWS, x).reshape(3, 4, -1)  # i x, j x, k x
     if frame_rotation is not None:
@@ -177,19 +184,20 @@ def _jet_block(field: UnitField, points: np.ndarray, mode: str, frame_rotation: 
     # Row a of the cofactor matrix is grad[a + 1] x grad[a + 2], cyclically.
     u, w = grad[[1, 2, 0]], grad[[2, 0, 1]]
     cof = u[:, [1, 2, 0]] * w[:, [2, 0, 1]] - u[:, [2, 0, 1]] * w[:, [1, 2, 0]]
-    energy_density = _entry_sum(grad * grad)
-    return (
-        (grad[0, 0] + grad[1, 1]) + grad[2, 2],
-        (cof[0, 0] + cof[1, 1]) + cof[2, 2],
-        energy_density,
-        np.sqrt((1.0 + energy_density) + _entry_sum(cof * cof)),
-    )
+    sigma1, sigma2, energy_density, volume_integrand = out
+    np.add(grad[0, 0] + grad[1, 1], grad[2, 2], out=sigma1)
+    np.add(cof[0, 0] + cof[1, 1], cof[2, 2], out=sigma2)
+    _entry_sum(grad * grad, energy_density)
+    # sqrt((1 + tr G) + e2(G)); the sum is formed in place, and IEEE addition
+    # is commutative, so adding 1 + tr G second gives the same bits.
+    _entry_sum(cof * cof, volume_integrand)
+    volume_integrand += 1.0 + energy_density
+    np.sqrt(volume_integrand, out=volume_integrand)
 
 
-def _entry_sum(a: np.ndarray) -> np.ndarray:
-    """Sum of the nine entries of a (3, 3, n) array, row-major in order."""
+def _entry_sum(a: np.ndarray, out: np.ndarray) -> None:
+    """Write the sum of the nine entries of a (3, 3, n) array, row-major in order, into out (n,)."""
     rows = a.reshape(9, -1)
-    total = rows[0].copy()
-    for row in rows[1:]:
-        total += row
-    return total
+    np.add(rows[0], rows[1], out=out)
+    for row in rows[2:]:
+        out += row

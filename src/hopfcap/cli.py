@@ -17,12 +17,20 @@ that the chosen ``--field`` or ``--rule`` would not read exits 2.
 Tolerances, the determinant floor and the Hopf sample count are fixed by
 the library.  JSON reports are strict (a value a check could not compute
 is null) and byte-identical for identical configuration and seed.
+
+``main`` owns the process, so it sets the C allocator's policy before it
+parses arguments: freed memory stays mapped.  The jet allocates and frees
+the same block temporaries once per ``JET_BLOCK`` nodes; under glibc's
+default policy that memory goes back to the kernel after each block and is
+faulted in again, zeroed, for the next.  A library must not change its
+importer's allocator, so this lives here and not in the package.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import io
 import json
 import os
@@ -32,6 +40,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from .calculus import JET_BLOCK
 from .checks import (
     AMPLITUDE,
     GAUSS_ORDERS,
@@ -50,6 +59,33 @@ from .geometry import CapDomain, SpherePoint
 from .quadrature import QuadratureRule, build_gauss_rule, build_mc_rule
 
 OUTPUT_DIR_ENV = "HOPFCAP_OUTPUT_DIR"
+# glibc's mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _c_library() -> ctypes.CDLL:
+    """The C library the process is linked against."""
+    return ctypes.CDLL(None)
+
+
+def _keep_freed_memory() -> None:
+    """Make the C allocator keep the jet's freed block memory for the next block.
+
+    glibc maps an allocation above its mmap threshold afresh and returns the
+    free top of its heap to the kernel above its trim threshold.  The mmap
+    threshold is set above the largest block temporary, the (3, 4, JET_BLOCK)
+    float64 tangent, and the trim threshold well above one block's peak heap
+    (about 7 MB).  Without ``mallopt`` the C library keeps its own policy.
+    """
+    mallopt = getattr(_c_library(), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    tangent_bytes = 3 * 4 * 8 * JET_BLOCK
+    mallopt(_M_MMAP_THRESHOLD, 4 * tangent_bytes)
+    mallopt(_M_TRIM_THRESHOLD, 64 * tangent_bytes)
 
 
 def _csv_floats(text: str) -> tuple:
@@ -140,13 +176,15 @@ def _make_rule(args: argparse.Namespace, cap: CapDomain) -> QuadratureRule:
 
 
 def _resolve_output(args: argparse.Namespace, default_name: str) -> str | None:
-    """Report path, or None for stdout; its directory must already exist."""
+    """Report path, or None for stdout; it names a file in a directory that exists."""
     path = args.output
     if path is None:
         out_dir = os.environ.get(OUTPUT_DIR_ENV)
         if not out_dir:
             return None
         path = os.path.join(out_dir, default_name)
+    if not path or os.path.isdir(path):
+        raise ValueError(f"output path {path!r} is not a file name")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ValueError(f"output directory {directory!r} does not exist")
@@ -242,6 +280,7 @@ def cmd_sweep(args: argparse.Namespace) -> Callable[[], int]:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
