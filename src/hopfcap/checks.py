@@ -10,7 +10,7 @@ reduced from its one ``JetBatch`` at the rule's nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,13 +71,13 @@ class CheckReport:
     tolerance: float
     passed: bool
     policy: str
-    context: dict = dc_field(default_factory=dict)
+    context: dict
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _report(name, lhs, rhs, tolerance, policy, context=None) -> CheckReport:
+def _report(name, lhs, rhs, tolerance, policy, context) -> CheckReport:
     rhs = float(rhs)
     abs_err = rel_err = None
     if lhs is not None:
@@ -96,7 +96,7 @@ def _report(name, lhs, rhs, tolerance, policy, context=None) -> CheckReport:
         tolerance=float(tolerance),
         passed=bool(passed),
         policy=policy,
-        context=dict(context or {}),
+        context=dict(context),
     )
 
 
@@ -172,11 +172,11 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
 
 
 def sweep_grid(amplitudes) -> np.ndarray:
-    """The sorted amplitude grid of a sweep; each must be a bump amplitude, and 0, the Hopf field, is one."""
+    """The sorted amplitude grid of a sweep; each must be a bump amplitude, and exactly 0, the Hopf field, is one."""
     amps = np.asarray(sorted(float(a) for a in amplitudes))
     for a in amps:
         BumpProfile(a)
-    if not np.any(np.isclose(amps, 0.0)):
+    if not np.any(amps == 0.0):
         raise ValueError("amplitude grid must include 0")
     return amps
 
@@ -189,7 +189,11 @@ def sweep_family(
     twist=None,
     mode: str = "ad",
 ) -> SweepResult:
-    """Evaluate both functionals over the bump-amplitude grid; refine the minimum."""
+    """Evaluate both functionals over the bump-amplitude grid; refine the minimum.
+
+    ``cap`` carries the bump and must be the rule's domain.
+    """
+    rule.require_domain(cap)
     amps = sweep_grid(amplitudes)
 
     # Both golden-section searches revisit amplitudes, and each step reads
@@ -199,7 +203,7 @@ def sweep_family(
     def functionals_at(a: float) -> tuple[float, float]:
         if a not in seen:
             f = perturbed_field(cap, BumpProfile(a, exponent), twist=twist)
-            e, v = energy_and_volume(f, cap, rule, mode=mode)
+            e, v = energy_and_volume(f, rule, mode)
             seen[a] = (e.value, v.value)
         return seen[a]
 
@@ -262,8 +266,8 @@ def _small_cap_reports(jets: JetBatch, rule: QuadratureRule, mode: str, scaling_
     each with its own rule of the same orders unless it is the main cap's.
     """
     cap = rule.domain
-    e = energy_from_jets(jets, cap, rule)
-    v = volume_from_jets(jets, cap, rule)
+    e = energy_from_jets(jets, rule)
+    v = volume_from_jets(jets, rule)
     mean = e.derivative_term / cap_volume(cap)
     ctx = {"cap_radius": cap.radius, "orders": list(rule.orders), "mode": mode}
     reports = [
@@ -342,9 +346,9 @@ def _field_reports(config: VerifyConfig) -> list[CheckReport]:
         ("boundary_sigma2_integral", s2, vol_k, TOL_INTEGRAL_REL, "rel"),
         ("boundary_sigma1_integral", s1, 0.0, TOL_INTEGRAL_REL * vol_k, "abs"),
         # E(v) >= E(H) and vol(v) >= vol(H).
-        ("energy_bound", energy_from_jets(jets, cap, rule).value, hopf_energy(cap),
+        ("energy_bound", energy_from_jets(jets, rule).value, hopf_energy(cap),
          TOL_BOUND_REL * vol_k, "lower-bound"),
-        ("volume_bound", volume_from_jets(jets, cap, rule).value, hopf_volume(cap),
+        ("volume_bound", volume_from_jets(jets, rule).value, hopf_volume(cap),
          TOL_BOUND_REL * vol_k, "lower-bound"),
     ]
     reports = [_report(*row, ctx) for row in rows]

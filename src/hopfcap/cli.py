@@ -228,7 +228,7 @@ def cmd_functionals(args: argparse.Namespace) -> Callable[[], int]:
     rule = _make_rule(args, cap)
 
     def compute() -> int:
-        e, v = energy_and_volume(field, cap, rule, mode=args.mode)
+        e, v = energy_and_volume(field, rule, args.mode)
         rows = {
             "field": field.label,
             "energy": e.value,

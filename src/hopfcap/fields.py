@@ -95,7 +95,7 @@ def _complete_axis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b, c
 
 
-def hopf_frame(axis=(0.0, 1.0, 0.0, 0.0)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def hopf_frame(axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left-multiplication matrices of the orthonormal tangent frame (H, E1, E2)."""
     axis = _check_axis(axis)
     b, c = _complete_axis(axis)

@@ -6,8 +6,10 @@ the image-volume of the section in the unit tangent bundle.  For a Hopf
 field both densities are constant: E(H) = (5/2) vol(K), vol(H) = 2 vol(K).
 
 Each functional is a reduction over a ``JetBatch`` at the rule's nodes
-(``energy_from_jets``, ``volume_from_jets``); ``energy`` and ``volume`` are
-entry points that build that batch from a field first.
+(``energy_from_jets``, ``volume_from_jets``) and integrates over the rule's
+domain, the one cap K.  ``energy`` and ``volume`` are entry points that
+build that batch from a field first; they take the cap as well and raise
+``ValueError`` unless it is the rule's domain.
 """
 
 from __future__ import annotations
@@ -39,30 +41,32 @@ def hopf_volume(cap: CapDomain) -> float:
 
 
 def energy(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "ad") -> FunctionalReport:
-    """E(v) = 1.5 vol(K) + 0.5 * integral of the energy density."""
-    return energy_from_jets(jet_batch(field, rule.nodes, mode=mode), cap, rule)
+    """E(v) = 1.5 vol(K) + 0.5 * integral of the energy density; ``cap`` must be the rule's domain."""
+    rule.require_domain(cap)
+    return energy_from_jets(jet_batch(field, rule.nodes, mode=mode), rule)
 
 
-def energy_from_jets(jets: JetBatch, cap: CapDomain, rule: QuadratureRule) -> FunctionalReport:
+def energy_from_jets(jets: JetBatch, rule: QuadratureRule) -> FunctionalReport:
     """The energy reduced from a jet already evaluated at the rule's nodes."""
     deriv, _ = integrate(rule, lambda _nodes: jets.energy_density)
-    return FunctionalReport(value=1.5 * cap_volume(cap) + 0.5 * deriv, derivative_term=deriv)
+    return FunctionalReport(value=1.5 * cap_volume(rule.domain) + 0.5 * deriv, derivative_term=deriv)
 
 
-def volume(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "ad") -> FunctionalReport:
-    """Integral of the radical volume integrand over the cap."""
-    return volume_from_jets(jet_batch(field, rule.nodes, mode=mode), cap, rule)
+def volume(field: UnitField, cap: CapDomain, rule: QuadratureRule) -> FunctionalReport:
+    """Integral of the radical volume integrand over the cap; ``cap`` must be the rule's domain."""
+    rule.require_domain(cap)
+    return volume_from_jets(jet_batch(field, rule.nodes), rule)
 
 
-def volume_from_jets(jets: JetBatch, cap: CapDomain, rule: QuadratureRule) -> FunctionalReport:
+def volume_from_jets(jets: JetBatch, rule: QuadratureRule) -> FunctionalReport:
     """The volume reduced from a jet already evaluated at the rule's nodes."""
     value, _ = integrate(rule, lambda _nodes: jets.volume_integrand)
-    return FunctionalReport(value=value, derivative_term=value - cap_volume(cap))
+    return FunctionalReport(value=value, derivative_term=value - cap_volume(rule.domain))
 
 
 def energy_and_volume(
-    field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "ad"
+    field: UnitField, rule: QuadratureRule, mode: str
 ) -> tuple[FunctionalReport, FunctionalReport]:
     """Both functionals, reduced from one jet at the rule's nodes."""
     jets = jet_batch(field, rule.nodes, mode=mode)
-    return energy_from_jets(jets, cap, rule), volume_from_jets(jets, cap, rule)
+    return energy_from_jets(jets, rule), volume_from_jets(jets, rule)

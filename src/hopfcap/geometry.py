@@ -52,7 +52,10 @@ def left_mult_matrix(a):
 
 @dataclass(frozen=True)
 class SpherePoint:
-    """Unit 4-vector on S^3, renormalized on construction."""
+    """Unit 4-vector on S^3, renormalized on construction.
+
+    Two points are equal when their coordinates are exactly equal.
+    """
 
     x: np.ndarray
 
@@ -65,6 +68,11 @@ class SpherePoint:
         if not abs(n - 1.0) <= DRIFT_GUARD:
             raise ValueError(f"point {x} has norm {n}, which drifts from 1 by more than {DRIFT_GUARD}")
         object.__setattr__(self, "x", x / n)
+
+    def __eq__(self, other):
+        if not isinstance(other, SpherePoint):
+            return NotImplemented
+        return bool(np.array_equal(self.x, other.x))
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,7 @@ def tangent_basis(p: SpherePoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return quat_mul(QUAT_I, p.x), quat_mul(QUAT_J, p.x), quat_mul(QUAT_K, p.x)
 
 
-def random_sphere_points(n: int, seed: int = 0) -> np.ndarray:
+def random_sphere_points(n: int, seed: int) -> np.ndarray:
     """(n, 4) array of uniform points on S^3 (Gaussian normalization)."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 4))

@@ -32,11 +32,19 @@ class QuadratureRule:
     domain: CapDomain
     kind: str            # "gauss" | "montecarlo"
     orders: tuple        # (n_rho, n_theta, n_phi) or (n_samples,)
-    estimated_error: float = 0.0
+    estimated_error: float
 
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
+
+    def require_domain(self, cap: CapDomain) -> None:
+        """Raise ``ValueError`` unless ``cap`` is the cap this rule integrates over."""
+        if cap != self.domain:
+            raise ValueError(
+                f"cap (center {cap.center.x}, radius {cap.radius}) is not the rule's domain "
+                f"(center {self.domain.center.x}, radius {self.domain.radius})"
+            )
 
 
 def _polar_nodes(cap: CapDomain, rho, theta, phi):

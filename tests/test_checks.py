@@ -20,7 +20,7 @@ from hopfcap import (
     sweep_family,
     sweep_reports,
 )
-from hopfcap.checks import SMALL_CAP_SCALING_RADII, _field_reports
+from hopfcap.checks import SMALL_CAP_SCALING_RADII, _field_reports, sweep_grid
 
 NORTH = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
 
@@ -138,6 +138,9 @@ class TestSweep:
     def test_grid_must_include_zero(self, cap, coarse_rule):
         with pytest.raises(ValueError):
             sweep_family(cap, (0.25, 0.5), coarse_rule)
+
+    def test_negative_zero_counts_as_zero(self):
+        assert list(sweep_grid((0.5, -0.0))) == [0.0, 0.5]
 
     def test_argmin_at_zero_and_refinement(self, cap, coarse_rule):
         result = sweep_family(cap, (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0), coarse_rule)

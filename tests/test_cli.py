@@ -249,8 +249,10 @@ class TestSweepCommand:
         assert len([l for l in lines[1:] if not l.startswith("#")]) == 1
 
     def test_grid_without_zero_rejected(self, no_compute, capsys):
-        assert main(["sweep", "--amplitudes", "0.25,0.5"]) == 2
-        assert "must include 0" in capsys.readouterr().err
+        # 1e-9 is close to 0 but its bump field is not the Hopf field.
+        for grid in ("0.25,0.5", "1e-9,0.5"):
+            assert main(["sweep", "--amplitudes", grid]) == 2
+            assert "must include 0" in capsys.readouterr().err
 
 
 @pytest.fixture

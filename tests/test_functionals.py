@@ -6,6 +6,7 @@ import pytest
 from hopfcap import (
     BumpProfile,
     CapDomain,
+    DisplacementMap,
     SpherePoint,
     UnitField,
     build_gauss_rule,
@@ -13,10 +14,12 @@ from hopfcap import (
     energy,
     energy_from_jets,
     hopf_field,
+    image_volume,
     integrate,
     jet_batch,
     perturbed_field,
     small_cap_field,
+    sweep_family,
     volume,
 )
 from hopfcap import dual as du
@@ -111,7 +114,7 @@ def sigma2_energy_gap(field, cap, rule):
     """
     jets = jet_batch(field, rule.nodes)
     s2, _ = integrate(rule, lambda _n: jets.sigma2)
-    return energy_from_jets(jets, cap, rule).value - (1.5 * cap_volume(cap) + s2)
+    return energy_from_jets(jets, rule).value - (1.5 * cap_volume(cap) + s2)
 
 
 class TestEnergyLowerBoundGap:
@@ -169,3 +172,35 @@ class TestIsometryInvariance:
         # q (i (conj(q) x)) = (q i conj(q)) x by associativity.
         axis2 = quat_mul(q, quat_mul(np.array([0.0, 1, 0, 0]), q * [1, -1, -1, -1]))
         assert np.max(np.abs(g(pts) - hopf_field(axis2)(pts))) < 1e-12
+
+
+# Each entry point that takes a cap beside its rule, called on (cap, rule).
+CAP_ENTRY_POINTS = {
+    "energy": lambda cap, rule: energy(hopf_field(), cap, rule),
+    "volume": lambda cap, rule: volume(hopf_field(), cap, rule),
+    "image_volume": lambda cap, rule: image_volume(DisplacementMap(hopf_field(), 0.1), cap, rule),
+    "sweep_family": lambda cap, rule: sweep_family(cap, (0.0, 0.5), rule),
+}
+
+
+class TestCapIsRuleDomain:
+    """An integral over the rule is over its domain: any other cap is an error."""
+
+    @pytest.fixture(scope="class")
+    def unit_rule(self):
+        return build_gauss_rule(CapDomain(SpherePoint(np.array([1.0, 0, 0, 0])), 1.0), 16, 8, 16)
+
+    @pytest.mark.parametrize("entry", CAP_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "center,radius", [((1.0, 0, 0, 0), 0.5), ((0.0, 1.0, 0, 0), 1.0)], ids=["radius", "center"]
+    )
+    def test_other_cap_rejected(self, unit_rule, entry, center, radius):
+        other = CapDomain(SpherePoint(np.array(center)), radius)
+        with pytest.raises(ValueError, match="not the rule's domain"):
+            CAP_ENTRY_POINTS[entry](other, unit_rule)
+
+    @pytest.mark.parametrize("entry", CAP_ENTRY_POINTS)
+    def test_equal_cap_accepted(self, unit_rule, entry):
+        equal = CapDomain(SpherePoint(np.array([1.0, 0, 0, 0])), 1.0)
+        assert equal is not unit_rule.domain
+        CAP_ENTRY_POINTS[entry](equal, unit_rule)

@@ -86,3 +86,15 @@ class TestCapVolume:
         with pytest.raises(ValueError):
             CapDomain(SpherePoint(np.array([1.0, 0, 0, 0])), 3.2)
 
+
+class TestCapEquality:
+    def cap(self, center=(1.0, 0, 0, 0), radius=1.0):
+        return CapDomain(SpherePoint(np.array(center)), radius)
+
+    def test_equal_cap_compares_equal(self):
+        assert self.cap() == self.cap()
+
+    def test_other_radius_or_center_compares_unequal(self):
+        assert self.cap() != self.cap(radius=0.5)
+        assert self.cap() != self.cap(center=(0.0, 1.0, 0, 0))
+        assert self.cap() != self.cap(center=(1.0, 1e-15, 0, 0))
