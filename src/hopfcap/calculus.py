@@ -14,7 +14,9 @@ allocates and frees the same temporaries, so a process that keeps freed
 memory mapped (``cli.main`` does) reuses them instead of faulting fresh
 pages for each block.  The jet is elementwise arithmetic in a fixed order,
 with no matrix or cross product and no BLAS call: its bits do not depend on
-the BLAS kernel, and it runs on the calling thread.  The adapted frame
+the BLAS kernel, and it runs on the calling thread.  Each cofactor is written
+straight from two products of derivative-matrix rows into one (3, 3, n)
+array, with no gathered copies of the matrix.  The adapted frame
 {e1, e2, v} is kept for the independent numeric determinant in
 ``displace.frame_matrix``.
 """
@@ -181,16 +183,23 @@ def _jet_block(
     grad = deriv[:, None, 0] * basis[None, :, 0]
     for i in range(1, 4):
         grad += deriv[:, None, i] * basis[None, :, i]
-    # Row a of the cofactor matrix is grad[a + 1] x grad[a + 2], cyclically.
-    u, w = grad[[1, 2, 0]], grad[[2, 0, 1]]
-    cof = u[:, [1, 2, 0]] * w[:, [2, 0, 1]] - u[:, [2, 0, 1]] * w[:, [1, 2, 0]]
+    # Row a of the cofactor matrix is grad[a + 1] x grad[a + 2], cyclically:
+    # cof[a, b] = grad[a+1, b+1] grad[a+2, b+2] - grad[a+1, b+2] grad[a+2, b+1].
+    cof = np.empty_like(grad)
+    term = np.empty_like(grad[0, 0])
+    for a, b in np.ndindex(3, 3):
+        a1, a2, b1, b2 = (a + 1) % 3, (a + 2) % 3, (b + 1) % 3, (b + 2) % 3
+        np.multiply(grad[a1, b1], grad[a2, b2], out=cof[a, b])
+        np.multiply(grad[a1, b2], grad[a2, b1], out=term)
+        cof[a, b] -= term
     sigma1, sigma2, energy_density, volume_integrand = out
     np.add(grad[0, 0] + grad[1, 1], grad[2, 2], out=sigma1)
     np.add(cof[0, 0] + cof[1, 1], cof[2, 2], out=sigma2)
-    _entry_sum(grad * grad, energy_density)
+    # grad and cof are squared in place: neither is read again.
+    _entry_sum(np.multiply(grad, grad, out=grad), energy_density)
     # sqrt((1 + tr G) + e2(G)); the sum is formed in place, and IEEE addition
     # is commutative, so adding 1 + tr G second gives the same bits.
-    _entry_sum(cof * cof, volume_integrand)
+    _entry_sum(np.multiply(cof, cof, out=cof), volume_integrand)
     volume_integrand += 1.0 + energy_density
     np.sqrt(volume_integrand, out=volume_integrand)
 

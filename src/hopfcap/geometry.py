@@ -54,7 +54,8 @@ def left_mult_matrix(a):
 class SpherePoint:
     """Unit 4-vector on S^3, renormalized on construction.
 
-    Two points are equal when their coordinates are exactly equal.
+    Two points are equal when their coordinates are exactly equal, and equal
+    points hash alike (0.0 and -0.0 too), so a point or a cap can key a dict.
     """
 
     x: np.ndarray
@@ -73,6 +74,9 @@ class SpherePoint:
         if not isinstance(other, SpherePoint):
             return NotImplemented
         return bool(np.array_equal(self.x, other.x))
+
+    def __hash__(self):
+        return hash(tuple(self.x.tolist()))
 
 
 @dataclass(frozen=True)

@@ -330,12 +330,31 @@ def test_field_sees_one_block_at_a_time(cap, monkeypatch):
     assert shapes == [((4, 7), (3, 4, 7))] * 7 + [((4, 1), (3, 4, 1))]
 
 
+def test_jet_bits_match_the_dense_linear_kernel(cap, monkeypatch, dense_linear):
+    # The lean apply_linear changes no bit of any invariant: default and
+    # off-basis axes, the angular twist, the Hopf and the small-cap field.
+    fields = [
+        perturbed_field(cap, BumpProfile(0.5, 3)),
+        perturbed_field(cap, BumpProfile(0.5, 3), axis=(0.0, 0.48, 0.6, 0.64)),
+        perturbed_field(cap, BumpProfile(1.2, 2), twist="angular"),
+        hopf_field(),
+        small_cap_field(CapDomain(cap.center, 0.3)),
+    ]
+    pts = random_sphere_points(2000, 29)
+    lean = [jet_batch(f, pts) for f in fields]
+    monkeypatch.setattr(du, "_linear", dense_linear)
+    for f, one in zip(fields, lean):
+        dense = jet_batch(f, pts)
+        for attr in INVARIANTS:
+            assert getattr(dense, attr).tobytes() == getattr(one, attr).tobytes(), (f.label, attr)
+
+
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < 2 or not hasattr(resource, "RUSAGE_THREAD"),
     reason="needs two CPUs and per-thread rusage",
 )
 def test_jet_products_stay_on_the_calling_thread():
-    # With two BLAS threads allowed, a jet over three blocks must not wake
+    # With two BLAS threads allowed, a jet over 40 blocks must not wake
     # the second one: the jet makes no BLAS call, so no worker thread runs.
     # CPU of the other threads is RUSAGE_SELF minus RUSAGE_THREAD, read after
     # a pause in which the BLAS workers end the busy wait they start with.
@@ -347,7 +366,7 @@ def test_jet_products_stay_on_the_calling_thread():
         "from hopfcap.geometry import random_sphere_points\n"
         "cap = CapDomain(SpherePoint(np.array([1.0, 0, 0, 0])), 1.0)\n"
         "f = perturbed_field(cap, BumpProfile(0.5, 3), axis=(0.0, 0.48, 0.6, 0.64))\n"
-        "pts = random_sphere_points(3 * JET_BLOCK, 28)\n"
+        "pts = random_sphere_points(40 * JET_BLOCK, 28)\n"
         "def cpu(who):\n"
         "    r = resource.getrusage(who)\n"
         "    return r.ru_utime + r.ru_stime\n"

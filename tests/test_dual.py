@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfcap import dual as du
+from hopfcap.calculus import _FRAME_ROWS
+from hopfcap.fields import hopf_frame
+from hopfcap.geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -112,6 +115,44 @@ def test_apply_linear_matches_matrix_product():
     out = du.apply_linear(m, du.Dual(x, y))
     assert np.max(np.abs(out.val - m @ x)) < 1e-15
     assert np.max(np.abs(out.eps - m @ y)) < 1e-15
+
+
+def _with_zero_row():
+    m = np.random.default_rng(5).uniform(-1.0, 1.0, (4, 4))
+    m[2] = 0.0
+    return m
+
+
+# The frame maps at a basis axis are signed permutations; at the axis
+# (0, .48, .6, .64) they are dense.  The dense sum of a zero row is -0 where
+# all four components are negative and +0 elsewhere.  "mixed" has 0, -0,
+# +-1 and other coefficients in first and later positions.
+LINEAR_MAPS = {
+    "i": left_mult_matrix(QUAT_I),
+    "j": left_mult_matrix(QUAT_J),
+    "k": left_mult_matrix(QUAT_K),
+    **dict(zip(("H", "E1", "E2"), hopf_frame((0.0, 0.48, 0.6, 0.64)))),
+    "frame_rows": _FRAME_ROWS,
+    "dense": np.random.default_rng(7).uniform(-1.0, 1.0, (4, 4)),
+    "zero_row": _with_zero_row(),
+    "mixed": np.array(
+        [[0.0, 1.0, -0.5, -1.0], [-1.0, 0.0, 1.0, 2.5], [0.25, -0.0, -1.0, 1.0], [1.0, -1.0, 0.0, 0.0]]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LINEAR_MAPS))
+def test_apply_linear_bits_match_dense_sum(name, dense_linear):
+    # Skipping zero terms and multiplies by +-1 leaves every bit of the
+    # dense multiply-adds, on a Dual and on plain points.
+    m = LINEAR_MAPS[name]
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-1.0, 1.0, (4, 1000))
+    y = rng.standard_normal((3, 4, 1000))
+    out = du.apply_linear(m, du.Dual(x, y))
+    assert out.val.tobytes() == dense_linear(m, x).tobytes()
+    assert out.eps.tobytes() == dense_linear(m, y).tobytes()
+    assert du.apply_linear(m, x).tobytes() == dense_linear(m, x).tobytes()
 
 
 C4 = np.array([[0.3], [-0.2], [0.5], [0.1]])

@@ -98,3 +98,10 @@ class TestCapEquality:
         assert self.cap() != self.cap(radius=0.5)
         assert self.cap() != self.cap(center=(0.0, 1.0, 0, 0))
         assert self.cap() != self.cap(center=(1.0, 1e-15, 0, 0))
+
+    def test_equal_caps_key_one_dict_entry(self):
+        # -0.0 equals 0.0, so a center with a negative zero is the same key.
+        keyed = {self.cap(): "a", self.cap(): "b", self.cap(center=(1.0, -0.0, 0, 0)): "c"}
+        assert keyed == {self.cap(): "c"}
+        assert hash(self.cap()) == hash(self.cap(center=(1.0, -0.0, 0, 0)))
+        assert len({self.cap(), self.cap(radius=0.5)}) == 2
