@@ -15,9 +15,9 @@ array, one row per component, and its derivatives are (dirs..., 4, n).
 elementwise multiply-adds in a fixed order, so every inner loop runs over
 the n nodes, and no product goes to BLAS: the result does not depend on
 which BLAS kernel or how many BLAS threads the host has.  ``apply_linear``
-skips the zero coefficients of its constant matrix and adds or subtracts a
-row for a coefficient of +-1, with the bits of the dense sum; a frame map at
-a quaternion basis axis is a signed permutation, one copy or negation per row.
+skips the zero coefficients of its constant matrix, which changes at most
+the sign of an exactly-zero entry of the dense sum; a frame map at a
+quaternion basis axis is a signed permutation, one multiply per row.
 """
 
 from __future__ import annotations
@@ -146,13 +146,11 @@ def _row_sum(p):
 def _linear(m, x):
     """Rows sum_j m[i, j] x[j] on axis -2, each summed over j in order.
 
-    A term with coefficient 0 is skipped, and a coefficient of +-1 is a
-    copy, negation, add or subtract instead of a multiply; any other
-    coefficient is a multiply-add.  For finite x this gives the bits of the
-    dense sum of every ``m[i, j] * x[j]``: x * (+-1) is exact, a + (-b) is
-    a - b, and a skipped 0 * x[j] adds only a signed zero, which is lost
-    against any nonzero sum.  A row of zeros keeps all its terms, so its
-    zeros carry the dense sum's signs.
+    A term with coefficient 0 is skipped; the others are multiply-added.
+    For finite x this gives the dense sum of every ``m[i, j] * x[j]`` but
+    for the sign of an entry that is exactly zero: a skipped 0 * x[j] is a
+    signed zero, which is lost against any nonzero sum.  A row of zeros
+    keeps all its terms, so its zeros carry the dense sum's signs.
     """
     out = np.empty(x.shape[:-2] + (m.shape[0], x.shape[-1]))
     term = np.empty(x.shape[:-2] + x.shape[-1:])
@@ -160,20 +158,10 @@ def _linear(m, x):
         row = out[..., i, :]
         terms = [(j, c) for j, c in enumerate(coeffs) if c != 0.0] or list(enumerate(coeffs))
         (j, c), rest = terms[0], terms[1:]
-        if c == 1.0:
-            np.copyto(row, x[..., j, :])
-        elif c == -1.0:
-            np.negative(x[..., j, :], out=row)
-        else:
-            np.multiply(x[..., j, :], c, out=row)
+        np.multiply(x[..., j, :], c, out=row)
         for j, c in rest:
-            if c == 1.0:
-                row += x[..., j, :]
-            elif c == -1.0:
-                row -= x[..., j, :]
-            else:
-                np.multiply(x[..., j, :], c, out=term)
-                row += term
+            np.multiply(x[..., j, :], c, out=term)
+            row += term
     return out
 
 

@@ -23,8 +23,8 @@ def unit_cap_rule(unit_cap):
 def _dense_linear(m, x):
     """Every m[i, j] * x[j] on axis -2, multiply-added in j order.
 
-    The dense form of ``dual._linear``, which skips zero coefficients and
-    does not multiply by +-1: the oracle for that kernel's bits.
+    The dense form of ``dual._linear``, which skips zero coefficients: the
+    oracle for that kernel's bits.
     """
     out = np.empty(x.shape[:-2] + (m.shape[0], x.shape[-1]))
     term = np.empty(x.shape[:-2] + x.shape[-1:])

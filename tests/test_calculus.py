@@ -22,6 +22,7 @@ from hopfcap import dual as du
 from hopfcap.calculus import adapted_frame_batch, directional_derivative
 from hopfcap.displace import frame_matrix
 from hopfcap.geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix, random_sphere_points
+from hopfcap.quadrature import build_gauss_rule
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -332,7 +333,9 @@ def test_field_sees_one_block_at_a_time(cap, monkeypatch):
 
 def test_jet_bits_match_the_dense_linear_kernel(cap, monkeypatch, dense_linear):
     # The lean apply_linear changes no bit of any invariant: default and
-    # off-basis axes, the angular twist, the Hopf and the small-cap field.
+    # off-basis axes, the angular twist, the Hopf and the small-cap field,
+    # on random points and on Gauss nodes, whose exact +-0 coordinates give
+    # the frame product zeros of another sign than the dense sum's.
     fields = [
         perturbed_field(cap, BumpProfile(0.5, 3)),
         perturbed_field(cap, BumpProfile(0.5, 3), axis=(0.0, 0.48, 0.6, 0.64)),
@@ -340,13 +343,13 @@ def test_jet_bits_match_the_dense_linear_kernel(cap, monkeypatch, dense_linear):
         hopf_field(),
         small_cap_field(CapDomain(cap.center, 0.3)),
     ]
-    pts = random_sphere_points(2000, 29)
-    lean = [jet_batch(f, pts) for f in fields]
+    point_sets = [random_sphere_points(2000, 29), build_gauss_rule(cap, 16, 8, 16).nodes]
+    lean = [jet_batch(f, pts) for pts in point_sets for f in fields]
     monkeypatch.setattr(du, "_linear", dense_linear)
-    for f, one in zip(fields, lean):
-        dense = jet_batch(f, pts)
+    dense = [jet_batch(f, pts) for pts in point_sets for f in fields]
+    for f, one, other in zip(fields * len(point_sets), lean, dense):
         for attr in INVARIANTS:
-            assert getattr(dense, attr).tobytes() == getattr(one, attr).tobytes(), (f.label, attr)
+            assert getattr(other, attr).tobytes() == getattr(one, attr).tobytes(), (f.label, attr)
 
 
 @pytest.mark.skipif(

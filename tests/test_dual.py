@@ -125,8 +125,8 @@ def _with_zero_row():
 
 # The frame maps at a basis axis are signed permutations; at the axis
 # (0, .48, .6, .64) they are dense.  The dense sum of a zero row is -0 where
-# all four components are negative and +0 elsewhere.  "mixed" has 0, -0,
-# +-1 and other coefficients in first and later positions.
+# all four components are negative and +0 elsewhere.  "mixed" has 0 and -0
+# coefficients in first and later positions.
 LINEAR_MAPS = {
     "i": left_mult_matrix(QUAT_I),
     "j": left_mult_matrix(QUAT_J),
@@ -143,8 +143,8 @@ LINEAR_MAPS = {
 
 @pytest.mark.parametrize("name", list(LINEAR_MAPS))
 def test_apply_linear_bits_match_dense_sum(name, dense_linear):
-    # Skipping zero terms and multiplies by +-1 leaves every bit of the
-    # dense multiply-adds, on a Dual and on plain points.
+    # Skipping zero terms leaves every bit of the dense multiply-adds where
+    # no entry is zero, on a Dual and on plain points.
     m = LINEAR_MAPS[name]
     rng = np.random.default_rng(6)
     x = rng.uniform(-1.0, 1.0, (4, 1000))
@@ -153,6 +153,21 @@ def test_apply_linear_bits_match_dense_sum(name, dense_linear):
     assert out.val.tobytes() == dense_linear(m, x).tobytes()
     assert out.eps.tobytes() == dense_linear(m, y).tobytes()
     assert du.apply_linear(m, x).tobytes() == dense_linear(m, x).tobytes()
+
+
+@pytest.mark.parametrize("name", list(LINEAR_MAPS))
+def test_apply_linear_on_signed_zeros_differs_only_in_zero_signs(name, dense_linear):
+    # Gauss nodes have exact +-0 coordinates.  A skipped 0 * x[j] can change
+    # the sign of an entry that is exactly zero, and nothing else.
+    m = LINEAR_MAPS[name]
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1.0, 1.0, (3, 4, 1000))
+    x[rng.random(x.shape) < 0.4] = 0.0
+    x[rng.random(x.shape) < 0.4] = -0.0
+    lean, dense = du.apply_linear(m, x), dense_linear(m, x)
+    assert np.array_equal(lean, dense)
+    assert lean[dense != 0.0].tobytes() == dense[dense != 0.0].tobytes()
+    assert np.any(dense == 0.0)
 
 
 C4 = np.array([[0.3], [-0.2], [0.5], [0.1]])
