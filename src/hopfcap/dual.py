@@ -5,9 +5,9 @@ A ``Dual`` carries a value ``val`` and derivatives ``eps`` of shape
 ``val`` from the right, so the value is computed once for every seeded
 direction (vector forward mode); ``dirs`` may be empty.  A plain operand of
 ``+`` or ``-`` must broadcast to ``val``.  Field evaluators are written
-against the small function set below (``sqrt``, ``sin`` , ``cos``,
-``arccos``, ``arctan2``, ``vdot``, ...) so a single code path serves both
-plain evaluation and exact forward-mode differentiation.
+against the small function set below (``sqrt``, ``sincos``, ``arccos``,
+``arctan2``, ``vdot``, ...) so a single code path serves both plain
+evaluation and exact forward-mode differentiation.
 
 Vectors are stored component-major: a batch of n points in R^4 is a (4, n)
 array, one row per component, and its derivatives are (dirs..., 4, n).
@@ -18,6 +18,22 @@ which BLAS kernel or how many BLAS threads the host has.  ``apply_linear``
 skips the zero coefficients of its constant matrix, which changes at most
 the sign of an exactly-zero entry of the dense sum; a frame map at a
 quaternion basis axis is a signed permutation, one multiply per row.
+
+A few operations form each intermediate once, with the bits of the plain
+formula:
+
+* ``vdot(x, x)`` sums the rows of ``x.val * x.val`` and, for a Dual, forms
+  eps as 2 * sum_j val_j * eps_j, one row accumulated in j order.  The
+  product rule's term is val_j * eps_j + eps_j * val_j, the same product
+  doubled, and doubling is exact, so the bits are those of the dense sum.
+* ``vdot(x, c)`` against a constant (k, 1) column is ``apply_linear`` with
+  the one-row matrix c^T, for plain and Dual x alike: the same terms in the
+  same order, up to the sign of an exactly-zero entry where c has zeros.
+* ``Dual / Dual`` forms the quotient val * inv once, reuses it in eps and
+  finishes eps in the buffer of its product with the divisor's eps; only
+  where that buffer cannot hold the result (0-d operands, or a result
+  wider than that product) does it allocate.
+* ``sincos`` gives both Duals from one ``np.sin`` and one ``np.cos``.
 """
 
 from __future__ import annotations
@@ -69,7 +85,14 @@ class Dual:
     def __truediv__(self, other):
         if isinstance(other, Dual):
             inv = 1.0 / other.val
-            return Dual(self.val * inv, (self.eps - self.val * inv * other.eps) * inv)
+            q = self.val * inv
+            eps = q * other.eps
+            if isinstance(eps, np.ndarray) and np.broadcast_shapes(self.eps.shape, eps.shape) == eps.shape:
+                np.subtract(self.eps, eps, out=eps)
+                eps *= inv
+            else:
+                eps = (self.eps - eps) * inv
+            return Dual(q, eps)
         return Dual(self.val / other, self.eps / other)
 
     def __rtruediv__(self, other):
@@ -96,16 +119,12 @@ def sqrt(x):
     return np.sqrt(x)
 
 
-def sin(x):
+def sincos(x):
+    """(sin x, cos x) from one ``np.sin`` and one ``np.cos`` of the value."""
     if isinstance(x, Dual):
-        return Dual(np.sin(x.val), np.cos(x.val) * x.eps)
-    return np.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Dual):
-        return Dual(np.cos(x.val), -np.sin(x.val) * x.eps)
-    return np.cos(x)
+        s, c = np.sin(x.val), np.cos(x.val)
+        return Dual(s, c * x.eps), Dual(c, -s * x.eps)
+    return np.sin(x), np.cos(x)
 
 
 def arccos(x):
@@ -165,8 +184,33 @@ def _linear(m, x):
     return out
 
 
+def _row_dot(a, b):
+    """sum_j a[j] * b[j] on axis -2, added in j order into one row.
+
+    The bits of ``_row_sum(a * b)``, without the full product.
+    """
+    total = np.multiply(a[..., 0:1, :], b[..., 0:1, :])
+    term = np.empty_like(total)
+    for j in range(1, a.shape[-2]):
+        np.multiply(a[..., j : j + 1, :], b[..., j : j + 1, :], out=term)
+        total += term
+    return total
+
+
 def vdot(a, b):
-    """Inner product over the component rows (axis -2), kept as a (1, n) row."""
+    """Inner product over the component rows (axis -2), kept as a (1, n) row.
+
+    ``vdot(x, x)`` and a constant (k, 1) column ``b`` take the specialised
+    forms of the module docstring.
+    """
+    if a is b:
+        if isinstance(a, Dual):
+            eps = _row_dot(a.val, a.eps)
+            eps *= 2.0
+            return Dual(_row_dot(a.val, a.val), eps)
+        return _row_dot(a, a)
+    if not isinstance(b, Dual) and np.ndim(b) == 2 and np.shape(b)[1] == 1:
+        return apply_linear(np.asarray(b, dtype=float).T, a)
     p = a * b
     if isinstance(p, Dual):
         return Dual(_row_sum(p.val), _row_sum(p.eps))

@@ -165,9 +165,10 @@ def perturbed_field(
         f = du.relu(1.0 - (d / r) ** 2) ** m * amp
         tilt = du.apply_linear(e1, xs)
         if twist == "angular":
-            g = du.arctan2(du.vdot(xs, b2), du.vdot(xs, b1))
-            tilt = du.cos(g) * tilt + du.sin(g) * du.apply_linear(e2, xs)
-        return du.cos(f) * du.apply_linear(h, xs) + du.sin(f) * tilt
+            sg, cg = du.sincos(du.arctan2(du.vdot(xs, b2), du.vdot(xs, b1)))
+            tilt = cg * tilt + sg * du.apply_linear(e2, xs)
+        sf, cf = du.sincos(f)
+        return cf * du.apply_linear(h, xs) + sf * tilt
 
     return UnitField(
         label="perturbed",

@@ -175,10 +175,11 @@ def integrate(rule: QuadratureRule, f) -> tuple[float, float]:
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"non-finite integrand value {fx[i]} at node {i}: {rule.nodes[i]}")
-    value = float(np.sum(rule.weights * fx))
+    wfx = rule.weights * fx
+    value = float(np.sum(wfx))
     if rule.kind == "montecarlo":
         vol = cap_volume(rule.domain)
         err = float(vol * np.std(fx) / math.sqrt(rule.size))
     else:
-        err = float(np.finfo(float).eps * np.sum(np.abs(rule.weights * fx))) + rule.estimated_error
+        err = float(np.finfo(float).eps * np.sum(np.abs(wfx))) + rule.estimated_error
     return value, err

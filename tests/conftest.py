@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hopfcap import CapDomain, SpherePoint, build_gauss_rule
+from hopfcap import dual as du
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +43,48 @@ def _dense_linear(m, x):
 @pytest.fixture(scope="session")
 def dense_linear():
     return _dense_linear
+
+
+# Dense forms of the operations that ``dual`` specialises: the oracles for
+# their bits.
+
+
+def _dense_row_sum(p):
+    """Component rows of a full product (axis -2), added left to right."""
+    total = p[..., 0:1, :]
+    for i in range(1, p.shape[-2]):
+        total = total + p[..., i : i + 1, :]
+    return total
+
+
+def _dense_vdot(a, b):
+    """Row sums of the full product ``a * b``, for any operands."""
+    p = a * b
+    if isinstance(p, du.Dual):
+        return du.Dual(_dense_row_sum(p.val), _dense_row_sum(p.eps))
+    return _dense_row_sum(p)
+
+
+def _dense_truediv(a, b):
+    """``Dual / Dual`` with the quotient formed twice and no buffer reuse."""
+    if isinstance(b, du.Dual):
+        inv = 1.0 / b.val
+        return du.Dual(a.val * inv, (a.eps - a.val * inv * b.eps) * inv)
+    return du.Dual(a.val / b, a.eps / b)
+
+
+def _dense_sincos(x):
+    """Sine and cosine as two separate evaluations, each calling sin and cos."""
+    if isinstance(x, du.Dual):
+        return (
+            du.Dual(np.sin(x.val), np.cos(x.val) * x.eps),
+            du.Dual(np.cos(x.val), -np.sin(x.val) * x.eps),
+        )
+    return np.sin(x), np.cos(x)
+
+
+@pytest.fixture(scope="session")
+def dense_forms():
+    return SimpleNamespace(
+        row_sum=_dense_row_sum, vdot=_dense_vdot, truediv=_dense_truediv, sincos=_dense_sincos
+    )

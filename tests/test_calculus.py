@@ -331,11 +331,15 @@ def test_field_sees_one_block_at_a_time(cap, monkeypatch):
     assert shapes == [((4, 7), (3, 4, 7))] * 7 + [((4, 1), (3, 4, 1))]
 
 
-def test_jet_bits_match_the_dense_linear_kernel(cap, monkeypatch, dense_linear):
-    # The lean apply_linear changes no bit of any invariant: default and
-    # off-basis axes, the angular twist, the Hopf and the small-cap field,
-    # on random points and on Gauss nodes, whose exact +-0 coordinates give
-    # the frame product zeros of another sign than the dense sum's.
+def _assert_jet_bits_survive(cap, use_dense_forms):
+    """Every invariant bit of five jets is the same before and after
+    ``use_dense_forms()`` swaps dense forms in for the lean ones.
+
+    The fields cover the default and an off-basis axis, the angular twist,
+    the Hopf and the small-cap field; the points are random and Gauss
+    nodes, whose exact +-0 coordinates give lean and dense sums zeros of
+    other signs.
+    """
     fields = [
         perturbed_field(cap, BumpProfile(0.5, 3)),
         perturbed_field(cap, BumpProfile(0.5, 3), axis=(0.0, 0.48, 0.6, 0.64)),
@@ -345,11 +349,26 @@ def test_jet_bits_match_the_dense_linear_kernel(cap, monkeypatch, dense_linear):
     ]
     point_sets = [random_sphere_points(2000, 29), build_gauss_rule(cap, 16, 8, 16).nodes]
     lean = [jet_batch(f, pts) for pts in point_sets for f in fields]
-    monkeypatch.setattr(du, "_linear", dense_linear)
+    use_dense_forms()
     dense = [jet_batch(f, pts) for pts in point_sets for f in fields]
     for f, one, other in zip(fields * len(point_sets), lean, dense):
         for attr in INVARIANTS:
             assert getattr(other, attr).tobytes() == getattr(one, attr).tobytes(), (f.label, attr)
+
+
+def test_jet_bits_match_the_dense_linear_kernel(cap, monkeypatch, dense_linear):
+    _assert_jet_bits_survive(cap, lambda: monkeypatch.setattr(du, "_linear", dense_linear))
+
+
+def test_jet_bits_match_the_dense_dual_forms(cap, monkeypatch, dense_forms):
+    # The specialised vdot (of a Dual with itself and with a constant
+    # column), Dual / Dual and sincos change no bit of any invariant.
+    def use_dense_forms():
+        monkeypatch.setattr(du, "vdot", dense_forms.vdot)
+        monkeypatch.setattr(du.Dual, "__truediv__", dense_forms.truediv)
+        monkeypatch.setattr(du, "sincos", dense_forms.sincos)
+
+    _assert_jet_bits_survive(cap, use_dense_forms)
 
 
 @pytest.mark.skipif(

@@ -14,12 +14,19 @@ def fd(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2 * h)
 
 
+def sincos_part(k):
+    def sincos(x):
+        return du.sincos(x)[k]
+
+    return sincos
+
+
 @pytest.mark.parametrize(
     "func,dfunc_name",
     [
         (du.sqrt, "sqrt"),
-        (du.sin, "sin"),
-        (du.cos, "cos"),
+        (sincos_part(0), "sin"),
+        (sincos_part(1), "cos"),
     ],
 )
 def test_unary_matches_finite_differences(func, dfunc_name):
@@ -163,6 +170,7 @@ def test_apply_linear_bits_match_dense_sum(name, dense_linear):
 
 
 C4 = np.array([[0.3], [-0.2], [0.5], [0.1]])
+NORTH = np.array([[1.0], [0.0], [0.0], [0.0]])
 M44 = np.arange(16.0).reshape(4, 4) / 7.0 - 1.0
 
 # Every operation and function, on a Dual d and plain (4, 1) column operands.
@@ -180,14 +188,15 @@ OPERATIONS = {
     "rdiv": lambda d: C4 / (d * d + 1.0),
     "pow": lambda d: d**3,
     "sqrt": lambda d: du.sqrt(d * d + 1.0),
-    "sin": du.sin,
-    "cos": du.cos,
+    "sincos": du.sincos,
     "arccos": lambda d: du.arccos(0.5 * d),
     "arctan2_plain_x": lambda d: du.arctan2(d, C4),
     "arctan2_plain_y": lambda d: du.arctan2(C4, d),
     "relu": du.relu,
     "vdot": lambda d: du.vdot(d, d + C4),
+    "vdot_self": lambda d: du.vdot(d, d),
     "vdot_plain": lambda d: du.vdot(d, C4),
+    "vdot_plain_zeros": lambda d: du.vdot(d, NORTH),
     "apply_linear": lambda d: du.apply_linear(M44, d),
     "normalize": du.normalize,
 }
@@ -201,8 +210,131 @@ def test_stacked_directions_match_single_directions(name):
     rng = np.random.default_rng(3)
     x = rng.uniform(-1.0, 1.0, (4, 50))
     y = rng.standard_normal((3, 4, 50))
-    out = op(du.Dual(x, y))
-    singles = [op(du.Dual(x, y[k])) for k in range(3)]
-    assert out.eps.shape == (3,) + out.val.shape
-    assert all(np.array_equal(out.val, s.val) for s in singles)
-    assert np.array_equal(out.eps, np.stack([s.eps for s in singles]))
+    outs = _as_tuple(op(du.Dual(x, y)))
+    singles = [_as_tuple(op(du.Dual(x, y[k]))) for k in range(3)]
+    for i, out in enumerate(outs):
+        assert out.eps.shape == (3,) + out.val.shape
+        assert all(np.array_equal(out.val, s[i].val) for s in singles)
+        assert np.array_equal(out.eps, np.stack([s[i].eps for s in singles]))
+
+
+def _as_tuple(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _with_signed_zeros(a, rng):
+    """A copy of ``a`` with about half its entries replaced by +0 or -0."""
+    a = a.copy()
+    a[rng.random(a.shape) < 0.3] = 0.0
+    a[rng.random(a.shape) < 0.3] = -0.0
+    return a
+
+
+def _has_both_zeros(a):
+    zero = a == 0.0
+    return np.any(zero & np.signbit(a)) and np.any(zero & ~np.signbit(a))
+
+
+def _same_bits(lean, dense):
+    return lean.val.tobytes() == dense.val.tobytes() and lean.eps.tobytes() == dense.eps.tobytes()
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["finite", "signed_zeros"])
+def test_vdot_self_bits_match_the_dense_product(zeros, dense_forms):
+    # vdot(x, x) forms eps as 2 * sum_j val_j * eps_j.  Each term of the
+    # dense sum is val_j * eps_j + eps_j * val_j, that same product doubled,
+    # and doubling is exact, so every bit holds, signed zeros included.
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1.0, 1.0, (4, 1000))
+    y = rng.standard_normal((3, 4, 1000))
+    if zeros:
+        x, y = _with_signed_zeros(x, rng), _with_signed_zeros(y, rng)
+    d = du.Dual(x, y)
+    dense = dense_forms.vdot(d, d)
+    assert _same_bits(du.vdot(d, d), dense)
+    assert du.vdot(x, x).tobytes() == dense.val.tobytes()
+    assert not zeros or _has_both_zeros(dense.eps)
+
+
+ROW_DOT_SHAPES = {
+    "value_tangent": ((4, 50), (3, 4, 50)),
+    "column": ((4, 50), (4, 1)),
+    "same": ((4, 50), (4, 50)),
+    "broadcast": ((3, 4, 1), (4, 50)),
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_DOT_SHAPES))
+def test_row_dot_bits_match_the_row_sum_of_the_product(name, dense_forms):
+    rng = np.random.default_rng(9)
+    a_shape, b_shape = ROW_DOT_SHAPES[name]
+    a, b = _with_signed_zeros(rng.standard_normal(a_shape), rng), rng.standard_normal(b_shape)
+    assert du._row_dot(a, b).tobytes() == dense_forms.row_sum(a * b).tobytes()
+
+
+# Constant columns for vdot: with every coefficient nonzero, or every one
+# zero, the bits are the dense sum's; with some zero, up to the sign of an
+# entry that is exactly zero (as for apply_linear).
+COLUMNS = {
+    "dense": C4,
+    "north": NORTH,
+    "mixed": np.array([[0.0], [0.6], [-0.0], [-0.8]]),
+    "zero": np.array([[0.0], [-0.0], [0.0], [0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(COLUMNS))
+def test_vdot_with_a_column_matches_the_dense_product(name, dense_forms):
+    c = COLUMNS[name]
+    exact = np.all(c != 0.0) or np.all(c == 0.0)
+    rng = np.random.default_rng(10)
+    x = rng.uniform(-1.0, 1.0, (4, 1000))
+    y = rng.standard_normal((3, 4, 1000))
+    for zeros in (False, True):
+        if zeros:
+            x, y = _with_signed_zeros(x, rng), _with_signed_zeros(y, rng)
+        d = du.Dual(x, y)
+        lean, dense = du.vdot(d, c), dense_forms.vdot(d, c)
+        # Plain and Dual values keep equal bits.
+        assert du.vdot(x, c).tobytes() == lean.val.tobytes()
+        assert np.array_equal(lean.val, dense.val) and np.array_equal(lean.eps, dense.eps)
+        if exact:
+            assert _same_bits(lean, dense)
+
+
+# Numerator and divisor of Dual / Dual: the normalize shapes, no directions,
+# 0-d scalars, and results wider than the product q * other.eps (a divisor
+# with no directions under a numerator with three), where the quotient is
+# formed without the in-place buffer.
+QUOTIENTS = {
+    "normalize": (((4, 200), (3, 4, 200)), ((1, 200), (3, 1, 200))),
+    "no_dirs": (((200,), (200,)), ((200,), (200,))),
+    "scalar": (((), ()), ((), ())),
+    "scalar_divisor": (((4, 200), (3, 4, 200)), ((), ())),
+    "wide_numerator": (((4, 200), (3, 4, 200)), ((1, 200), (1, 200))),
+}
+
+
+@pytest.mark.parametrize("name", list(QUOTIENTS))
+@pytest.mark.parametrize("zeros", [False, True], ids=["finite", "signed_zeros"])
+def test_quotient_bits_match_the_dense_quotient(name, zeros, dense_forms):
+    (av, ae), (bv, be) = QUOTIENTS[name]
+    rng = np.random.default_rng(11)
+    a = du.Dual(rng.standard_normal(av), rng.standard_normal(ae))
+    b = du.Dual(rng.uniform(0.5, 2.0, bv), rng.standard_normal(be))
+    if zeros:
+        a = du.Dual(_with_signed_zeros(a.val, rng), _with_signed_zeros(a.eps, rng))
+        b = du.Dual(b.val, _with_signed_zeros(b.eps, rng))
+    lean = a / b
+    assert lean.val.shape == np.shape(a.val / b.val)
+    assert _same_bits(lean, dense_forms.truediv(a, b))
+
+
+def test_sincos_bits_match_separate_sin_and_cos(dense_forms):
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-7.0, 7.0, (1, 1000))
+    d = du.Dual(x, _with_signed_zeros(rng.standard_normal((3, 1, 1000)), rng))
+    for lean, dense in zip(du.sincos(d), dense_forms.sincos(d)):
+        assert _same_bits(lean, dense)
+    for lean, dense in zip(du.sincos(x), dense_forms.sincos(x)):
+        assert lean.tobytes() == dense.tobytes()
