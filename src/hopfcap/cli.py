@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", choices=["hopf", "perturbed", "small-cap"], default="hopf")
         p.add_argument("--amplitude", type=float, default=None)
         p.add_argument("--axis", type=_csv_floats, default=None)
-    commands["verify"].add_argument("--t-grid", type=_csv_floats, default=T_GRID)
+    commands["verify"].add_argument("--t-grid", type=_csv_floats, default=None)
     commands["functionals"].add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
     commands["sweep"].add_argument("--amplitudes", type=_csv_floats, default=SWEEP_AMPLITUDES)
     return parser
@@ -145,7 +145,7 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
 
 def _reject(flags: dict, reader: str) -> None:
     if flags:
-        names = ", ".join("--" + n for n in flags)
+        names = ", ".join("--" + n.replace("_", "-") for n in flags)
         raise ValueError(f"{names} not read by {reader}")
 
 
@@ -202,11 +202,15 @@ def _emit(text: str, path: str | None) -> None:
 def cmd_verify(args: argparse.Namespace) -> Callable[[], int]:
     cap = _make_cap(args)
     path = _resolve_output(args, "verify.json")
+    field = _make_field(args, cap)
+    # The small-cap report has no image-volume rows, so it reads no offsets.
+    if args.field == "small-cap":
+        _reject(_given(args, "t_grid"), "--field small-cap")
     vconf = VerifyConfig(
-        field=_make_field(args, cap),
+        field=field,
         rule=_make_rule(args, cap),
         seed=args.seed,
-        t_grid=args.t_grid,
+        t_grid=T_GRID if args.t_grid is None else args.t_grid,
         mode=args.mode,
     )
 

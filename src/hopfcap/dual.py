@@ -6,29 +6,29 @@ A ``Dual`` carries a value ``val`` and derivatives ``eps`` of shape
 direction (vector forward mode); ``dirs`` may be empty.  A plain operand of
 ``+`` or ``-`` must broadcast to ``val``.  Field evaluators are written
 against the small function set below (``sqrt``, ``sincos``, ``arccos``,
-``arctan2``, ``vdot``, ...) so a single code path serves both plain
-evaluation and exact forward-mode differentiation.
+``arctan2``, ``apply_linear``, ``normalize``, ...) so a single code path
+serves both plain evaluation and exact forward-mode differentiation.
 
 Vectors are stored component-major: a batch of n points in R^4 is a (4, n)
 array, one row per component, and its derivatives are (dirs..., 4, n).
-``vdot`` and ``apply_linear`` work on the component rows (axis -2) with
-elementwise multiply-adds in a fixed order, so every inner loop runs over
-the n nodes, and no product goes to BLAS: the result does not depend on
-which BLAS kernel or how many BLAS threads the host has.  ``apply_linear``
-skips the zero coefficients of its constant matrix, which changes at most
-the sign of an exactly-zero entry of the dense sum; a frame map at a
-quaternion basis axis is a signed permutation, one multiply per row.
+Two kernels sum over the component rows (axis -2) with elementwise
+multiply-adds in a fixed order, so every inner loop runs over the n nodes
+and no product goes to BLAS: the result does not depend on which BLAS
+kernel or how many BLAS threads the host has.  ``apply_linear`` applies a
+constant matrix; a dot product with a constant vector is the one-row
+matrix (1, 4).  It skips the zero coefficients of the matrix, which changes
+at most the sign of an exactly-zero entry of the dense sum, so a frame map
+at a quaternion basis axis (a signed permutation) is one multiply per row.
+``_row_dot`` sums the rowwise products of two arrays, the squared norm in
+``normalize``.
 
 A few operations form each intermediate once, with the bits of the plain
 formula:
 
-* ``vdot(x, x)`` sums the rows of ``x.val * x.val`` and, for a Dual, forms
-  eps as 2 * sum_j val_j * eps_j, one row accumulated in j order.  The
-  product rule's term is val_j * eps_j + eps_j * val_j, the same product
-  doubled, and doubling is exact, so the bits are those of the dense sum.
-* ``vdot(x, c)`` against a constant (k, 1) column is ``apply_linear`` with
-  the one-row matrix c^T, for plain and Dual x alike: the same terms in the
-  same order, up to the sign of an exactly-zero entry where c has zeros.
+* ``normalize`` forms the squared norm's eps as 2 * sum_j val_j * eps_j,
+  one row accumulated in j order.  The product rule's term is
+  val_j * eps_j + eps_j * val_j, the same product doubled, and doubling is
+  exact, so the bits are those of the dense sum.
 * ``Dual / Dual`` forms the quotient val * inv once, reuses it in eps and
   finishes eps in the buffer of its product with the divisor's eps; only
   where that buffer cannot hold the result (0-d operands, or a result
@@ -56,9 +56,6 @@ class Dual:
     def __init__(self, val, eps):
         self.val = np.asarray(val, dtype=float)
         self.eps = np.asarray(eps, dtype=float)
-
-    def __neg__(self):
-        return Dual(-self.val, -self.eps)
 
     def __add__(self, other):
         if isinstance(other, Dual):
@@ -95,21 +92,10 @@ class Dual:
             return Dual(q, eps)
         return Dual(self.val / other, self.eps / other)
 
-    def __rtruediv__(self, other):
-        inv = 1.0 / self.val
-        return Dual(other * inv, -(other * inv) * inv * self.eps)
-
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError("Dual.__pow__ supports positive integer exponents only")
         return Dual(self.val**n, n * self.val ** (n - 1) * self.eps)
-
-
-def value(x):
-    """Value part of ``x`` (identity on plain arrays)."""
-    if isinstance(x, Dual):
-        return x.val
-    return np.asarray(x, dtype=float)
 
 
 def sqrt(x):
@@ -137,12 +123,10 @@ def arccos(x):
 
 
 def arctan2(y, x):
-    if isinstance(y, Dual) or isinstance(x, Dual):
-        yv, xv = value(y), value(x)
-        ye = y.eps if isinstance(y, Dual) else 0.0
-        xe = x.eps if isinstance(x, Dual) else 0.0
-        denom = np.maximum(xv * xv + yv * yv, _DENOM_FLOOR)
-        return Dual(np.arctan2(yv, xv), (xv * ye - yv * xe) / denom)
+    """Arc tangent of y / x, for two Duals or two plain arrays."""
+    if isinstance(y, Dual):
+        denom = np.maximum(x.val * x.val + y.val * y.val, _DENOM_FLOOR)
+        return Dual(np.arctan2(y.val, x.val), (x.val * y.eps - y.val * x.eps) / denom)
     return np.arctan2(y, x)
 
 
@@ -152,14 +136,6 @@ def relu(x):
         active = x.val > 0.0
         return Dual(np.where(active, x.val, 0.0), np.where(active, x.eps, 0.0))
     return np.maximum(x, 0.0)
-
-
-def _row_sum(p):
-    """Sum of the component rows (axis -2), left to right, kept as one row."""
-    total = p[..., 0:1, :]
-    for i in range(1, p.shape[-2]):
-        total = total + p[..., i : i + 1, :]
-    return total
 
 
 def _linear(m, x):
@@ -187,7 +163,7 @@ def _linear(m, x):
 def _row_dot(a, b):
     """sum_j a[j] * b[j] on axis -2, added in j order into one row.
 
-    The bits of ``_row_sum(a * b)``, without the full product.
+    The bits of the row sum of the full product ``a * b``, without forming it.
     """
     total = np.multiply(a[..., 0:1, :], b[..., 0:1, :])
     term = np.empty_like(total)
@@ -195,26 +171,6 @@ def _row_dot(a, b):
         np.multiply(a[..., j : j + 1, :], b[..., j : j + 1, :], out=term)
         total += term
     return total
-
-
-def vdot(a, b):
-    """Inner product over the component rows (axis -2), kept as a (1, n) row.
-
-    ``vdot(x, x)`` and a constant (k, 1) column ``b`` take the specialised
-    forms of the module docstring.
-    """
-    if a is b:
-        if isinstance(a, Dual):
-            eps = _row_dot(a.val, a.eps)
-            eps *= 2.0
-            return Dual(_row_dot(a.val, a.val), eps)
-        return _row_dot(a, a)
-    if not isinstance(b, Dual) and np.ndim(b) == 2 and np.shape(b)[1] == 1:
-        return apply_linear(np.asarray(b, dtype=float).T, a)
-    p = a * b
-    if isinstance(p, Dual):
-        return Dual(_row_sum(p.val), _row_sum(p.eps))
-    return _row_sum(p)
 
 
 def apply_linear(matrix, x):
@@ -227,4 +183,8 @@ def apply_linear(matrix, x):
 
 def normalize(x):
     """Scale component-major (..., 4, n) vectors to unit length."""
-    return x / sqrt(vdot(x, x))
+    if isinstance(x, Dual):
+        eps = _row_dot(x.val, x.eps)
+        eps *= 2.0
+        return x / sqrt(Dual(_row_dot(x.val, x.val), eps))
+    return x / sqrt(_row_dot(x, x))

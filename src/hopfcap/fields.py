@@ -12,10 +12,11 @@ Three built-in families:
 
 Every evaluator takes points component-major, as a (4, n) array or a
 ``Dual`` with value (4, n), and returns tangent vectors in the same layout;
-constant vectors enter as (4, 1) columns.  Calling a ``UnitField`` on plain
-points takes and returns (..., 4) arrays instead.  Every evaluator is
-0-homogeneous: the input is normalized before use, so ambient directional
-derivatives are well-defined off the sphere.
+constant vectors enter as (4, 1) columns, or as (1, 4) rows in a dot
+product.  Calling a ``UnitField`` on plain points takes and returns
+(..., 4) arrays instead.  Every evaluator is 0-homogeneous: the input is
+normalized before use, so ambient directional derivatives are well-defined
+off the sphere.
 """
 
 from __future__ import annotations
@@ -152,20 +153,20 @@ def perturbed_field(
     if twist not in ("none", "angular"):
         raise ValueError(f"unknown twist {twist!r}")
     h, e1, e2 = hopf_frame(axis)
-    center = cap.center.x[:, None]
+    center = cap.center.x[None, :]
     r = cap.radius
     amp, m = bump.amplitude, bump.exponent
-    b1, b2 = (b[:, None] for b in tangent_basis(cap.center)[:2])
+    b1, b2 = (b[None, :] for b in tangent_basis(cap.center)[:2])
 
     def evaluate(x):
         # The frame is applied to the same normalized point as hopf_field,
         # so the A = 0 case reproduces the Hopf field bit-for-bit.
         xs = du.normalize(x)
-        d = du.arccos(du.vdot(xs, center))
+        d = du.arccos(du.apply_linear(center, xs))
         f = du.relu(1.0 - (d / r) ** 2) ** m * amp
         tilt = du.apply_linear(e1, xs)
         if twist == "angular":
-            sg, cg = du.sincos(du.arctan2(du.vdot(xs, b2), du.vdot(xs, b1)))
+            sg, cg = du.sincos(du.arctan2(du.apply_linear(b2, xs), du.apply_linear(b1, xs)))
             tilt = cg * tilt + sg * du.apply_linear(e2, xs)
         sf, cf = du.sincos(f)
         return cf * du.apply_linear(h, xs) + sf * tilt
@@ -203,8 +204,8 @@ def small_cap_field(cap: CapDomain) -> UnitField:
 
     def evaluate(x):
         xs = du.normalize(x)
-        su = du.vdot(xs, u)
-        sp = du.vdot(xs, p)
+        su = du.apply_linear(u.T, xs)
+        sp = du.apply_linear(p.T, xs)
         return (u - su * p) - (su / (1.0 + sp)) * (xs - sp * p)
 
     return UnitField(

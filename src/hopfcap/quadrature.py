@@ -127,12 +127,13 @@ def build_gauss_rule(cap: CapDomain, n_rho: int, n_theta: int, n_phi: int) -> Qu
 
 def _radial_inverse_cdf(cap: CapDomain, u: np.ndarray) -> np.ndarray:
     """Quantiles of the density proportional to sin^2 on (0, radius)."""
+    total = 2.0 * cap.radius - math.sin(2.0 * cap.radius)
     grid = np.linspace(0.0, cap.radius, 20001)
-    cdf = (2.0 * grid - np.sin(2.0 * grid)) / (2.0 * cap.radius - math.sin(2.0 * cap.radius))
-    rho = np.interp(u, cdf, grid)
-    # One Newton polish step; the density vanishes at 0, guard the slope.
-    pdf = np.sin(rho) ** 2 / (0.5 * (2.0 * cap.radius - math.sin(2.0 * cap.radius)))
-    resid = (2.0 * rho - np.sin(2.0 * rho)) / (2.0 * cap.radius - math.sin(2.0 * cap.radius)) - u
+    rho = np.interp(u, (2.0 * grid - np.sin(2.0 * grid)) / total, grid)
+    # One Newton polish step on CDF(rho) = (2 rho - sin 2 rho) / total, whose
+    # slope is 4 sin^2 rho / total; the density vanishes at 0, guard the slope.
+    pdf = 4.0 * np.sin(rho) ** 2 / total
+    resid = (2.0 * rho - np.sin(2.0 * rho)) / total - u
     safe = pdf > 1e-12
     rho = np.where(safe, rho - resid / np.where(safe, pdf, 1.0), rho)
     return np.clip(rho, 0.0, cap.radius)

@@ -81,7 +81,7 @@ class TestAmbientJacobian:
         def value_only(x):
             import hopfcap.dual as du
 
-            return h.evaluator(du.value(x))
+            return h.evaluator(x.val if isinstance(x, du.Dual) else x)
 
         f = UnitField("opaque", value_only)
         pts = random_sphere_points(10, 4)
@@ -281,7 +281,7 @@ def recording(field):
     def evaluate(x):
         if isinstance(x, du.Dual):
             shapes.append((x.val.shape, x.eps.shape))
-        return field(x)
+        return field.evaluator(x)
 
     return UnitField("recording", evaluate), shapes
 
@@ -296,9 +296,13 @@ def recording(field):
 )
 def test_one_dual_evaluation_carries_three_directions(cap, differentiate):
     # The value is seeded once, as (4, N); the three directions ride on eps.
-    f, shapes = recording(perturbed_field(cap, BumpProfile(0.5, 3)))
-    differentiate(f, random_sphere_points(50, 24))
+    field = perturbed_field(cap, BumpProfile(0.5, 3))
+    f, shapes = recording(field)
+    pts = random_sphere_points(50, 24)
+    differentiate(f, pts)
     assert shapes == [((4, 50), (3, 4, 50))]
+    # The recording field is the field, on plain points too.
+    assert np.array_equal(f(pts), field(pts))
 
 
 @pytest.mark.parametrize("mode", ["ad", "fd"])
@@ -361,10 +365,10 @@ def test_jet_bits_match_the_dense_linear_kernel(cap, monkeypatch, dense_linear):
 
 
 def test_jet_bits_match_the_dense_dual_forms(cap, monkeypatch, dense_forms):
-    # The specialised vdot (of a Dual with itself and with a constant
-    # column), Dual / Dual and sincos change no bit of any invariant.
+    # The specialised self product in normalize, Dual / Dual and sincos
+    # change no bit of any invariant.
     def use_dense_forms():
-        monkeypatch.setattr(du, "vdot", dense_forms.vdot)
+        monkeypatch.setattr(du, "normalize", lambda x: x / du.sqrt(dense_forms.vdot(x, x)))
         monkeypatch.setattr(du.Dual, "__truediv__", dense_forms.truediv)
         monkeypatch.setattr(du, "sincos", dense_forms.sincos)
 

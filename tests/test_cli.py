@@ -325,13 +325,15 @@ class TestInputValidation:
             ["verify", "--field", "hopf", "--twist", "angular"],
             ["functionals", "--field", "small-cap", "--amplitude", "2"],
             ["functionals", "--field", "small-cap", "--axis", "0,0,1,0"],
+            ["verify", "--field", "small-cap", "--t-grid", "0.1"],
             ["sweep", "--samples", "7"],
             ["functionals", "--rule", "montecarlo", "--samples", "5000", "--orders", "8,8,8,8"],
         ],
     )
     def test_flag_the_field_or_rule_ignores_is_rejected(self, argv, no_compute, capsys):
         assert main(argv) == 2
-        assert "not read by" in capsys.readouterr().err
+        # The error names the flag as typed (--t-grid, not its dest t_grid).
+        assert f"{argv[-2]} not read by" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

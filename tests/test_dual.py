@@ -32,7 +32,7 @@ def sincos_part(k):
 def test_unary_matches_finite_differences(func, dfunc_name):
     x = np.linspace(0.2, 2.5, 17)
     out = func(du.Dual(x, np.ones_like(x)))
-    ref = fd(lambda v: du.value(func(v)), x)
+    ref = fd(func, x)
     assert np.allclose(out.eps, ref, atol=1e-8)
 
 
@@ -51,7 +51,7 @@ def test_arccos_clips_and_stays_finite():
 def test_arctan2_derivative():
     y = np.array([0.3, -0.7])
     x = np.array([0.9, 0.4])
-    out = du.arctan2(du.Dual(y, np.ones_like(y)), x)
+    out = du.arctan2(du.Dual(y, np.ones_like(y)), du.Dual(x, np.zeros_like(x)))
     assert np.allclose(out.eps, x / (x**2 + y**2), atol=1e-12)
 
 
@@ -97,13 +97,13 @@ def test_integer_power():
         du.Dual(1.0, 1.0) ** 0.5
 
 
-def test_vdot_and_normalize():
+def test_normalize():
     # One point, component-major (4, 1).
     x = np.array([[3.0], [4.0], [0.0], [0.0]])
     d = du.Dual(x, np.array([[1.0], [0.0], [0.0], [0.0]]))
     n = du.normalize(d)
     assert n.val.shape == n.eps.shape == (4, 1)
-    assert np.allclose(du.value(n), [[0.6], [0.8], [0.0], [0.0]])
+    assert np.allclose(n.val, [[0.6], [0.8], [0.0], [0.0]])
     # derivative of x/|x| along e0 at (3,4,0,0)
     h = 1e-7
     x0, e0 = x[:, 0], np.eye(4)[0]
@@ -133,7 +133,9 @@ def _with_zero_row():
 # The frame maps at a basis axis are signed permutations; at the axis
 # (0, .48, .6, .64) they are dense.  The dense sum of a zero row is -0 where
 # all four components are negative and +0 elsewhere.  "mixed" has 0 and -0
-# coefficients in first and later positions.
+# coefficients in first and later positions.  The (1, 4) rows are dot
+# products with a constant vector, as the fields take them: every
+# coefficient nonzero, one, some or none.
 LINEAR_MAPS = {
     "i": left_mult_matrix(QUAT_I),
     "j": left_mult_matrix(QUAT_J),
@@ -145,6 +147,10 @@ LINEAR_MAPS = {
     "mixed": np.array(
         [[0.0, 1.0, -0.5, -1.0], [-1.0, 0.0, 1.0, 2.5], [0.25, -0.0, -1.0, 1.0], [1.0, -1.0, 0.0, 0.0]]
     ),
+    "row_dense": np.array([[0.3, -0.2, 0.5, 0.1]]),
+    "row_north": np.array([[1.0, 0.0, 0.0, 0.0]]),
+    "row_mixed": np.array([[0.0, 0.6, -0.0, -0.8]]),
+    "row_zero": np.array([[0.0, -0.0, 0.0, 0.0]]),
 }
 
 
@@ -153,7 +159,8 @@ def test_apply_linear_bits_match_dense_sum(name, dense_linear):
     # Skipping zero terms leaves every bit of the dense multiply-adds where
     # no input entry is zero, on a Dual and on plain points.  Gauss nodes
     # have exact +-0 coordinates; there a skipped 0 * x[j] can change the
-    # sign of an output entry that is exactly zero, and nothing else.
+    # sign of an output entry that is exactly zero, and nothing else; a map
+    # whose rows skip no term (none zero, or all zero) keeps every bit.
     m = LINEAR_MAPS[name]
     rng = np.random.default_rng(6)
     x = rng.uniform(-1.0, 1.0, (4, 1000))
@@ -167,37 +174,34 @@ def test_apply_linear_bits_match_dense_sum(name, dense_linear):
     lean, dense = du.apply_linear(m, y), dense_linear(m, y)
     assert np.any(dense == 0.0)
     assert np.array_equal(lean, dense)
+    if all(np.all(row != 0.0) or np.all(row == 0.0) for row in m):
+        assert lean.tobytes() == dense.tobytes()
 
 
 C4 = np.array([[0.3], [-0.2], [0.5], [0.1]])
-NORTH = np.array([[1.0], [0.0], [0.0], [0.0]])
 M44 = np.arange(16.0).reshape(4, 4) / 7.0 - 1.0
 
-# Every operation and function, on a Dual d and plain (4, 1) column operands.
+# Every operation and function, on a Dual d and plain (4, 1) column or
+# (1, 4) row operands.
 OPERATIONS = {
     "add": lambda d: d + C4,
     "radd": lambda d: C4 + d,
     "sub": lambda d: d - C4,
     "rsub": lambda d: C4 - d,
-    "neg": lambda d: -d,
     "mul": lambda d: d * (d + 1.0),
     "mul_plain": lambda d: d * C4,
     "rmul_plain": lambda d: C4 * d,
     "div": lambda d: d / (d * d + 1.0),
     "div_plain": lambda d: d / C4,
-    "rdiv": lambda d: C4 / (d * d + 1.0),
     "pow": lambda d: d**3,
     "sqrt": lambda d: du.sqrt(d * d + 1.0),
     "sincos": du.sincos,
     "arccos": lambda d: du.arccos(0.5 * d),
-    "arctan2_plain_x": lambda d: du.arctan2(d, C4),
-    "arctan2_plain_y": lambda d: du.arctan2(C4, d),
+    "arctan2": lambda d: du.arctan2(d, d * d + 0.5),
     "relu": du.relu,
-    "vdot": lambda d: du.vdot(d, d + C4),
-    "vdot_self": lambda d: du.vdot(d, d),
-    "vdot_plain": lambda d: du.vdot(d, C4),
-    "vdot_plain_zeros": lambda d: du.vdot(d, NORTH),
     "apply_linear": lambda d: du.apply_linear(M44, d),
+    "apply_linear_row": lambda d: du.apply_linear(C4.T, d),
+    "apply_linear_north_row": lambda d: du.apply_linear(LINEAR_MAPS["row_north"], d),
     "normalize": du.normalize,
 }
 
@@ -240,20 +244,21 @@ def _same_bits(lean, dense):
 
 
 @pytest.mark.parametrize("zeros", [False, True], ids=["finite", "signed_zeros"])
-def test_vdot_self_bits_match_the_dense_product(zeros, dense_forms):
-    # vdot(x, x) forms eps as 2 * sum_j val_j * eps_j.  Each term of the
-    # dense sum is val_j * eps_j + eps_j * val_j, that same product doubled,
-    # and doubling is exact, so every bit holds, signed zeros included.
+def test_normalize_bits_match_the_dense_self_product(zeros, dense_forms):
+    # normalize forms the squared norm's eps as 2 * sum_j val_j * eps_j.
+    # Each term of the dense sum is val_j * eps_j + eps_j * val_j, that same
+    # product doubled, and doubling is exact, so every bit holds, signed
+    # zeros included.  Row 0 keeps every point off the origin.
     rng = np.random.default_rng(8)
     x = rng.uniform(-1.0, 1.0, (4, 1000))
     y = rng.standard_normal((3, 4, 1000))
     if zeros:
-        x, y = _with_signed_zeros(x, rng), _with_signed_zeros(y, rng)
+        x[1:], y = _with_signed_zeros(x[1:], rng), _with_signed_zeros(y, rng)
     d = du.Dual(x, y)
-    dense = dense_forms.vdot(d, d)
-    assert _same_bits(du.vdot(d, d), dense)
-    assert du.vdot(x, x).tobytes() == dense.val.tobytes()
-    assert not zeros or _has_both_zeros(dense.eps)
+    square = dense_forms.vdot(d, d)
+    assert _same_bits(du.normalize(d), d / du.sqrt(square))
+    assert du.normalize(x).tobytes() == (x / np.sqrt(square.val)).tobytes()
+    assert not zeros or _has_both_zeros(square.eps)
 
 
 ROW_DOT_SHAPES = {
@@ -270,36 +275,6 @@ def test_row_dot_bits_match_the_row_sum_of_the_product(name, dense_forms):
     a_shape, b_shape = ROW_DOT_SHAPES[name]
     a, b = _with_signed_zeros(rng.standard_normal(a_shape), rng), rng.standard_normal(b_shape)
     assert du._row_dot(a, b).tobytes() == dense_forms.row_sum(a * b).tobytes()
-
-
-# Constant columns for vdot: with every coefficient nonzero, or every one
-# zero, the bits are the dense sum's; with some zero, up to the sign of an
-# entry that is exactly zero (as for apply_linear).
-COLUMNS = {
-    "dense": C4,
-    "north": NORTH,
-    "mixed": np.array([[0.0], [0.6], [-0.0], [-0.8]]),
-    "zero": np.array([[0.0], [-0.0], [0.0], [0.0]]),
-}
-
-
-@pytest.mark.parametrize("name", list(COLUMNS))
-def test_vdot_with_a_column_matches_the_dense_product(name, dense_forms):
-    c = COLUMNS[name]
-    exact = np.all(c != 0.0) or np.all(c == 0.0)
-    rng = np.random.default_rng(10)
-    x = rng.uniform(-1.0, 1.0, (4, 1000))
-    y = rng.standard_normal((3, 4, 1000))
-    for zeros in (False, True):
-        if zeros:
-            x, y = _with_signed_zeros(x, rng), _with_signed_zeros(y, rng)
-        d = du.Dual(x, y)
-        lean, dense = du.vdot(d, c), dense_forms.vdot(d, c)
-        # Plain and Dual values keep equal bits.
-        assert du.vdot(x, c).tobytes() == lean.val.tobytes()
-        assert np.array_equal(lean.val, dense.val) and np.array_equal(lean.eps, dense.eps)
-        if exact:
-            assert _same_bits(lean, dense)
 
 
 # Numerator and divisor of Dual / Dual: the normalize shapes, no directions,

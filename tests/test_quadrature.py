@@ -13,7 +13,7 @@ from hopfcap import (
     integrate,
 )
 from hopfcap.geometry import tangent_basis
-from hopfcap.quadrature import _gauss_legendre
+from hopfcap.quadrature import _gauss_legendre, _radial_inverse_cdf
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +168,16 @@ class TestMonteCarloRule:
             r_q = np.quantile(rho, q)
             cdf = (2 * r_q - math.sin(2 * r_q)) / norm
             assert cdf == pytest.approx(q, abs=0.01)
+
+    @pytest.mark.parametrize("radius", [0.1, 1.0, 2.0, math.pi])
+    def test_radial_quantiles_solve_the_cdf(self, north, radius):
+        # The Newton step on the interpolated quantile uses the CDF's slope
+        # 4 sin^2(rho) / (2r - sin 2r); with half that slope the residual
+        # stays near 2e-9.
+        u = np.random.default_rng(13).random(100_000)
+        rho = _radial_inverse_cdf(CapDomain(north, radius), u)
+        cdf = (2.0 * rho - np.sin(2.0 * rho)) / (2.0 * radius - math.sin(2.0 * radius))
+        assert np.max(np.abs(cdf - u)) <= 1e-12
 
     def test_rejects_small_sample(self, north):
         with pytest.raises(ValueError):
