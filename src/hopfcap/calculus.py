@@ -3,10 +3,10 @@
 The covariant derivative on S^3 is obtained from ambient directional
 derivatives of the 0-homogeneous field extension by tangential projection
 (the immersion relation for S^3 in R^4).  ``jet_batch`` differentiates the
-field along the left-invariant tangent basis (i x, j x, k x) and reads
-sigma1, sigma2, the energy density and the volume integrand off the 3x3
-matrix of those derivatives; all four are symmetric functions of grad v,
-so no frame adapted to v is needed.  The points are taken in blocks of
+field along the tangent basis (i x, j x, k x) of left multiplications and
+reads sigma1, sigma2, the energy density and the volume integrand off the
+3x3 matrix of those derivatives; all four are symmetric functions of
+grad v, so no frame adapted to v is needed.  The points are taken in blocks of
 ``JET_BLOCK`` nodes, each block one dual evaluation with value (4, n) and
 tangent (3, 4, n), component-major as in ``dual``, and each block writes its
 four scalars straight into its columns of one (4, N) result.  Every block
@@ -16,9 +16,9 @@ pages for each block.  The jet is elementwise arithmetic in a fixed order,
 with no matrix or cross product and no BLAS call: its bits do not depend on
 the BLAS kernel, and it runs on the calling thread.  Each cofactor is written
 straight from two products of derivative-matrix rows into one (3, 3, n)
-array, with no gathered copies of the matrix.  The adapted frame
-{e1, e2, v} is kept for the independent numeric determinant in
-``displace.frame_matrix``.
+array, with no gathered copies of the matrix.  This module holds no other
+frame: the numeric Jacobian determinant in ``displace`` differentiates along
+its own directions (x i, x j, x k) through ``directional_derivative``.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ FD_STEP = 1e-5
 # and cli.main's allocator thresholds follow from it.
 JET_BLOCK = 8192
 
-_FRAME_MATS = [left_mult_matrix(a) for a in (QUAT_I, QUAT_J, QUAT_K)]
-_FRAME_ROWS = np.concatenate(_FRAME_MATS)  # (12, 4): i x, j x, k x in one product
+# (12, 4): i x, j x, k x in one product
+_FRAME_ROWS = np.concatenate([left_mult_matrix(a) for a in (QUAT_I, QUAT_J, QUAT_K)])
 
 
 def directional_derivative(field: UnitField, points, directions, mode: str = "ad"):
@@ -83,38 +83,6 @@ def _derivative(field: UnitField, x: np.ndarray, y: np.ndarray, mode: str) -> np
 
         return (at(x + FD_STEP * y) - at(x - FD_STEP * y)) / (2.0 * FD_STEP)
     raise ValueError(f"unknown differentiation mode {mode!r}")
-
-
-def adapted_frame_batch(points: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (e1, e2) completing {e1, e2, v} at each point.
-
-    e1 is seeded from whichever of the quaternion frame vectors (i x, j x,
-    k x) is least aligned with v (ties by index order), then projected and
-    normalized; e2 is the 4D cross completion with det(x, e1, e2, v) = +1.
-    """
-    x = np.asarray(points, dtype=float)
-    cands = np.stack([x @ m.T for m in _FRAME_MATS], axis=-2)  # (..., 3, 4)
-    align = np.abs(np.sum(cands * v[..., None, :], axis=-1))
-    pick = np.argmin(align, axis=-1)
-    seed = np.take_along_axis(cands, pick[..., None, None], axis=-2)[..., 0, :]
-    e1 = seed - np.sum(seed * v, axis=-1, keepdims=True) * v
-    e1 = e1 - np.sum(e1 * x, axis=-1, keepdims=True) * x
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-    e2 = _cross4(x, e1, v)
-    e2 /= np.linalg.norm(e2, axis=-1, keepdims=True)
-    det = np.linalg.det(np.stack([x, e1, e2, v], axis=-2))
-    e2 = e2 * np.sign(det)[..., None]
-    return e1, e2
-
-
-def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Vector orthogonal to a, b, c in R^4 (sign fixed by the caller)."""
-    m = np.stack([a, b, c], axis=-2)  # (..., 3, 4)
-    comps = []
-    for i in range(4):
-        cols = [j for j in range(4) if j != i]
-        comps.append((-1.0) ** i * np.linalg.det(m[..., cols]))
-    return np.stack(comps, axis=-1)
 
 
 @dataclass(frozen=True)

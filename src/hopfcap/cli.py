@@ -203,9 +203,12 @@ def cmd_verify(args: argparse.Namespace) -> Callable[[], int]:
     cap = _make_cap(args)
     path = _resolve_output(args, "verify.json")
     field = _make_field(args, cap)
-    # The small-cap report has no image-volume rows, so it reads no offsets.
+    # The small-cap and twisted reports have no image-volume rows, so they
+    # read no offsets.
     if args.field == "small-cap":
         _reject(_given(args, "t_grid"), "--field small-cap")
+    if args.twist == "angular":
+        _reject(_given(args, "t_grid"), "--twist angular")
     vconf = VerifyConfig(
         field=field,
         rule=_make_rule(args, cap),

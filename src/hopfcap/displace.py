@@ -1,11 +1,23 @@
 """The translated-point map x -> x + t v(x) and its Jacobian determinant.
 
 For a unit tangent field v the map carries S^3 onto the sphere of radius
-sqrt(1 + t^2) and, for small t, is a diffeomorphism.  Its determinant in
-adapted frames is sqrt(1 + t^2) (1 + sigma1 t + sigma2 t^2); this module
-computes it both from that closed form and from a numeric 3x3 frame matrix,
-both with AD derivatives, and integrates it to the image volume of the
-rule's domain.
+sqrt(1 + t^2) and, for small t, is a diffeomorphism.  Its determinant is
+sqrt(1 + t^2) (1 + sigma1 t + sigma2 t^2); this module computes it both from
+that closed form, read off the jet, and as one numeric 4x4 determinant, and
+integrates it to the image volume of the rule's domain.
+
+The numeric route puts the unit normal n = (x + t v) / sqrt(1 + t^2) of the
+image sphere above the differential dphi(e) = e + t Dv[e] along the frame
+(x i, x j, x k).  Each dphi(e) is tangent to the image sphere, so the
+determinant is the signed volume of dphi in that tangent space, oriented
+by n.  The rows x, x i, x j, x k are the images of 1, i, j, k under
+multiplication by the unit quaternion x, which is orthogonal, so their
+determinant is +-1; it is +1 at x = 1 and continuous on the connected S^3,
+so it is +1 at every point.  The frame therefore needs no orientation fix,
+and the determinant is positive exactly where the map is a local
+diffeomorphism.  The jet differentiates along (i x, j x, k x) instead, so
+the two routes share the field's dual evaluation but neither directions
+nor algebra.
 """
 
 from __future__ import annotations
@@ -15,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import JetBatch, adapted_frame_batch, directional_derivative, jet_batch
+from .calculus import JetBatch, directional_derivative, jet_batch
 from .fields import UnitField
-from .geometry import CapDomain
+from .geometry import QUAT_I, QUAT_J, QUAT_K, CapDomain, quat_mul
 from .quadrature import QuadratureRule, integrate
 
 T_MAX = 0.5
@@ -46,23 +58,13 @@ def jacobian_det_analytic(dm: DisplacementMap, points):
     return math.sqrt(1.0 + t * t) * (1.0 + jets.sigma1 * t + jets.sigma2 * t * t)
 
 
-def frame_matrix(dm: DisplacementMap, points: np.ndarray) -> np.ndarray:
-    """(..., 3, 3) matrix of the differential in frames {e1,e2,v} -> {e1,e2,u}."""
-    x = np.asarray(points, dtype=float)
-    v = dm.field(x)
-    e1, e2 = adapted_frame_batch(x, v)
-    u = (v - dm.t * x) / dm.image_radius()
-    frame = np.stack([e1, e2, v])                    # (3, N, 4) domain frame
-    image_frame = np.stack([e1, e2, u], axis=-2)     # (N, 3, 4) image frame rows
-    deriv = directional_derivative(dm.field, x, frame)
-    # d(phi)(e_a) = e_a + t Dv[e_a] in ambient coordinates.
-    dphi = np.moveaxis(frame + dm.t * deriv, 0, -2)
-    return np.einsum("...ai,...bi->...ab", dphi, image_frame)
-
-
 def jacobian_det_numeric(dm: DisplacementMap, points):
-    """Determinant of the numeric frame matrix; <= 0 flags a folded map."""
-    return np.linalg.det(frame_matrix(dm, points))
+    """det[n; dphi(x i); dphi(x j); dphi(x k)] at each point; <= 0 flags a folded map."""
+    x = np.asarray(points, dtype=float)
+    frame = np.stack([quat_mul(x, q) for q in (QUAT_I, QUAT_J, QUAT_K)])  # (3, ..., 4)
+    dphi = frame + dm.t * directional_derivative(dm.field, x, frame)
+    normal = (x + dm.t * dm.field(x)) / dm.image_radius()
+    return np.linalg.det(np.stack([normal, *dphi], axis=-2))
 
 
 def image_volume(dm: DisplacementMap, cap: CapDomain, rule: QuadratureRule) -> tuple[float, float]:

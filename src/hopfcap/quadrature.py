@@ -25,14 +25,13 @@ WEIGHT_SUM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for one cap, with error metadata."""
+    """Nodes and weights for one cap."""
 
     nodes: np.ndarray    # (N, 4) points on S^3, strictly inside the cap
     weights: np.ndarray  # (N,) volume-measure weights
     domain: CapDomain
     kind: str            # "gauss" | "montecarlo"
     orders: tuple        # (n_rho, n_theta, n_phi) or (n_samples,)
-    estimated_error: float
 
     @property
     def size(self) -> int:
@@ -121,7 +120,6 @@ def build_gauss_rule(cap: CapDomain, n_rho: int, n_theta: int, n_phi: int) -> Qu
         domain=cap,
         kind="gauss",
         orders=(n_rho, n_theta, n_phi),
-        estimated_error=abs(total - vol) + 1e-14 * vol,
     )
 
 
@@ -157,7 +155,6 @@ def build_mc_rule(cap: CapDomain, n_samples: int, seed: int) -> QuadratureRule:
         domain=cap,
         kind="montecarlo",
         orders=(n_samples,),
-        estimated_error=vol / math.sqrt(n_samples),
     )
 
 
@@ -166,8 +163,8 @@ def integrate(rule: QuadratureRule, f) -> tuple[float, float]:
 
     ``f`` maps an (N, 4) array of points to (N,) scalars.  The reduction is
     numpy's fixed-order pairwise sum, bit-reproducible for a given rule.
-    Gauss rules report a roundoff-level estimate; Monte Carlo rules report
-    the standard error of the sample mean.
+    Gauss rules report the roundoff term eps * sum |w f|; Monte Carlo rules
+    report the standard error of the sample mean.
     """
     fx = np.asarray(f(rule.nodes), dtype=float)
     if fx.shape != (rule.size,):
@@ -182,5 +179,5 @@ def integrate(rule: QuadratureRule, f) -> tuple[float, float]:
         vol = cap_volume(rule.domain)
         err = float(vol * np.std(fx) / math.sqrt(rule.size))
     else:
-        err = float(np.finfo(float).eps * np.sum(np.abs(wfx))) + rule.estimated_error
+        err = float(np.finfo(float).eps * np.sum(np.abs(wfx)))
     return value, err

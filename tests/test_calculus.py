@@ -14,13 +14,13 @@ from hopfcap import (
     SpherePoint,
     UnitField,
     hopf_field,
+    jacobian_det_numeric,
     jet_batch,
     perturbed_field,
     small_cap_field,
 )
 from hopfcap import dual as du
-from hopfcap.calculus import adapted_frame_batch, directional_derivative
-from hopfcap.displace import frame_matrix
+from hopfcap.calculus import directional_derivative
 from hopfcap.geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix, random_sphere_points
 from hopfcap.quadrature import build_gauss_rule
 
@@ -143,44 +143,34 @@ class TestCovariantDerivative:
             assert np.max(np.linalg.norm(gauss - d, axis=-1)) < 1e-9
 
 
-class TestAdaptedFrame:
-    def test_orthonormal_gram(self):
-        pts = random_sphere_points(500, 11)
-        v = hopf_field()(pts)
-        e1, e2 = adapted_frame_batch(pts, v)
-        basis = np.stack([e1, e2, v], axis=-2)
-        gram = np.einsum("nai,nbi->nab", basis, basis)
-        assert np.max(np.abs(gram - np.eye(3))) < 1e-12
-        assert np.max(np.abs(np.einsum("nai,ni->na", basis, pts))) < 1e-12
+def gram_schmidt_frame(pts, v):
+    """Orthonormal (e1, e2) completing {e1, e2, v} in the tangent space at pts.
 
-    def test_orientation_positive(self):
-        pts = random_sphere_points(500, 12)
-        v = hopf_field()(pts)
-        e1, e2 = adapted_frame_batch(pts, v)
-        dets = np.linalg.det(np.stack([pts, e1, e2, v], axis=-2))
-        assert np.max(np.abs(dets - 1.0)) < 1e-10
-
-    def test_continuity_along_short_path(self):
-        # Step-to-step frame jump stays small while the seed choice is stable.
-        h = hopf_field()
-        p = np.array([1.0, 0, 0, 0])
-        w = np.array([0.0, 0, 1.0, 0])
-        s = np.linspace(0, 0.2, 401)[:, None]
-        path = np.cos(s) * p + np.sin(s) * w
-        e1, e2 = adapted_frame_batch(path, h(path))
-        assert np.max(np.linalg.norm(np.diff(e1, axis=0), axis=-1)) < 1e-3
-        assert np.max(np.linalg.norm(np.diff(e2, axis=0), axis=-1)) < 1e-3
+    Gram-Schmidt against v on the two of (i x, j x, k x) least aligned with
+    v.  The third is the most aligned, so its coefficient in v is at least
+    1/sqrt(3) and neither step degenerates.  No orientation is fixed: the
+    sign of e2 changes no invariant.
+    """
+    cands = np.stack([pts @ left_mult_matrix(q).T for q in (QUAT_I, QUAT_J, QUAT_K)], axis=1)
+    order = np.argsort(np.abs(np.einsum("nci,ni->nc", cands, v)), axis=1)
+    frame = [v]
+    for k in range(2):
+        e = np.take_along_axis(cands, order[:, k, None, None], axis=1)[:, 0]
+        for f in frame:
+            e = e - np.sum(e * f, axis=-1, keepdims=True) * f
+        frame.append(e / np.linalg.norm(e, axis=-1, keepdims=True))
+    return frame[1], frame[2]
 
 
 def frame_based_invariants(field, pts):
-    """The four invariants by the adapted-frame route, as an oracle for jet_batch.
+    """The four invariants by an adapted-frame route, as an oracle for jet_batch.
 
     Derivatives along the frame {e1, e2, v}, projected to the tangent space;
     the 2x2 block h on v-perp, the acceleration grad_v v and the sum of the
     squared wedge norms of the derivative pairs.
     """
     v = np.asarray(field(pts))
-    e1, e2 = adapted_frame_batch(pts, v)
+    e1, e2 = gram_schmidt_frame(pts, v)
     frame = np.stack([e1, e2, v])  # (3, N, 4)
     d = directional_derivative(field, pts, frame)
     nabla = d - np.sum(d * pts, axis=-1, keepdims=True) * pts
@@ -228,10 +218,8 @@ class TestFieldJet:
 
     def test_kernel_builds_no_frame(self, cap, monkeypatch):
         def refuse(*_args, **_kwargs):
-            raise AssertionError("jet_batch built an adapted frame")
+            raise AssertionError("jet_batch took a determinant")
 
-        monkeypatch.setattr("hopfcap.calculus.adapted_frame_batch", refuse)
-        monkeypatch.setattr("hopfcap.calculus._cross4", refuse)
         monkeypatch.setattr(np.linalg, "det", refuse)
         jets = jet_batch(perturbed_field(cap, BumpProfile(0.5, 3)), random_sphere_points(50, 23))
         for attr in INVARIANTS:
@@ -290,9 +278,9 @@ def recording(field):
     "differentiate",
     [
         lambda f, pts: jet_batch(f, pts),
-        lambda f, pts: frame_matrix(DisplacementMap(f, 0.2), pts),
+        lambda f, pts: jacobian_det_numeric(DisplacementMap(f, 0.2), pts),
     ],
-    ids=["jet_batch", "frame_matrix"],
+    ids=["jet_batch", "jacobian_det_numeric"],
 )
 def test_one_dual_evaluation_carries_three_directions(cap, differentiate):
     # The value is seeded once, as (4, N); the three directions ride on eps.

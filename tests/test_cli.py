@@ -49,10 +49,12 @@ class TestVerifyCommand:
         assert "image_volume_t0.1" in names
 
     def test_twisted_perturbed_passes_without_image_volume(self, tmp_path):
-        code, out = run_verify(
-            tmp_path, "--field", "perturbed", "--amplitude", "1.2",
-            "--exponent", "2", "--twist", "angular",
-        )
+        # A twisted field reads no offsets, so FAST's --t-grid is left out.
+        out = tmp_path / "report.json"
+        code = main([
+            "verify", "--output", str(out), "--orders", "24,12,24", "--field", "perturbed",
+            "--amplitude", "1.2", "--exponent", "2", "--twist", "angular",
+        ])
         assert code == 0
         names = [r["name"] for r in json.loads(out.read_text())]
         assert not any(n.startswith("image_volume") for n in names)
@@ -328,6 +330,7 @@ class TestInputValidation:
             ["verify", "--field", "small-cap", "--t-grid", "0.1"],
             ["sweep", "--samples", "7"],
             ["functionals", "--rule", "montecarlo", "--samples", "5000", "--orders", "8,8,8,8"],
+            ["verify", "--field", "perturbed", "--twist", "angular", "--t-grid", "0.1"],
         ],
     )
     def test_flag_the_field_or_rule_ignores_is_rejected(self, argv, no_compute, capsys):

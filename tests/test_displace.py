@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from hopfcap import (
     jacobian_det_numeric,
     perturbed_field,
 )
-from hopfcap.displace import frame_matrix
+from hopfcap import displace
 from hopfcap.geometry import random_sphere_points
 
 
@@ -35,21 +36,6 @@ class TestDisplacementMap:
         for t in (-0.1, 0.6):
             with pytest.raises(ValueError):
                 DisplacementMap(hopf_field(), t)
-
-
-class TestShiftedUnitField:
-    """u = (v - t x) / sqrt(1 + t^2), the third image-frame vector of frame_matrix."""
-
-    def test_differential_along_field_direction(self, smooth_fields):
-        # <dphi(v), u> = sqrt(1 + t^2); <dphi(e_i), u> = 0.
-        pts = random_sphere_points(500, 32)
-        for f in smooth_fields:
-            for t in (0.1, 0.3):
-                dm = DisplacementMap(f, t)
-                m = frame_matrix(dm, pts)
-                assert np.max(np.abs(m[:, 2, 2] - math.sqrt(1 + t * t))) < 1e-10
-                assert np.max(np.abs(m[:, 0, 2])) < 1e-8
-                assert np.max(np.abs(m[:, 1, 2])) < 1e-8
 
 
 class TestJacobianDeterminant:
@@ -90,6 +76,31 @@ class TestJacobianDeterminant:
             n = jacobian_det_numeric(dm, pts[:100])
             worst = max(worst, np.max(np.abs(a - n) / np.abs(n)))
         assert worst < 1e-6
+
+    def test_numeric_route_runs_no_jet_kernel(self, cap, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("jacobian_det_numeric ran the jet kernel")
+
+        monkeypatch.setattr("hopfcap.calculus._jet_block", refuse)
+        dm = DisplacementMap(perturbed_field(cap, BumpProfile(0.5, 3)), 0.2)
+        det = jacobian_det_numeric(dm, random_sphere_points(50, 39))
+        assert det.shape == (50,)
+
+    def test_numeric_route_catches_a_flipped_sigma1(self, cap, monkeypatch):
+        # A jet whose sigma1 has the wrong sign leaves the numeric
+        # determinant alone, so the two routes part.
+        dm = DisplacementMap(perturbed_field(cap, BumpProfile(0.5, 3)), 0.2)
+        pts = random_sphere_points(2000, 40)
+        numeric = jacobian_det_numeric(dm, pts)
+        assert np.max(np.abs(jacobian_det_analytic(dm, pts) - numeric)) < 1e-12
+        jet_batch = displace.jet_batch
+
+        def flipped(*args, **kwargs):
+            jets = jet_batch(*args, **kwargs)
+            return dataclasses.replace(jets, sigma1=-jets.sigma1)
+
+        monkeypatch.setattr(displace, "jet_batch", flipped)
+        assert np.max(np.abs(jacobian_det_analytic(dm, pts) - numeric)) > 0.1
 
     def test_positive_for_smooth_fields_at_small_t(self, smooth_fields):
         pts = random_sphere_points(2000, 38)
