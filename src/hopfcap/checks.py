@@ -46,6 +46,7 @@ GAUSS_ORDERS = (64, 32, 64)
 AMPLITUDE = 0.5  # of the perturbed field in verify and functionals
 MC_SAMPLES = 20_000
 T_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
+IMAGE_VOLUME_ROW = "image_volume_t{:g}"  # report row name at offset t
 SWEEP_AMPLITUDES = (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)
 
 
@@ -172,12 +173,14 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
 
 
 def sweep_grid(amplitudes) -> np.ndarray:
-    """The sorted amplitude grid of a sweep; each must be a bump amplitude, and exactly 0, the Hopf field, is one."""
+    """The sorted grid of distinct bump amplitudes (-0.0 is 0.0) of a sweep; exactly 0, the Hopf field, is one."""
     amps = np.asarray(sorted(float(a) for a in amplitudes))
     for a in amps:
         BumpProfile(a)
     if not np.any(amps == 0.0):
         raise ValueError("amplitude grid must include 0")
+    if np.any(np.diff(amps) == 0.0):
+        raise ValueError(f"amplitude grid repeats a value: {amps.tolist()}")
     return amps
 
 
@@ -319,6 +322,9 @@ class VerifyConfig:
         # Checked here so a bad configuration fails before any jet is built.
         if not all(0.0 <= t <= T_MAX for t in self.t_grid):
             raise ValueError(f"offsets t must lie in [0, {T_MAX}], got {list(self.t_grid)}")
+        names = [IMAGE_VOLUME_ROW.format(t) for t in self.t_grid]
+        if len(set(names)) < len(names):
+            raise ValueError(f"offsets {list(self.t_grid)} give report rows of the same name: {names}")
         if self.field.label != "small-cap":
             _require_hopf_boundary(self.field, self.rule.domain)
         elif self.rule.kind != "gauss":
@@ -368,5 +374,5 @@ def _field_reports(config: VerifyConfig) -> list[CheckReport]:
             t_ctx["det_floor_rejection"] = str(exc)
             val = None
         target = vol_k * (1.0 + t * t) ** 1.5
-        reports.append(_report(f"image_volume_t{t:g}", val, target, TOL_INTEGRAL_REL, "rel", t_ctx))
+        reports.append(_report(IMAGE_VOLUME_ROW.format(t), val, target, TOL_INTEGRAL_REL, "rel", t_ctx))
     return reports

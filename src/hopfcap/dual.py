@@ -5,9 +5,11 @@ A ``Dual`` carries a value ``val`` and derivatives ``eps`` of shape
 ``val`` from the right, so the value is computed once for every seeded
 direction (vector forward mode); ``dirs`` may be empty.  A plain operand of
 ``+`` or ``-`` must broadcast to ``val``.  Field evaluators are written
-against the small function set below (``sqrt``, ``sincos``, ``arccos``,
-``arctan2``, ``apply_linear``, ``normalize``, ...) so a single code path
-serves both plain evaluation and exact forward-mode differentiation.
+against the small function set below, one body each, for a Dual.  A plain
+evaluation is a Dual with no directions, ``plain(x)``, so a value has the
+same bits whether or not it is differentiated.  ``apply_linear`` also
+takes plain points, through the same kernel: the jet forms its seed
+directions with it.
 
 Vectors are stored component-major: a batch of n points in R^4 is a (4, n)
 array, one row per component, and its derivatives are (dirs..., 4, n).
@@ -22,7 +24,7 @@ at a quaternion basis axis (a signed permutation) is one multiply per row.
 ``_row_dot`` sums the rowwise products of two arrays, the squared norm in
 ``normalize``.
 
-A few operations form each intermediate once, with the bits of the plain
+A few operations form each intermediate once, with the bits of the dense
 formula:
 
 * ``normalize`` forms the squared norm's eps as 2 * sum_j val_j * eps_j,
@@ -98,44 +100,40 @@ class Dual:
         return Dual(self.val**n, n * self.val ** (n - 1) * self.eps)
 
 
+def plain(x):
+    """Points ``x`` as a ``Dual`` with no derivative directions: eps is (0,) + val.shape."""
+    val = np.asarray(x, dtype=float)
+    return Dual(val, np.empty((0,) + val.shape))
+
+
 def sqrt(x):
-    if isinstance(x, Dual):
-        r = np.sqrt(x.val)
-        return Dual(r, 0.5 / r * x.eps)
-    return np.sqrt(x)
+    r = np.sqrt(x.val)
+    return Dual(r, 0.5 / r * x.eps)
 
 
 def sincos(x):
     """(sin x, cos x) from one ``np.sin`` and one ``np.cos`` of the value."""
-    if isinstance(x, Dual):
-        s, c = np.sin(x.val), np.cos(x.val)
-        return Dual(s, c * x.eps), Dual(c, -s * x.eps)
-    return np.sin(x), np.cos(x)
+    s, c = np.sin(x.val), np.cos(x.val)
+    return Dual(s, c * x.eps), Dual(c, -s * x.eps)
 
 
 def arccos(x):
     """Arc cosine with clipped values and a floored derivative denominator."""
-    if isinstance(x, Dual):
-        v = np.clip(x.val, -1.0, 1.0)
-        denom = np.sqrt(np.maximum(1.0 - v * v, _DENOM_FLOOR))
-        return Dual(np.arccos(v), -x.eps / denom)
-    return np.arccos(np.clip(x, -1.0, 1.0))
+    v = np.clip(x.val, -1.0, 1.0)
+    denom = np.sqrt(np.maximum(1.0 - v * v, _DENOM_FLOOR))
+    return Dual(np.arccos(v), -x.eps / denom)
 
 
 def arctan2(y, x):
-    """Arc tangent of y / x, for two Duals or two plain arrays."""
-    if isinstance(y, Dual):
-        denom = np.maximum(x.val * x.val + y.val * y.val, _DENOM_FLOOR)
-        return Dual(np.arctan2(y.val, x.val), (x.val * y.eps - y.val * x.eps) / denom)
-    return np.arctan2(y, x)
+    """Arc tangent of y / x for two Duals."""
+    denom = np.maximum(x.val * x.val + y.val * y.val, _DENOM_FLOOR)
+    return Dual(np.arctan2(y.val, x.val), (x.val * y.eps - y.val * x.eps) / denom)
 
 
 def relu(x):
     """max(x, 0); derivative taken as 0 on the inactive side."""
-    if isinstance(x, Dual):
-        active = x.val > 0.0
-        return Dual(np.where(active, x.val, 0.0), np.where(active, x.eps, 0.0))
-    return np.maximum(x, 0.0)
+    active = x.val > 0.0
+    return Dual(np.where(active, x.val, 0.0), np.where(active, x.eps, 0.0))
 
 
 def _linear(m, x):
@@ -182,9 +180,7 @@ def apply_linear(matrix, x):
 
 
 def normalize(x):
-    """Scale component-major (..., 4, n) vectors to unit length."""
-    if isinstance(x, Dual):
-        eps = _row_dot(x.val, x.eps)
-        eps *= 2.0
-        return x / sqrt(Dual(_row_dot(x.val, x.val), eps))
-    return x / sqrt(_row_dot(x, x))
+    """Scale the component-major (..., 4, n) vectors of a Dual to unit length."""
+    eps = _row_dot(x.val, x.eps)
+    eps *= 2.0
+    return x / sqrt(Dual(_row_dot(x.val, x.val), eps))

@@ -10,13 +10,13 @@ Three built-in families:
   vector from the cap center; has small covariant derivative on small caps
   and ignores the boundary condition.
 
-Every evaluator takes points component-major, as a (4, n) array or a
-``Dual`` with value (4, n), and returns tangent vectors in the same layout;
-constant vectors enter as (4, 1) columns, or as (1, 4) rows in a dot
-product.  Calling a ``UnitField`` on plain points takes and returns
-(..., 4) arrays instead.  Every evaluator is 0-homogeneous: the input is
-normalized before use, so ambient directional derivatives are well-defined
-off the sphere.
+Every evaluator takes a ``Dual`` of component-major points, value
+(..., 4, n), and returns the tangent vectors as a ``Dual`` in the same
+layout; constant vectors enter as (4, 1) columns, or as (1, 4) rows in a
+dot product.  Calling a ``UnitField`` on plain (..., 4) points evaluates
+it on ``dual.plain`` points and returns the value in that shape.  Every
+evaluator is 0-homogeneous: the input is normalized before use, so
+ambient directional derivatives are well-defined off the sphere.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .geometry import CapDomain, left_mult_matrix, quat_mul, tangent_basis
 class UnitField:
     """Closed-form unit tangent field v: S^3 -> T S^3.
 
-    ``evaluator`` maps component-major (4, n) points (plain or Dual) to
-    tangent vectors of the same layout.  ``hopf_boundary`` records where the
+    ``evaluator`` maps a Dual of component-major (4, n) points to a Dual of
+    tangent vectors in the same layout.  ``hopf_boundary`` records where the
     field is known to coincide with a Hopf field: "everywhere", a CapDomain
     (on and outside its boundary), or None.
     """
@@ -49,11 +49,14 @@ class UnitField:
     def __call__(self, x):
         """The field at a component-major ``Dual``, or at plain points of
         shape (..., 4), returned in that shape."""
-        if isinstance(x, du.Dual):
-            return self.evaluator(x)
-        x = np.asarray(x, dtype=float)
-        v = self.evaluator(np.ascontiguousarray(x.reshape(-1, 4).T))
-        return np.ascontiguousarray(np.asarray(v).T).reshape(x.shape)
+        plain = not isinstance(x, du.Dual)
+        if plain:
+            x = np.asarray(x, dtype=float)
+            shape, x = x.shape, du.plain(np.ascontiguousarray(x.reshape(-1, 4).T))
+        v = self.evaluator(x)
+        if not isinstance(v, du.Dual):
+            raise TypeError(f"field {self.label!r} does not return dual numbers")
+        return np.ascontiguousarray(v.val.T).reshape(shape) if plain else v
 
 
 def _check_axis(axis) -> np.ndarray:

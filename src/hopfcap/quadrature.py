@@ -169,9 +169,9 @@ def integrate(rule: QuadratureRule, f) -> tuple[float, float]:
     fx = np.asarray(f(rule.nodes), dtype=float)
     if fx.shape != (rule.size,):
         raise ValueError(f"integrand returned shape {fx.shape}, expected ({rule.size},)")
-    bad = ~np.isfinite(fx)
-    if bad.any():
-        i = int(np.argmax(bad))
+    finite = np.isfinite(fx)
+    if not finite.all():
+        i = int(np.argmin(finite))
         raise ValueError(f"non-finite integrand value {fx[i]} at node {i}: {rule.nodes[i]}")
     wfx = rule.weights * fx
     value = float(np.sum(wfx))
@@ -179,5 +179,6 @@ def integrate(rule: QuadratureRule, f) -> tuple[float, float]:
         vol = cap_volume(rule.domain)
         err = float(vol * np.std(fx) / math.sqrt(rule.size))
     else:
-        err = float(np.finfo(float).eps * np.sum(np.abs(wfx)))
+        # |w f| overwrites w f, read only by the sum above: one N-length temporary.
+        err = float(np.finfo(float).eps * np.sum(np.abs(wfx, out=wfx)))
     return value, err

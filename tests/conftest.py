@@ -58,11 +58,9 @@ def _dense_row_sum(p):
 
 
 def _dense_vdot(a, b):
-    """Row sums of the full product ``a * b``, for any operands."""
+    """Row sums of the full product ``a * b`` of two Duals."""
     p = a * b
-    if isinstance(p, du.Dual):
-        return du.Dual(_dense_row_sum(p.val), _dense_row_sum(p.eps))
-    return _dense_row_sum(p)
+    return du.Dual(_dense_row_sum(p.val), _dense_row_sum(p.eps))
 
 
 def _dense_truediv(a, b):
@@ -74,13 +72,11 @@ def _dense_truediv(a, b):
 
 
 def _dense_sincos(x):
-    """Sine and cosine as two separate evaluations, each calling sin and cos."""
-    if isinstance(x, du.Dual):
-        return (
-            du.Dual(np.sin(x.val), np.cos(x.val) * x.eps),
-            du.Dual(np.cos(x.val), -np.sin(x.val) * x.eps),
-        )
-    return np.sin(x), np.cos(x)
+    """Sine and cosine of a Dual as two separate evaluations, each calling sin and cos."""
+    return (
+        du.Dual(np.sin(x.val), np.cos(x.val) * x.eps),
+        du.Dual(np.cos(x.val), -np.sin(x.val) * x.eps),
+    )
 
 
 @pytest.fixture(scope="session")

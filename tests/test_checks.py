@@ -117,6 +117,12 @@ class TestChangeOfVariables:
         assert [r.name for r in reports] == ["image_volume_t0.1", "image_volume_t0.2", "image_volume_t0.3"]
         assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("t_grid", [(0.1, 0.1), (0.1, 0.1000001)])
+    def test_offsets_sharing_a_row_name_rejected(self, cap, t_grid):
+        # Report rows are keyed by name; t = 0.1000001 prints as t0.1.
+        with pytest.raises(ValueError, match="same name"):
+            verify_config(cap, hopf_field(), (16, 8, 16), t_grid=t_grid)
+
     def test_twisted_field_reports_rejection(self, cap):
         # run_all gives twisted fields no image-volume rows (they fold for
         # every t > 0), so a large untwisted bump folds the map instead.
@@ -141,6 +147,13 @@ class TestSweep:
 
     def test_negative_zero_counts_as_zero(self):
         assert list(sweep_grid((0.5, -0.0))) == [0.0, 0.5]
+
+    @pytest.mark.parametrize("grid", [(0.0, 0.0, 0.5), (-0.0, 0.0, 0.5), (0.0, 0.5, 0.5)])
+    def test_repeated_amplitude_rejected(self, cap, coarse_rule, grid):
+        # A repeat makes a zero-width refinement bracket, so no golden-section
+        # step would run and the location check would pass unexamined.
+        with pytest.raises(ValueError, match="repeats"):
+            sweep_family(cap, grid, coarse_rule)
 
     def test_argmin_at_zero_and_refinement(self, cap, coarse_rule):
         result = sweep_family(cap, (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0), coarse_rule)

@@ -358,6 +358,12 @@ class TestInputValidation:
             (["sweep", "--amplitudes", "nan,0", "--orders", "16,8,16"], "nan"),
             (["verify", "--orders", "8,4,8"], "(8, 4, 8)"),
             (["functionals", "--orders", "12,6,12"], "(12, 6, 12)"),
+            # Offsets whose rows would share a name, and a repeated amplitude
+            # (-0 is 0), whose refinement bracket would have zero width.
+            (["verify", "--field", "perturbed", "--orders", "16,8,16", "--t-grid", "0.1,0.1000001"],
+             "'image_volume_t0.1', 'image_volume_t0.1'"),
+            (["sweep", "--orders", "16,8,16", "--amplitudes", "0,0,0.5"], "repeats"),
+            (["sweep", "--orders", "16,8,16", "--amplitudes=-0,0,0.5"], "repeats"),
         ],
     )
     def test_bad_value_exits_two_naming_it(self, argv, named, no_compute, capsys):

@@ -32,7 +32,7 @@ def sincos_part(k):
 def test_unary_matches_finite_differences(func, dfunc_name):
     x = np.linspace(0.2, 2.5, 17)
     out = func(du.Dual(x, np.ones_like(x)))
-    ref = fd(func, x)
+    ref = fd(lambda p: func(du.plain(p)).val, x)
     assert np.allclose(out.eps, ref, atol=1e-8)
 
 
@@ -206,6 +206,13 @@ OPERATIONS = {
 }
 
 
+def test_plain_has_no_directions():
+    x = np.arange(8.0).reshape(4, 2)
+    p = du.plain(x)
+    assert p.eps.shape == (0, 4, 2)
+    assert np.array_equal(p.val, x)
+
+
 @pytest.mark.parametrize("name", list(OPERATIONS))
 def test_stacked_directions_match_single_directions(name):
     # eps of shape (3, 4, N) against val of shape (4, N): each direction's
@@ -257,7 +264,7 @@ def test_normalize_bits_match_the_dense_self_product(zeros, dense_forms):
     d = du.Dual(x, y)
     square = dense_forms.vdot(d, d)
     assert _same_bits(du.normalize(d), d / du.sqrt(square))
-    assert du.normalize(x).tobytes() == (x / np.sqrt(square.val)).tobytes()
+    assert du.normalize(du.plain(x)).val.tobytes() == du.normalize(d).val.tobytes()
     assert not zeros or _has_both_zeros(square.eps)
 
 
@@ -311,5 +318,5 @@ def test_sincos_bits_match_separate_sin_and_cos(dense_forms):
     d = du.Dual(x, _with_signed_zeros(rng.standard_normal((3, 1, 1000)), rng))
     for lean, dense in zip(du.sincos(d), dense_forms.sincos(d)):
         assert _same_bits(lean, dense)
-    for lean, dense in zip(du.sincos(x), dense_forms.sincos(x)):
-        assert lean.tobytes() == dense.tobytes()
+    for lean, dense in zip(du.sincos(du.plain(x)), dense_forms.sincos(du.plain(x))):
+        assert _same_bits(lean, dense)

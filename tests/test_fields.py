@@ -206,6 +206,23 @@ class TestSmallCapField:
         assert mean < 0.1
 
 
+@pytest.mark.parametrize("name", ["hopf", "perturbed", "twisted", "small-cap"])
+def test_plain_values_are_the_bits_of_a_differentiated_evaluation(cap, name):
+    # A plain evaluation runs the same dual operations as AD, with no
+    # directions, so the value does not depend on being differentiated.
+    f = {
+        "hopf": hopf_field(),
+        "perturbed": perturbed_field(cap, BumpProfile(0.5, 3)),
+        "twisted": perturbed_field(cap, BumpProfile(1.2, 2), twist="angular"),
+        "small-cap": small_cap_field(CapDomain(cap.center, 0.3)),
+    }[name]
+    pts = random_sphere_points(5000, 31)
+    x = np.ascontiguousarray(pts.T)
+    y = np.random.default_rng(32).standard_normal((3,) + x.shape)
+    ad = f(du.Dual(x, y)).val
+    assert f(pts).tobytes() == np.ascontiguousarray(ad.T).tobytes()
+
+
 def test_all_fields_unit_tangent_on_sobol_samples(cap):
     pts = sobol_sphere_points(2**17, seed=21)  # power of 2 keeps Sobol balanced
     fields = [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,3 +208,20 @@ class TestIntegrate:
         val, err = integrate(rule, lambda x: np.full(len(x), 3.0))
         assert val == pytest.approx(3.0 * cap_volume(cap), rel=1e-12)
         assert err < 1e-10
+
+    def test_holds_one_node_length_temporary(self, north):
+        # The Gauss error term overwrites w f with |w f|, and the finiteness
+        # test is one boolean mask: the peak is w f plus N bytes, not two
+        # float64 temporaries.  The bits are those of the plain formulas.
+        rule = build_gauss_rule(CapDomain(north, 1.0), 64, 32, 64)
+        fx = np.cos(3.0 * rule.nodes[:, 1]) - 0.2
+        tracemalloc.start()
+        try:
+            value, err = integrate(rule, lambda _x: fx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * rule.size
+        wfx = rule.weights * fx
+        assert value == float(np.sum(wfx))
+        assert err == float(np.finfo(float).eps * np.sum(np.abs(wfx)))
