@@ -14,9 +14,13 @@ allocates and frees the same temporaries, so a process that keeps freed
 memory mapped (``cli.main`` does) reuses them instead of faulting fresh
 pages for each block.  The jet is elementwise arithmetic in a fixed order,
 with no matrix or cross product and no BLAS call: its bits do not depend on
-the BLAS kernel, and it runs on the calling thread.  Each cofactor is written
-straight from two products of derivative-matrix rows into one (3, 3, n)
-array, with no gathered copies of the matrix.  This module holds no other
+the BLAS kernel, and it runs on the calling thread.  Every sum of products
+in it is one of the two kernels of ``dual``: ``_linear`` (a constant matrix,
+the basis) or ``row_dot`` (a rowwise dot: the derivative matrix and the
+squared norms of it and its cofactors); the two traces are explicit adds.
+Each cofactor is written straight from two products of derivative-matrix
+entries into one (3, 3, n) array, with no gathered copies of the matrix.
+This module holds no other
 frame: the numeric Jacobian determinant in ``displace`` differentiates along
 its own directions (x i, x j, x k) through ``directional_derivative``.
 """
@@ -137,9 +141,7 @@ def _jet_block(
         basis[0], basis[1] = cos * basis[0] + sin * basis[1], -sin * basis[0] + cos * basis[1]
     deriv = _derivative(field, x, basis, mode)
     # grad[a, b] = <D_{e_a} v, e_b>: the component rows summed in order.
-    grad = deriv[:, None, 0] * basis[None, :, 0]
-    for i in range(1, 4):
-        grad += deriv[:, None, i] * basis[None, :, i]
+    grad = du.row_dot(deriv[:, None], basis[None, :]).reshape(3, 3, -1)
     # Row a of the cofactor matrix is grad[a + 1] x grad[a + 2], cyclically:
     # cof[a, b] = grad[a+1, b+1] grad[a+2, b+2] - grad[a+1, b+2] grad[a+2, b+1].
     cof = np.empty_like(grad)
@@ -152,18 +154,10 @@ def _jet_block(
     sigma1, sigma2, energy_density, volume_integrand = out
     np.add(grad[0, 0] + grad[1, 1], grad[2, 2], out=sigma1)
     np.add(cof[0, 0] + cof[1, 1], cof[2, 2], out=sigma2)
-    # grad and cof are squared in place: neither is read again.
-    _entry_sum(np.multiply(grad, grad, out=grad), energy_density)
-    # sqrt((1 + tr G) + e2(G)); the sum is formed in place, and IEEE addition
-    # is commutative, so adding 1 + tr G second gives the same bits.
-    _entry_sum(np.multiply(cof, cof, out=cof), volume_integrand)
-    volume_integrand += 1.0 + energy_density
+    # |B|_F^2 and |C|_F^2: the squares of the nine entries, row-major in order.
+    grad, cof = grad.reshape(9, -1), cof.reshape(9, -1)
+    energy_density[:] = du.row_dot(grad, grad)[0]
+    # sqrt((1 + tr G) + e2(G)); IEEE addition is commutative, so adding
+    # 1 + tr G second gives the same bits.
+    np.add(du.row_dot(cof, cof)[0], 1.0 + energy_density, out=volume_integrand)
     np.sqrt(volume_integrand, out=volume_integrand)
-
-
-def _entry_sum(a: np.ndarray, out: np.ndarray) -> None:
-    """Write the sum of the nine entries of a (3, 3, n) array, row-major in order, into out (n,)."""
-    rows = a.reshape(9, -1)
-    np.add(rows[0], rows[1], out=out)
-    for row in rows[2:]:
-        out += row

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .calculus import JetBatch, jet_batch
-from .displace import T_MAX, image_volume_from_jets
+from .displace import DisplacementMap, image_volume_from_jets
 from .fields import BUMP_EXPONENT, BumpProfile, UnitField, hopf_field, perturbed_field, small_cap_field
 from .functionals import (
     energy,
@@ -117,12 +117,8 @@ def _require_hopf_boundary(field: UnitField, cap: CapDomain) -> None:
     hb = field.hopf_boundary
     if hb == "everywhere":
         return
-    if isinstance(hb, CapDomain):
-        if (
-            np.allclose(hb.center.x, cap.center.x, atol=1e-12)
-            and hb.radius <= cap.radius + 1e-12
-        ):
-            return
+    if isinstance(hb, CapDomain) and hb.center == cap.center and hb.radius <= cap.radius:
+        return
     raise ValueError(
         f"field {field.label!r} is not known to match a Hopf field on the "
         "boundary of the requested cap"
@@ -174,7 +170,7 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
 
 def sweep_grid(amplitudes) -> np.ndarray:
     """The sorted grid of distinct bump amplitudes (-0.0 is 0.0) of a sweep; exactly 0, the Hopf field, is one."""
-    amps = np.asarray(sorted(float(a) for a in amplitudes))
+    amps = np.asarray(sorted(float(a) + 0.0 for a in amplitudes))
     for a in amps:
         BumpProfile(a)
     if not np.any(amps == 0.0):
@@ -319,9 +315,9 @@ class VerifyConfig:
     mode: str = "ad"
 
     def __post_init__(self):
-        # Checked here so a bad configuration fails before any jet is built.
-        if not all(0.0 <= t <= T_MAX for t in self.t_grid):
-            raise ValueError(f"offsets t must lie in [0, {T_MAX}], got {list(self.t_grid)}")
+        # Checked here so a bad configuration fails before any jet is built;
+        # each offset is checked by its map (-0.0 is 0.0).
+        self.t_grid = tuple(DisplacementMap(self.field, float(t) + 0.0).t for t in self.t_grid)
         names = [IMAGE_VOLUME_ROW.format(t) for t in self.t_grid]
         if len(set(names)) < len(names):
             raise ValueError(f"offsets {list(self.t_grid)} give report rows of the same name: {names}")

@@ -38,7 +38,7 @@ DET_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class DisplacementMap:
-    """Map x -> x + t v(x) for a unit field v and offset 0 < t <= T_MAX."""
+    """Map x -> x + t v(x) for a unit field v and offset 0 <= t <= T_MAX."""
 
     field: UnitField
     t: float

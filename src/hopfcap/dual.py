@@ -13,16 +13,18 @@ directions with it.
 
 Vectors are stored component-major: a batch of n points in R^4 is a (4, n)
 array, one row per component, and its derivatives are (dirs..., 4, n).
-Two kernels sum over the component rows (axis -2) with elementwise
-multiply-adds in a fixed order, so every inner loop runs over the n nodes
-and no product goes to BLAS: the result does not depend on which BLAS
-kernel or how many BLAS threads the host has.  ``apply_linear`` applies a
+Every fixed-order sum of products in the jet is one of two kernels, which
+sum over the component rows (axis -2) with elementwise multiply-adds in a
+fixed order, so every inner loop runs over the n nodes and no product goes
+to BLAS: the result does not depend on which BLAS kernel or how many BLAS
+threads the host has.  ``_linear`` (through ``apply_linear``) applies a
 constant matrix; a dot product with a constant vector is the one-row
 matrix (1, 4).  It skips the zero coefficients of the matrix, which changes
 at most the sign of an exactly-zero entry of the dense sum, so a frame map
 at a quaternion basis axis (a signed permutation) is one multiply per row.
-``_row_dot`` sums the rowwise products of two arrays, the squared norm in
-``normalize``.
+``row_dot`` sums the rowwise products of two arrays: the squared norm in
+``normalize``, and the jet's derivative matrix and squared norms in
+``calculus``.
 
 A few operations form each intermediate once, with the bits of the dense
 formula:
@@ -158,7 +160,7 @@ def _linear(m, x):
     return out
 
 
-def _row_dot(a, b):
+def row_dot(a, b):
     """sum_j a[j] * b[j] on axis -2, added in j order into one row.
 
     The bits of the row sum of the full product ``a * b``, without forming it.
@@ -181,6 +183,6 @@ def apply_linear(matrix, x):
 
 def normalize(x):
     """Scale the component-major (..., 4, n) vectors of a Dual to unit length."""
-    eps = _row_dot(x.val, x.eps)
+    eps = row_dot(x.val, x.eps)
     eps *= 2.0
-    return x / sqrt(Dual(_row_dot(x.val, x.val), eps))
+    return x / sqrt(Dual(row_dot(x.val, x.val), eps))

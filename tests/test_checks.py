@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,16 @@ class TestBoundaryIdentity:
         with pytest.raises(ValueError, match="not known to match"):
             verify_config(CapDomain(NORTH, 0.5), f, (16, 8, 16))
 
+    def test_nearby_bump_cap_raises(self):
+        # The bump's cap must be the rule's cap: a centre 3e-6 away (within
+        # a 1e-5 relative tolerance) is another cap.
+        center = np.full(4, 0.5)
+        tangent = np.array([-0.5, 0.5, -0.5, 0.5])  # i times the centre
+        nearby = SpherePoint(math.cos(3e-6) * center + math.sin(3e-6) * tangent)
+        f = perturbed_field(CapDomain(nearby, 1.2), BumpProfile(0.5, 3))
+        with pytest.raises(ValueError, match="not known to match"):
+            verify_config(CapDomain(SpherePoint(center), 1.2), f, (16, 8, 16))
+
 
 class TestBounds:
     def test_equality_at_hopf(self, cap):
@@ -117,11 +129,16 @@ class TestChangeOfVariables:
         assert [r.name for r in reports] == ["image_volume_t0.1", "image_volume_t0.2", "image_volume_t0.3"]
         assert all(r.passed for r in reports)
 
-    @pytest.mark.parametrize("t_grid", [(0.1, 0.1), (0.1, 0.1000001)])
+    @pytest.mark.parametrize("t_grid", [(0.1, 0.1), (0.1, 0.1000001), (0.0, -0.0)])
     def test_offsets_sharing_a_row_name_rejected(self, cap, t_grid):
-        # Report rows are keyed by name; t = 0.1000001 prints as t0.1.
+        # Report rows are keyed by name; t = 0.1000001 prints as t0.1, and
+        # -0 is 0.
         with pytest.raises(ValueError, match="same name"):
             verify_config(cap, hopf_field(), (16, 8, 16), t_grid=t_grid)
+
+    def test_offset_out_of_range_rejected_by_its_map(self, cap):
+        with pytest.raises(ValueError, match=r"offset t must lie in \[0, 0.5\], got 0.6"):
+            verify_config(cap, hopf_field(), (16, 8, 16), t_grid=(0.1, 0.6))
 
     def test_twisted_field_reports_rejection(self, cap):
         # run_all gives twisted fields no image-volume rows (they fold for
@@ -146,7 +163,9 @@ class TestSweep:
             sweep_family(cap, (0.25, 0.5), coarse_rule)
 
     def test_negative_zero_counts_as_zero(self):
-        assert list(sweep_grid((0.5, -0.0))) == [0.0, 0.5]
+        grid = sweep_grid((0.5, -0.0))
+        assert list(grid) == [0.0, 0.5]
+        assert math.copysign(1.0, grid[0]) == 1.0
 
     @pytest.mark.parametrize("grid", [(0.0, 0.0, 0.5), (-0.0, 0.0, 0.5), (0.0, 0.5, 0.5)])
     def test_repeated_amplitude_rejected(self, cap, coarse_rule, grid):

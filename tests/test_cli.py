@@ -67,6 +67,14 @@ class TestVerifyCommand:
         assert code == 1
         assert any(not r["passed"] for r in json.loads(out.read_text()))
 
+    def test_negative_zero_offset_names_its_row_t0(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["verify", "--field", "hopf", "--orders", "16,8,16", "--t-grid=-0", "--output", str(out)])
+        assert code == 0
+        rows = [r for r in json.loads(out.read_text()) if r["name"].startswith("image_volume")]
+        assert [r["name"] for r in rows] == ["image_volume_t0"]
+        assert math.copysign(1.0, rows[0]["context"]["t"]) == 1.0
+
     def test_invalid_radius_exit_two(self, tmp_path):
         code, _ = run_verify(tmp_path, "--cap-radius", "3.2")
         assert code == 2
@@ -250,6 +258,15 @@ class TestSweepCommand:
         lines = out.read_text().strip().splitlines()
         assert len([l for l in lines[1:] if not l.startswith("#")]) == 1
 
+    def test_negative_zero_amplitude_prints_zero(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--orders", "16,8,16", "--amplitudes=-0,0.5", "--output", str(out)])
+        assert code == 0
+        text = out.read_text()
+        assert text.splitlines()[1].startswith("0.0,")
+        assert "argmin_energy=0.0 argmin_volume=0.0 " in text
+        assert "-0" not in text
+
     def test_grid_without_zero_rejected(self, no_compute, capsys):
         # 1e-9 is close to 0 but its bump field is not the Hopf field.
         for grid in ("0.25,0.5", "1e-9,0.5"):
@@ -358,12 +375,14 @@ class TestInputValidation:
             (["sweep", "--amplitudes", "nan,0", "--orders", "16,8,16"], "nan"),
             (["verify", "--orders", "8,4,8"], "(8, 4, 8)"),
             (["functionals", "--orders", "12,6,12"], "(12, 6, 12)"),
-            # Offsets whose rows would share a name, and a repeated amplitude
-            # (-0 is 0), whose refinement bracket would have zero width.
+            # Offsets whose rows would share a name (-0 is 0), and a repeated
+            # amplitude (-0 is 0), whose refinement bracket would have zero width.
             (["verify", "--field", "perturbed", "--orders", "16,8,16", "--t-grid", "0.1,0.1000001"],
              "'image_volume_t0.1', 'image_volume_t0.1'"),
             (["sweep", "--orders", "16,8,16", "--amplitudes", "0,0,0.5"], "repeats"),
             (["sweep", "--orders", "16,8,16", "--amplitudes=-0,0,0.5"], "repeats"),
+            (["verify", "--field", "hopf", "--orders", "16,8,16", "--t-grid=0,-0"],
+             "'image_volume_t0', 'image_volume_t0'"),
         ],
     )
     def test_bad_value_exits_two_naming_it(self, argv, named, no_compute, capsys):

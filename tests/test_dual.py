@@ -273,6 +273,10 @@ ROW_DOT_SHAPES = {
     "column": ((4, 50), (4, 1)),
     "same": ((4, 50), (4, 50)),
     "broadcast": ((3, 4, 1), (4, 50)),
+    # The jet's derivative matrix, tangents against basis vectors, and the
+    # squared norms of its nine entries and of its cofactors.
+    "jet_matrix": ((3, 1, 4, 50), (1, 3, 4, 50)),
+    "nine_rows": ((9, 50), (9, 50)),
 }
 
 
@@ -281,7 +285,7 @@ def test_row_dot_bits_match_the_row_sum_of_the_product(name, dense_forms):
     rng = np.random.default_rng(9)
     a_shape, b_shape = ROW_DOT_SHAPES[name]
     a, b = _with_signed_zeros(rng.standard_normal(a_shape), rng), rng.standard_normal(b_shape)
-    assert du._row_dot(a, b).tobytes() == dense_forms.row_sum(a * b).tobytes()
+    assert du.row_dot(a, b).tobytes() == dense_forms.row_sum(a * b).tobytes()
 
 
 # Numerator and divisor of Dual / Dual: the normalize shapes, no directions,
