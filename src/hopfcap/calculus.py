@@ -22,7 +22,8 @@ Each cofactor is written straight from two products of derivative-matrix
 entries into one (3, 3, n) array, with no gathered copies of the matrix.
 This module holds no other
 frame: the numeric Jacobian determinant in ``displace`` differentiates along
-its own directions (x i, x j, x k) through ``directional_derivative``.
+its own directions (x i, x j, x k) through ``_value_and_derivative``, whose
+one dual evaluation also gives it the field's value.
 """
 
 from __future__ import annotations
@@ -53,13 +54,34 @@ def directional_derivative(field: UnitField, points, directions, mode: str = "ad
     directions are transposed to the component-major layout of
     ``_derivative`` and the result back.
     """
+    x, y = _component_major(points, directions)
+    return _point_major(_derivative(field, x, y, mode), np.shape(directions))
+
+
+def _value_and_derivative(field: UnitField, points, directions):
+    """The field's value v(x) and Dv[Y], from its one AD evaluation.
+
+    The shapes are those of ``directional_derivative``, and the value is
+    ``field(points)``: a plain evaluation is the same dual arithmetic with
+    no directions, so it has the same bits.
+    """
+    x, y = _component_major(points, directions)
+    d = field(du.Dual(x, y))
+    return _point_major(d.val, np.shape(points)), _point_major(d.eps, np.shape(directions))
+
+
+def _component_major(points, directions) -> tuple[np.ndarray, np.ndarray]:
+    """Points (..., 4) as (4, n) and directions dirs + (..., 4) as dirs + (4, n)."""
     x = np.asarray(points, dtype=float)
     y = np.asarray(directions, dtype=float)
     dirs = y.shape[: y.ndim - x.ndim]
     xc = np.ascontiguousarray(x.reshape(-1, 4).T)
-    yc = np.ascontiguousarray(np.swapaxes(y.reshape(dirs + (-1, 4)), -1, -2))
-    d = _derivative(field, xc, yc, mode)
-    return np.ascontiguousarray(np.swapaxes(d, -1, -2)).reshape(y.shape)
+    return xc, np.ascontiguousarray(np.swapaxes(y.reshape(dirs + (-1, 4)), -1, -2))
+
+
+def _point_major(a: np.ndarray, shape) -> np.ndarray:
+    """Component-major (..., 4, n) back to ``shape``, whose last axis is the 4."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2)).reshape(shape)
 
 
 def _derivative(field: UnitField, x: np.ndarray, y: np.ndarray, mode: str) -> np.ndarray:

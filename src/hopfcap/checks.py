@@ -4,7 +4,8 @@ Each check compares two independently computed quantities and returns a
 ``CheckReport``; ``run_all`` executes the full matrix for a configured
 field and cap and is the engine behind the CLI ``verify`` command.  A
 field's boundary checks are rows (name, lhs, target, tolerance, policy)
-reduced from its one ``JetBatch`` at the rule's nodes.
+reduced from its one ``JetBatch`` at the rule's nodes; one more row checks
+that AD jet against central differences on a subsample of the nodes.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ SMALL_CAP_MEAN_DENSITY_LIMIT = 0.1
 SMALL_CAP_SLOPE_TOL = 0.2
 SMALL_CAP_SCALING_RADII = (0.05, 0.1, 0.2)
 SMALL_CAP_ORDERS = (32, 16, 32)
+# Nodes of the AD-against-FD jet oracle, and the Hopf-constant sample.
+ORACLE_NODES = 4096
 
 # Default run parameters; the CLI reads its flag defaults from here.
 GAUSS_ORDERS = (64, 32, 64)
@@ -101,7 +104,7 @@ def _report(name, lhs, rhs, tolerance, policy, context) -> CheckReport:
     )
 
 
-def check_hopf_constants(n_points: int = 100_000, seed: int = 0, mode: str = "ad") -> list[CheckReport]:
+def check_hopf_constants(n_points: int = ORACLE_NODES, seed: int = 0, mode: str = "ad") -> list[CheckReport]:
     """max |sigma1| and max |sigma2 - 1| for a Hopf field at random points."""
     tol = TOL_SIGMA[mode]
     pts = random_sphere_points(n_points, seed=seed)
@@ -125,15 +128,47 @@ def _require_hopf_boundary(field: UnitField, cap: CapDomain) -> None:
     )
 
 
-def _field_context(field: UnitField, rule: QuadratureRule, mode: str) -> dict:
+def _field_context(field: UnitField, rule: QuadratureRule) -> dict:
     return {
         "field": field.label,
         "params": {k: v for k, v in field.params.items() if not isinstance(v, tuple)},
         "cap_radius": rule.domain.radius,
         "rule": rule.kind,
         "orders": list(rule.orders),
-        "mode": mode,
     }
+
+
+def _oracle_stride(n_nodes: int) -> int:
+    """The step k of the every-k-th node subsample: about ``ORACLE_NODES`` nodes.
+
+    k is the least step at or above n_nodes / ORACLE_NODES that shares no
+    factor with n_nodes.  A Gauss rule's nodes run over phi fastest, so a
+    step sharing a factor with n_phi would visit only some phi indices (at
+    64,32,64 a step of 32 visits only phi = 0 and pi); a step coprime to N
+    visits every phi index once it takes n_phi nodes.
+    """
+    k = -(-n_nodes // ORACLE_NODES)
+    while math.gcd(k, n_nodes) != 1:
+        k += 1
+    return k
+
+
+def _ad_fd_report(field: UnitField, rule: QuadratureRule, jets: JetBatch) -> CheckReport:
+    """The field's AD jet against a central-difference jet on every k-th node.
+
+    The deviation is the max over the subsample and the four invariants of
+    |AD - FD| / max(1, |AD|).  Central differences read only plain field
+    values, which no derivative rule of ``dual`` touches, so a wrong rule
+    there shows here.
+    """
+    k = _oracle_stride(rule.size)
+    fd = jet_batch(field, rule.nodes[::k], mode="fd")
+    deviation = 0.0
+    for name, fd_values in vars(fd).items():
+        ad = getattr(jets, name)[::k]
+        deviation = max(deviation, float(np.max(np.abs(ad - fd_values) / np.maximum(1.0, np.abs(ad)))))
+    ctx = dict(_field_context(field, rule), stride=k, nodes=len(fd.sigma1))
+    return _report("ad_fd_jet_agreement", deviation, 0.0, TOL_SIGMA["fd"], "abs", ctx)
 
 
 @dataclass(frozen=True)
@@ -186,7 +221,6 @@ def sweep_family(
     rule: QuadratureRule,
     exponent: int = BUMP_EXPONENT,
     twist=None,
-    mode: str = "ad",
 ) -> SweepResult:
     """Evaluate both functionals over the bump-amplitude grid; refine the minimum.
 
@@ -202,7 +236,7 @@ def sweep_family(
     def functionals_at(a: float) -> tuple[float, float]:
         if a not in seen:
             f = perturbed_field(cap, BumpProfile(a, exponent), twist=twist)
-            e, v = energy_and_volume(f, rule, mode)
+            e, v = energy_and_volume(f, rule)
             seen[a] = (e.value, v.value)
         return seen[a]
 
@@ -248,17 +282,17 @@ def check_small_cap_counterexample(
 ) -> list[CheckReport]:
     """Unconstrained small-cap field beats the Hopf field on both functionals.
 
-    The cap is centred at the north pole and integrated at ``SMALL_CAP_ORDERS``
-    in AD mode.  Also fits mean |grad v|^2 = C r^2 over the scaling radii and
+    The cap is centred at the north pole and integrated at ``SMALL_CAP_ORDERS``.
+    Also fits mean |grad v|^2 = C r^2 over the scaling radii and
     checks the log-log slope is 2 within ``SMALL_CAP_SLOPE_TOL``.
     """
     cap = CapDomain(SpherePoint(QUAT_ONE), radius)
     rule = build_gauss_rule(cap, *SMALL_CAP_ORDERS)
     jets = jet_batch(small_cap_field(cap), rule.nodes)
-    return _small_cap_reports(jets, rule, "ad", scaling_radii)
+    return _small_cap_reports(jets, rule, scaling_radii)
 
 
-def _small_cap_reports(jets: JetBatch, rule: QuadratureRule, mode: str, scaling_radii) -> list[CheckReport]:
+def _small_cap_reports(jets: JetBatch, rule: QuadratureRule, scaling_radii) -> list[CheckReport]:
     """The counterexample's rows, the main cap's reduced from its jet at the rule's nodes.
 
     The last row fits mean |grad v|^2 = C r^2 over caps of the scaling radii,
@@ -268,7 +302,7 @@ def _small_cap_reports(jets: JetBatch, rule: QuadratureRule, mode: str, scaling_
     e = energy_from_jets(jets, rule)
     v = volume_from_jets(jets, rule)
     mean = e.derivative_term / cap_volume(cap)
-    ctx = {"cap_radius": cap.radius, "orders": list(rule.orders), "mode": mode}
+    ctx = {"cap_radius": cap.radius, "orders": list(rule.orders)}
     reports = [
         _report("small_cap_energy_below_hopf", hopf_energy(cap), e.value, 0.0, "lower-bound", ctx),
         _report("small_cap_volume_below_hopf", hopf_volume(cap), v.value, 0.0, "lower-bound", ctx),
@@ -289,7 +323,7 @@ def _small_cap_reports(jets: JetBatch, rule: QuadratureRule, mode: str, scaling_
             continue
         cap_r = CapDomain(cap.center, float(r))
         rule_r = build_gauss_rule(cap_r, *rule.orders)
-        e_r = energy(small_cap_field(cap_r), cap_r, rule_r, mode=mode)
+        e_r = energy(small_cap_field(cap_r), cap_r, rule_r)
         means.append(e_r.derivative_term / cap_volume(cap_r))
     # The least-squares slope in closed form: np.polyfit's LAPACK solve
     # rounds differently under different BLAS kernels.
@@ -312,7 +346,6 @@ class VerifyConfig:
     rule: QuadratureRule
     seed: int = 0
     t_grid: tuple = T_GRID
-    mode: str = "ad"
 
     def __post_init__(self):
         # Checked here so a bad configuration fails before any jet is built;
@@ -329,18 +362,21 @@ class VerifyConfig:
 
 def run_all(config: VerifyConfig) -> list[CheckReport]:
     """Execute every applicable check for the configured field."""
-    return check_hopf_constants(seed=config.seed, mode=config.mode) + _field_reports(config)
+    return check_hopf_constants(seed=config.seed) + _field_reports(config)
 
 
 def _field_reports(config: VerifyConfig) -> list[CheckReport]:
-    """The checks of the field, each a row reduced from its one jet at the rule's nodes."""
+    """The checks of the field, each a row reduced from its one jet at the rule's nodes.
+
+    Every untwisted field's rows include the AD-against-FD oracle.
+    """
     field, rule = config.field, config.rule
     cap = rule.domain
-    jets = jet_batch(field, rule.nodes, mode=config.mode)
+    jets = jet_batch(field, rule.nodes)
     if field.label == "small-cap":
-        return _small_cap_reports(jets, rule, config.mode, SMALL_CAP_SCALING_RADII)
+        return _small_cap_reports(jets, rule, SMALL_CAP_SCALING_RADII) + [_ad_fd_report(field, rule, jets)]
     vol_k = cap_volume(cap)
-    ctx = _field_context(field, rule, config.mode)
+    ctx = _field_context(field, rule)
     s2, _ = integrate(rule, lambda _n: jets.sigma2)
     s1, _ = integrate(rule, lambda _n: jets.sigma1)
     rows = [
@@ -356,9 +392,12 @@ def _field_reports(config: VerifyConfig) -> list[CheckReport]:
     reports = [_report(*row, ctx) for row in rows]
     # Twisted fields have sigma2 unbounded below near the twist axis, so
     # no positive offset keeps the displacement a diffeomorphism; the
-    # image-volume identity does not apply to them.
+    # image-volume identity does not apply to them.  Their azimuth is
+    # singular on that axis, where central differences read 1e3 and more
+    # off the AD jet, so they have no AD-against-FD row either.
     if field.params.get("twist", "none") != "none":
         return reports
+    reports.append(_ad_fd_report(field, rule, jets))
     # Image volume equals vol(K) (1 + t^2)^(3/2) for each offset t.
     for t in config.t_grid:
         t_ctx = dict(ctx, t=float(t))

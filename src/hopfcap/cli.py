@@ -121,7 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rule", choices=["gauss", "montecarlo"], default="gauss")
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mode", choices=["ad", "fd"], default="ad")
         p.add_argument("--output", default=None)
     for p in (commands["verify"], commands["functionals"]):
         p.add_argument("--field", choices=["hopf", "perturbed", "small-cap"], default="hopf")
@@ -214,7 +213,6 @@ def cmd_verify(args: argparse.Namespace) -> Callable[[], int]:
         rule=_make_rule(args, cap),
         seed=args.seed,
         t_grid=T_GRID if args.t_grid is None else args.t_grid,
-        mode=args.mode,
     )
 
     def compute() -> int:
@@ -235,7 +233,7 @@ def cmd_functionals(args: argparse.Namespace) -> Callable[[], int]:
     rule = _make_rule(args, cap)
 
     def compute() -> int:
-        e, v = energy_and_volume(field, rule, args.mode)
+        e, v = energy_and_volume(field, rule)
         rows = {
             "field": field.label,
             "energy": e.value,
@@ -268,7 +266,7 @@ def cmd_sweep(args: argparse.Namespace) -> Callable[[], int]:
     rule = _make_rule(args, cap)
 
     def compute() -> int:
-        result = sweep_family(cap, amplitudes, rule, mode=args.mode, **_given(args, "exponent", "twist"))
+        result = sweep_family(cap, amplitudes, rule, **_given(args, "exponent", "twist"))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["amplitude", "energy", "volume"])

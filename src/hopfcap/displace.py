@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import JetBatch, directional_derivative, jet_batch
+from .calculus import JetBatch, _value_and_derivative, jet_batch
 from .fields import UnitField
 from .geometry import QUAT_I, QUAT_J, QUAT_K, CapDomain, quat_mul
 from .quadrature import QuadratureRule, integrate
@@ -62,8 +62,9 @@ def jacobian_det_numeric(dm: DisplacementMap, points):
     """det[n; dphi(x i); dphi(x j); dphi(x k)] at each point; <= 0 flags a folded map."""
     x = np.asarray(points, dtype=float)
     frame = np.stack([quat_mul(x, q) for q in (QUAT_I, QUAT_J, QUAT_K)])  # (3, ..., 4)
-    dphi = frame + dm.t * directional_derivative(dm.field, x, frame)
-    normal = (x + dm.t * dm.field(x)) / dm.image_radius()
+    v, dv = _value_and_derivative(dm.field, x, frame)
+    dphi = frame + dm.t * dv
+    normal = (x + dm.t * v) / dm.image_radius()
     return np.linalg.det(np.stack([normal, *dphi], axis=-2))
 
 

@@ -40,10 +40,10 @@ def hopf_volume(cap: CapDomain) -> float:
     return 2.0 * cap_volume(cap)
 
 
-def energy(field: UnitField, cap: CapDomain, rule: QuadratureRule, mode: str = "ad") -> FunctionalReport:
+def energy(field: UnitField, cap: CapDomain, rule: QuadratureRule) -> FunctionalReport:
     """E(v) = 1.5 vol(K) + 0.5 * integral of the energy density; ``cap`` must be the rule's domain."""
     rule.require_domain(cap)
-    return energy_from_jets(jet_batch(field, rule.nodes, mode=mode), rule)
+    return energy_from_jets(jet_batch(field, rule.nodes), rule)
 
 
 def energy_from_jets(jets: JetBatch, rule: QuadratureRule) -> FunctionalReport:
@@ -64,9 +64,7 @@ def volume_from_jets(jets: JetBatch, rule: QuadratureRule) -> FunctionalReport:
     return FunctionalReport(value=value, derivative_term=value - cap_volume(rule.domain))
 
 
-def energy_and_volume(
-    field: UnitField, rule: QuadratureRule, mode: str
-) -> tuple[FunctionalReport, FunctionalReport]:
+def energy_and_volume(field: UnitField, rule: QuadratureRule) -> tuple[FunctionalReport, FunctionalReport]:
     """Both functionals, reduced from one jet at the rule's nodes."""
-    jets = jet_batch(field, rule.nodes, mode=mode)
+    jets = jet_batch(field, rule.nodes)
     return energy_from_jets(jets, rule), volume_from_jets(jets, rule)

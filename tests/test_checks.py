@@ -22,7 +22,14 @@ from hopfcap import (
     sweep_family,
     sweep_reports,
 )
-from hopfcap.checks import SMALL_CAP_SCALING_RADII, _field_reports, sweep_grid
+from hopfcap.checks import (
+    GAUSS_ORDERS,
+    ORACLE_NODES,
+    SMALL_CAP_SCALING_RADII,
+    _field_reports,
+    _oracle_stride,
+    sweep_grid,
+)
 
 NORTH = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
 
@@ -157,6 +164,26 @@ def coarse_rule(cap):
     return build_gauss_rule(cap, 24, 12, 24)
 
 
+class TestOracleSubsample:
+    def test_default_rule_visits_every_phi_index(self, cap):
+        # Nodes run over phi fastest; 131 072 / 4 096 = 32 would visit only
+        # phi = 0 and pi at 64 phi nodes.
+        n_rho, n_theta, n_phi = GAUSS_ORDERS
+        n = n_rho * n_theta * n_phi
+        k = _oracle_stride(n)
+        sample = np.arange(0, n, k)
+        assert len(sample) <= ORACLE_NODES
+        assert set(sample % n_phi) == set(range(n_phi))
+        assert set(sample // n_phi % n_theta) == set(range(n_theta))
+
+    @pytest.mark.parametrize("n", [1, 100, 4096, 4097, 20_000, 442_368])
+    def test_stride_keeps_about_the_oracle_node_count(self, n):
+        k = _oracle_stride(n)
+        assert len(range(0, n, k)) <= ORACLE_NODES
+        assert k == 1 or len(range(0, n, k)) > ORACLE_NODES // 2
+        assert math.gcd(k, n) == 1
+
+
 class TestSweep:
     def test_grid_must_include_zero(self, cap, coarse_rule):
         with pytest.raises(ValueError):
@@ -251,12 +278,30 @@ class TestRunAll:
         reports = run_all(config)
         assert all(r.passed for r in reports)
         assert not any(r.name.startswith("image_volume") for r in reports)
+        # Central differences straddle the twist axis's singular azimuth.
+        assert "ad_fd_jet_agreement" not in {r.name for r in reports}
 
     def test_small_cap_field_routes_to_counterexample(self, cap):
         config = verify_config(cap, small_cap_field(CapDomain(NORTH, 0.1)), (32, 16, 32))
         names = {r.name for r in run_all(config)}
         assert "small_cap_energy_below_hopf" in names
         assert "boundary_sigma2_integral" not in names
+
+    @pytest.mark.parametrize("kind", ["hopf", "perturbed", "small-cap"])
+    def test_untwisted_fields_have_the_ad_fd_row(self, cap, kind):
+        small = CapDomain(NORTH, 0.3)
+        field, domain = {
+            "hopf": (hopf_field(), cap),
+            "perturbed": (perturbed_field(cap, BumpProfile(0.5, 3)), cap),
+            "small-cap": (small_cap_field(small), small),
+        }[kind]
+        reports = {r.name: r for r in _field_reports(verify_config(domain, field, (32, 16, 32), t_grid=()))}
+        rep = reports["ad_fd_jet_agreement"]
+        assert rep.passed and rep.lhs <= 1e-8
+        assert rep.policy == "abs" and rep.tolerance == 1e-6
+        assert rep.context["field"] == kind
+        assert "mode" not in rep.context
+        assert rep.context["nodes"] <= ORACLE_NODES
 
     def test_reports_serialize(self, cap):
         config = verify_config(cap, hopf_field(), (16, 8, 16), t_grid=(0.1,))

@@ -44,9 +44,11 @@ class TestVerifyCommand:
     def test_perturbed_all_pass(self, tmp_path):
         code, out = run_verify(tmp_path, "--field", "perturbed", "--amplitude", "0.5")
         assert code == 0
-        names = [r["name"] for r in json.loads(out.read_text())]
-        assert "boundary_sigma2_integral" in names
-        assert "image_volume_t0.1" in names
+        reports = {r["name"]: r for r in json.loads(out.read_text())}
+        assert "boundary_sigma2_integral" in reports
+        assert "image_volume_t0.1" in reports
+        oracle = reports["ad_fd_jet_agreement"]
+        assert oracle["passed"] is True and oracle["lhs"] <= 1e-8
 
     def test_twisted_perturbed_passes_without_image_volume(self, tmp_path):
         # A twisted field reads no offsets, so FAST's --t-grid is left out.
@@ -320,6 +322,14 @@ class TestInputValidation:
     def test_functionals_rejects_verify_flags(self, no_compute, capsys):
         assert main(["functionals", "--t-grid", "0.4", "--integral-tol", "5"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["ad", "fd"])
+    @pytest.mark.parametrize("command", ["verify", "functionals", "sweep"])
+    def test_mode_flag_is_gone(self, command, mode, no_compute, capsys):
+        # Every report carries the AD-against-FD oracle row; there is no
+        # whole-run FD mode.
+        assert main([command, "--mode", mode]) == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
     def test_sweep_rejects_field_flags(self, no_compute, capsys):
         argv = ["sweep", "--field", "small-cap", "--amplitude", "9", "--axis", "0,0,1,0"]

@@ -1,10 +1,13 @@
 """One jet per (field, rule, mode): checks and functionals reduce a shared batch.
 
 The ``jet_calls`` fixture wraps ``jet_batch`` in every hopfcap module that
-imported it, so each evaluation the package makes is recorded with its field.
+imported it, so each evaluation the package makes is recorded with its
+field, node count and differentiation mode.  The one FD jet of a report is
+the AD-against-FD oracle's, on a subsample of the rule's nodes.
 """
 
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,9 +42,9 @@ ORDERS = (16, 8, 16)
 def jet_calls(monkeypatch):
     calls = []
 
-    def counting(field, points, *args, **kwargs):
-        calls.append(field)
-        return jet_batch(field, points, *args, **kwargs)
+    def counting(field, points, mode="ad", **kwargs):
+        calls.append(SimpleNamespace(field=field, nodes=len(points), mode=mode))
+        return jet_batch(field, points, mode, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("hopfcap") and getattr(module, "jet_batch", None) is jet_batch:
@@ -58,16 +61,20 @@ class TestJetCounts:
         field = perturbed()
         config = VerifyConfig(field, build_gauss_rule(CAP, *ORDERS))
         reports = run_all(config)
-        assert len(reports) == 12
-        # The Hopf-constants points, then the field at the rule's nodes.
-        assert [f.label for f in jet_calls] == ["hopf", "perturbed"]
-        assert jet_calls[1] is field
+        assert len(reports) == 13
+        # The Hopf-constants points, the field at the rule's nodes, then the
+        # field in FD mode at the oracle's subsample (here every node).
+        assert [(c.field.label, c.mode) for c in jet_calls] == [
+            ("hopf", "ad"), ("perturbed", "ad"), ("perturbed", "fd"),
+        ]
+        assert jet_calls[1].field is field and jet_calls[2].field is field
+        assert jet_calls[1].nodes == jet_calls[2].nodes == config.rule.size
 
     def test_sweep_one_jet_per_distinct_amplitude(self, jet_calls):
         grid = (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)
         rule = build_gauss_rule(CAP, *ORDERS)
         sweep_family(CAP, grid, rule)
-        amps = [f.params["amplitude"] for f in jet_calls]
+        amps = [c.field.params["amplitude"] for c in jet_calls]
         assert len(amps) == len(set(amps))
         assert set(grid) < set(amps)  # the golden-section steps add amplitudes
 
@@ -78,10 +85,16 @@ class TestJetCounts:
         assert len(jet_calls) == 1
 
     def test_verify_command_two_jets(self, jet_calls, tmp_path):
+        # One jet per (field, rule, mode): two AD jets (the Hopf points and
+        # the field) and the oracle's FD jet on a subsample of the nodes.
         out = tmp_path / "v.json"
-        args = ["verify", "--field", "perturbed", "--orders", "16,8,16"]
+        args = ["verify", "--field", "perturbed", "--orders", "32,16,32"]
         assert main([*args, "--output", str(out)]) == 0
-        assert len(jet_calls) == 2
+        assert [(c.field.label, c.mode) for c in jet_calls] == [
+            ("hopf", "ad"), ("perturbed", "ad"), ("perturbed", "fd"),
+        ]
+        assert jet_calls[1].nodes == 32 * 16 * 32
+        assert jet_calls[2].nodes < jet_calls[1].nodes
 
 
 @pytest.mark.parametrize("field", [hopf_field(), perturbed()], ids=["hopf", "perturbed"])
@@ -93,14 +106,24 @@ def test_run_all_equals_standalone_checks(field):
     integral_tol, bound_tol = checks.TOL_INTEGRAL_REL, checks.TOL_BOUND_REL
 
     def integral(attr):
-        jets = jet_batch(field, rule.nodes, mode=config.mode)
+        jets = jet_batch(field, rule.nodes)
         return integrate(rule, lambda _n: getattr(jets, attr))[0]
+
+    def ad_fd_deviation():
+        # The rule has fewer nodes than the oracle's sample: it takes them all.
+        assert rule.size <= checks.ORACLE_NODES
+        ad, fd = jet_batch(field, rule.nodes), jet_batch(field, rule.nodes, mode="fd")
+        return max(
+            np.max(np.abs(getattr(ad, a) - getattr(fd, a)) / np.maximum(1.0, np.abs(getattr(ad, a))))
+            for a in ("sigma1", "sigma2", "energy_density", "volume_integrand")
+        )
 
     expected = [
         ("boundary_sigma2_integral", integral("sigma2"), vol_k, integral_tol, "rel"),
         ("boundary_sigma1_integral", integral("sigma1"), 0.0, integral_tol * vol_k, "abs"),
         ("energy_bound", energy(field, CAP, rule).value, 2.5 * vol_k, bound_tol * vol_k, "lower-bound"),
         ("volume_bound", volume(field, CAP, rule).value, 2.0 * vol_k, bound_tol * vol_k, "lower-bound"),
+        ("ad_fd_jet_agreement", ad_fd_deviation(), 0.0, checks.TOL_SIGMA["fd"], "abs"),
     ]
     expected += [
         (
@@ -113,7 +136,7 @@ def test_run_all_equals_standalone_checks(field):
         for t in config.t_grid
     ]
     reports = run_all(config)
-    hopf = check_hopf_constants(seed=config.seed, mode=config.mode)
+    hopf = check_hopf_constants(seed=config.seed)
     assert [r.to_dict() for r in reports[:2]] == [r.to_dict() for r in hopf]
     assert [(r.name, r.lhs, r.rhs, r.tolerance, r.policy) for r in reports[2:]] == expected
     assert all(r.passed for r in reports)
