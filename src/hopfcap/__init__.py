@@ -5,7 +5,7 @@ unit fields that agree with it on the cap boundary, and that the boundary
 hypothesis is essential (small-cap counterexample).
 """
 
-from .calculus import JetBatch, jet_batch
+from .calculus import JetBatch, JetSums, jet_batch, jet_sums
 from .checks import (
     CheckReport,
     SweepResult,
@@ -19,7 +19,6 @@ from .checks import (
 from .displace import (
     DisplacementMap,
     image_volume,
-    image_volume_from_jets,
     jacobian_det_analytic,
     jacobian_det_numeric,
 )
@@ -28,11 +27,9 @@ from .functionals import (
     FunctionalReport,
     energy,
     energy_and_volume,
-    energy_from_jets,
     hopf_energy,
     hopf_volume,
     volume,
-    volume_from_jets,
 )
 from .geometry import CapDomain, SpherePoint, cap_volume, quat_mul
 from .quadrature import QuadratureRule, build_gauss_rule, build_mc_rule, integrate

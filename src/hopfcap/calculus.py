@@ -2,19 +2,24 @@
 
 The covariant derivative on S^3 is obtained from ambient directional
 derivatives of the 0-homogeneous field extension by tangential projection
-(the immersion relation for S^3 in R^4).  ``jet_batch`` differentiates the
+(the immersion relation for S^3 in R^4).  The jet differentiates the
 field along the tangent basis (i x, j x, k x) of left multiplications and
 reads sigma1, sigma2, the energy density and the volume integrand off the
 3x3 matrix of those derivatives; all four are symmetric functions of
 grad v, so no frame adapted to v is needed.  The points are taken in blocks of
-``JET_BLOCK`` nodes, each block one dual evaluation with value (4, n) and
-tangent (3, 4, n), component-major as in ``dual``, and each block writes its
-four scalars straight into its columns of one (4, N) result.  Every block
-allocates and frees the same temporaries, so a process that keeps freed
-memory mapped (``cli.main`` does) reuses them instead of faulting fresh
-pages for each block.  The jet is elementwise arithmetic in a fixed order,
-with no matrix or cross product and no BLAS call: its bits do not depend on
-the BLAS kernel, and it runs on the calling thread.  Every sum of products
+``JET_BLOCK`` nodes, each block one dual evaluation (``_jet_block``) with
+value (4, n) and tangent (3, 4, n), component-major as in ``dual``.  Two
+drivers run it.  ``jet_sums`` walks a quadrature rule, building each
+block's nodes and weights from the rule, and reduces the block's scalars
+inside it to the weighted sums, minima and subsample that the functionals
+and checks read, so no per-node array outlives its block.  ``jet_batch``
+takes given points and writes each block's four scalars into its columns of
+one (4, N) result.  Every block allocates and frees the same temporaries,
+so a process that keeps freed memory mapped (``cli.main`` does) reuses them
+instead of faulting fresh pages for each block.  The jet is elementwise
+arithmetic in a fixed order, with no matrix or cross product and no BLAS
+call: its bits do not depend on the BLAS kernel, and it runs on the calling
+thread.  Every sum of products
 in it is one of the two kernels of ``dual``: ``_linear`` (a constant matrix,
 the basis) or ``row_dot`` (a rowwise dot: the derivative matrix and the
 squared norms of it and its cofactors); the two traces are explicit adds.
@@ -28,6 +33,7 @@ one dual evaluation also gives it the field's value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +41,9 @@ import numpy as np
 from . import dual as du
 from .fields import UnitField
 from .geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix
+from .quadrature import JET_BLOCK, QuadratureRule, WeightedSum, require_finite
 
 FD_STEP = 1e-5
-# Nodes per dual evaluation.  The block bounds the dual temporaries: the
-# largest is the (3, 4, n) float64 tangent, 96 * JET_BLOCK bytes = 768 KiB,
-# and cli.main's allocator thresholds follow from it.
-JET_BLOCK = 8192
 
 # (12, 4): i x, j x, k x in one product
 _FRAME_ROWS = np.concatenate([left_mult_matrix(a) for a in (QUAT_I, QUAT_J, QUAT_K)])
@@ -148,15 +151,89 @@ def jet_batch(
     out = np.empty((4, len(x)))
     for start in range(0, len(x), JET_BLOCK):
         block = slice(start, start + JET_BLOCK)
-        _jet_block(field, x[block], mode, None if theta is None else theta[block], out[:, block])
+        rotation = None if theta is None else theta[block]
+        _jet_block(field, np.ascontiguousarray(x[block].T), mode, rotation, out[:, block])
     return JetBatch(*out)
 
 
+@dataclass(frozen=True)
+class JetSums:
+    """A field's AD jet over a rule, reduced block by block.
+
+    Each integral is (value, error estimate), as ``integrate`` returns it.
+    ``determinant[t]`` integrates the analytic Jacobian determinant
+    sqrt(1 + t^2) (1 + sigma1 t + sigma2 t^2) of the offset-t displacement,
+    and ``polynomial_min[t]`` is the least 1 + sigma1 t + sigma2 t^2 over the
+    nodes with the first node that reaches it.  ``sample`` is the jet at
+    every stride-th node and ``sample_nodes`` those nodes (m, 4), or None
+    without a stride.
+    """
+
+    sigma1: tuple
+    sigma2: tuple
+    energy_density: tuple
+    volume_integrand: tuple
+    determinant: dict
+    polynomial_min: dict
+    sample: JetBatch | None
+    sample_nodes: np.ndarray | None
+
+
+def jet_sums(field: UnitField, rule: QuadratureRule, offsets, stride: int | None) -> JetSums:
+    """The field's jet at every node of the rule, reduced inside each block.
+
+    The rule is walked in blocks of ``JET_BLOCK`` nodes.  Each block builds
+    its nodes and weights, runs ``_jet_block`` once in AD mode, adds the
+    rows of the four invariants and of each offset's determinant to one
+    ``WeightedSum``, and keeps the least determinant polynomial with its
+    node.  Only the every-``stride``-th nodes keep their jet (none when
+    ``stride`` is None), so no per-node row outlives its block.  A
+    non-finite invariant raises ``ValueError`` naming its node.
+    """
+    offsets = tuple(offsets)
+    total = WeightedSum(rule)
+    lowest = [(math.inf, -1)] * len(offsets)
+    sample, sample_nodes = [], []
+    for start, stop in rule.blocks():
+        x, w = rule.block(start, stop)
+        # The four invariants, then for each offset t the determinant
+        # sqrt(1 + t^2) (1 + sigma1 t + sigma2 t^2), one row each.
+        rows = np.empty((4 + len(offsets), stop - start))
+        jet = rows[:4]
+        _jet_block(field, x, "ad", None, jet)
+        require_finite(jet, start, x)
+        sigma1, sigma2 = jet[0], jet[1]
+        for j, t in enumerate(offsets):
+            poly = rows[4 + j]
+            np.multiply(sigma1, t, out=poly)
+            poly += 1.0
+            poly += sigma2 * t * t
+            i = int(np.argmin(poly))
+            if poly[i] < lowest[j][0]:
+                lowest[j] = (float(poly[i]), start + i)
+            poly *= math.sqrt(1.0 + t * t)
+        total.add(w, rows)
+        if stride is not None:
+            first = -start % stride
+            sample.append(jet[:, first::stride].copy())
+            sample_nodes.append(x[:, first::stride].T.copy())
+    integrals = total.result()
+    return JetSums(
+        *integrals[:4],
+        determinant=dict(zip(offsets, integrals[4:])),
+        polynomial_min=dict(zip(offsets, lowest)),
+        sample=None if stride is None else JetBatch(*np.concatenate(sample, axis=1)),
+        sample_nodes=None if stride is None else np.concatenate(sample_nodes),
+    )
+
+
 def _jet_block(
-    field: UnitField, points: np.ndarray, mode: str, frame_rotation: np.ndarray | None, out: np.ndarray
+    field: UnitField, x: np.ndarray, mode: str, frame_rotation: np.ndarray | None, out: np.ndarray
 ) -> None:
-    """Write (sigma1, sigma2, energy density, volume integrand) at the rows of one block into out (4, n)."""
-    x = np.ascontiguousarray(points.T)  # (4, n)
+    """Write (sigma1, sigma2, energy density, volume integrand) into out (4, n).
+
+    ``x`` holds the block's points component-major, (4, n).
+    """
     basis = du.apply_linear(_FRAME_ROWS, x).reshape(3, 4, -1)  # i x, j x, k x
     if frame_rotation is not None:
         cos, sin = np.cos(frame_rotation), np.sin(frame_rotation)

@@ -4,8 +4,9 @@ Each check compares two independently computed quantities and returns a
 ``CheckReport``; ``run_all`` executes the full matrix for a configured
 field and cap and is the engine behind the CLI ``verify`` command.  A
 field's boundary checks are rows (name, lhs, target, tolerance, policy)
-reduced from its one ``JetBatch`` at the rule's nodes; one more row checks
-that AD jet against central differences on a subsample of the nodes.
+read off its one ``JetSums``, the jet streamed over the rule's nodes; one
+more row checks the AD jet against central differences on the every-k-th
+nodes that stream keeps.
 """
 
 from __future__ import annotations
@@ -15,19 +16,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .calculus import JetBatch, jet_batch
-from .displace import DisplacementMap, image_volume_from_jets
+from .calculus import JetSums, jet_batch, jet_sums
+from .displace import DisplacementMap, image_volume_from_sums
 from .fields import BUMP_EXPONENT, BumpProfile, UnitField, hopf_field, perturbed_field, small_cap_field
-from .functionals import (
-    energy,
-    energy_and_volume,
-    energy_from_jets,
-    hopf_energy,
-    hopf_volume,
-    volume_from_jets,
-)
+from .functionals import energy, energy_and_volume, energy_and_volume_from_sums, hopf_energy, hopf_volume
 from .geometry import QUAT_ONE, CapDomain, SpherePoint, cap_volume, random_sphere_points
-from .quadrature import QuadratureRule, build_gauss_rule, integrate
+from .quadrature import QuadratureRule, build_gauss_rule
 
 # Default tolerances, keyed by differentiation mode where they differ.
 TOL_SIGMA = {"ad": 1e-9, "fd": 1e-6}
@@ -153,21 +147,21 @@ def _oracle_stride(n_nodes: int) -> int:
     return k
 
 
-def _ad_fd_report(field: UnitField, rule: QuadratureRule, jets: JetBatch) -> CheckReport:
+def _ad_fd_report(field: UnitField, rule: QuadratureRule, sums: JetSums, stride: int) -> CheckReport:
     """The field's AD jet against a central-difference jet on every k-th node.
 
-    The deviation is the max over the subsample and the four invariants of
-    |AD - FD| / max(1, |AD|).  Central differences read only plain field
-    values, which no derivative rule of ``dual`` touches, so a wrong rule
-    there shows here.
+    ``sums`` was streamed with this stride and kept the AD jet and the nodes
+    of the subsample.  The deviation is the max over the subsample and the
+    four invariants of |AD - FD| / max(1, |AD|).  Central differences read
+    only plain field values, which no derivative rule of ``dual`` touches, so
+    a wrong rule there shows here.
     """
-    k = _oracle_stride(rule.size)
-    fd = jet_batch(field, rule.nodes[::k], mode="fd")
+    fd = jet_batch(field, sums.sample_nodes, mode="fd")
     deviation = 0.0
     for name, fd_values in vars(fd).items():
-        ad = getattr(jets, name)[::k]
+        ad = getattr(sums.sample, name)
         deviation = max(deviation, float(np.max(np.abs(ad - fd_values) / np.maximum(1.0, np.abs(ad)))))
-    ctx = dict(_field_context(field, rule), stride=k, nodes=len(fd.sigma1))
+    ctx = dict(_field_context(field, rule), stride=stride, nodes=len(fd.sigma1))
     return _report("ad_fd_jet_agreement", deviation, 0.0, TOL_SIGMA["fd"], "abs", ctx)
 
 
@@ -288,19 +282,17 @@ def check_small_cap_counterexample(
     """
     cap = CapDomain(SpherePoint(QUAT_ONE), radius)
     rule = build_gauss_rule(cap, *SMALL_CAP_ORDERS)
-    jets = jet_batch(small_cap_field(cap), rule.nodes)
-    return _small_cap_reports(jets, rule, scaling_radii)
+    return _small_cap_reports(jet_sums(small_cap_field(cap), rule, (), None), rule, scaling_radii)
 
 
-def _small_cap_reports(jets: JetBatch, rule: QuadratureRule, scaling_radii) -> list[CheckReport]:
-    """The counterexample's rows, the main cap's reduced from its jet at the rule's nodes.
+def _small_cap_reports(sums: JetSums, rule: QuadratureRule, scaling_radii) -> list[CheckReport]:
+    """The counterexample's rows, the main cap's read off its jet streamed over the rule.
 
     The last row fits mean |grad v|^2 = C r^2 over caps of the scaling radii,
     each with its own rule of the same orders unless it is the main cap's.
     """
     cap = rule.domain
-    e = energy_from_jets(jets, rule)
-    v = volume_from_jets(jets, rule)
+    e, v = energy_and_volume_from_sums(sums, rule)
     mean = e.derivative_term / cap_volume(cap)
     ctx = {"cap_radius": cap.radius, "orders": list(rule.orders)}
     reports = [
@@ -366,43 +358,44 @@ def run_all(config: VerifyConfig) -> list[CheckReport]:
 
 
 def _field_reports(config: VerifyConfig) -> list[CheckReport]:
-    """The checks of the field, each a row reduced from its one jet at the rule's nodes.
+    """The checks of the field, each a row read off its one jet streamed over the rule.
 
     Every untwisted field's rows include the AD-against-FD oracle.
     """
     field, rule = config.field, config.rule
     cap = rule.domain
-    jets = jet_batch(field, rule.nodes)
-    if field.label == "small-cap":
-        return _small_cap_reports(jets, rule, SMALL_CAP_SCALING_RADII) + [_ad_fd_report(field, rule, jets)]
-    vol_k = cap_volume(cap)
-    ctx = _field_context(field, rule)
-    s2, _ = integrate(rule, lambda _n: jets.sigma2)
-    s1, _ = integrate(rule, lambda _n: jets.sigma1)
-    rows = [
-        # int sigma2 = vol(K) and int sigma1 = 0: the t^2 and t^1 coefficients.
-        ("boundary_sigma2_integral", s2, vol_k, TOL_INTEGRAL_REL, "rel"),
-        ("boundary_sigma1_integral", s1, 0.0, TOL_INTEGRAL_REL * vol_k, "abs"),
-        # E(v) >= E(H) and vol(v) >= vol(H).
-        ("energy_bound", energy_from_jets(jets, rule).value, hopf_energy(cap),
-         TOL_BOUND_REL * vol_k, "lower-bound"),
-        ("volume_bound", volume_from_jets(jets, rule).value, hopf_volume(cap),
-         TOL_BOUND_REL * vol_k, "lower-bound"),
-    ]
-    reports = [_report(*row, ctx) for row in rows]
     # Twisted fields have sigma2 unbounded below near the twist axis, so
     # no positive offset keeps the displacement a diffeomorphism; the
     # image-volume identity does not apply to them.  Their azimuth is
     # singular on that axis, where central differences read 1e3 and more
     # off the AD jet, so they have no AD-against-FD row either.
-    if field.params.get("twist", "none") != "none":
+    twisted = field.params.get("twist", "none") != "none"
+    small_cap = field.label == "small-cap"
+    stride = None if twisted else _oracle_stride(rule.size)
+    sums = jet_sums(field, rule, () if twisted or small_cap else config.t_grid, stride)
+    if small_cap:
+        reports = _small_cap_reports(sums, rule, SMALL_CAP_SCALING_RADII)
+        return reports + [_ad_fd_report(field, rule, sums, stride)]
+    vol_k = cap_volume(cap)
+    ctx = _field_context(field, rule)
+    e, v = energy_and_volume_from_sums(sums, rule)
+    rows = [
+        # int sigma2 = vol(K) and int sigma1 = 0: the t^2 and t^1 coefficients.
+        ("boundary_sigma2_integral", sums.sigma2[0], vol_k, TOL_INTEGRAL_REL, "rel"),
+        ("boundary_sigma1_integral", sums.sigma1[0], 0.0, TOL_INTEGRAL_REL * vol_k, "abs"),
+        # E(v) >= E(H) and vol(v) >= vol(H).
+        ("energy_bound", e.value, hopf_energy(cap), TOL_BOUND_REL * vol_k, "lower-bound"),
+        ("volume_bound", v.value, hopf_volume(cap), TOL_BOUND_REL * vol_k, "lower-bound"),
+    ]
+    reports = [_report(*row, ctx) for row in rows]
+    if twisted:
         return reports
-    reports.append(_ad_fd_report(field, rule, jets))
+    reports.append(_ad_fd_report(field, rule, sums, stride))
     # Image volume equals vol(K) (1 + t^2)^(3/2) for each offset t.
     for t in config.t_grid:
         t_ctx = dict(ctx, t=float(t))
         try:
-            val, _ = image_volume_from_jets(float(t), jets, rule)
+            val, _ = image_volume_from_sums(t, sums)
         except ValueError as exc:
             # Determinant dipped below the floor: t is outside the
             # diffeomorphism window for this field; report, don't crash.

@@ -19,8 +19,8 @@ the library.  JSON reports are strict (a value a check could not compute
 is null) and byte-identical for identical configuration and seed.
 
 ``main`` owns the process, so it sets the C allocator's policy before it
-parses arguments: freed memory stays mapped.  The jet allocates and frees
-the same block temporaries once per ``JET_BLOCK`` nodes; under glibc's
+parses arguments: freed memory stays mapped.  The streamed jet allocates
+and frees the same block temporaries once per ``JET_BLOCK`` nodes; under glibc's
 default policy that memory goes back to the kernel after each block and is
 faulted in again, zeroed, for the next.  A library must not change its
 importer's allocator, so this lives here and not in the package.
@@ -40,7 +40,6 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .calculus import JET_BLOCK
 from .checks import (
     AMPLITUDE,
     GAUSS_ORDERS,
@@ -56,7 +55,7 @@ from .checks import (
 from .fields import BumpProfile, UnitField, hopf_field, perturbed_field, small_cap_field
 from .functionals import energy_and_volume, hopf_energy, hopf_volume
 from .geometry import CapDomain, SpherePoint
-from .quadrature import QuadratureRule, build_gauss_rule, build_mc_rule
+from .quadrature import JET_BLOCK, QuadratureRule, build_gauss_rule, build_mc_rule
 
 OUTPUT_DIR_ENV = "HOPFCAP_OUTPUT_DIR"
 # glibc's mallopt parameters (malloc.h).
@@ -73,10 +72,12 @@ def _keep_freed_memory() -> None:
     """Make the C allocator keep the jet's freed block memory for the next block.
 
     glibc maps an allocation above its mmap threshold afresh and returns the
-    free top of its heap to the kernel above its trim threshold.  The mmap
-    threshold is set above the largest block temporary, the (3, 4, JET_BLOCK)
-    float64 tangent, and the trim threshold well above one block's peak heap
-    (about 7 MB).  Without ``mallopt`` the C library keeps its own policy.
+    free top of its heap to the kernel above its trim threshold.  Each block
+    of the streamed jet allocates and frees its nodes, weights and reduced
+    rows beside the dual temporaries.  The mmap threshold is set above the
+    largest of these, the (3, 4, JET_BLOCK) float64 tangent, and the trim
+    threshold well above one block's peak heap (about 7 to 9 MB).  Without
+    ``mallopt`` the C library keeps its own policy.
     """
     mallopt = getattr(_c_library(), "mallopt", None)
     if mallopt is None:

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import JetBatch, _value_and_derivative, jet_batch
+from .calculus import JetSums, _value_and_derivative, jet_batch, jet_sums
 from .fields import UnitField
 from .geometry import QUAT_I, QUAT_J, QUAT_K, CapDomain, quat_mul
-from .quadrature import QuadratureRule, integrate
+from .quadrature import QuadratureRule
 
 T_MAX = 0.5
 DET_FLOOR = 1e-6
@@ -76,18 +76,15 @@ def image_volume(dm: DisplacementMap, cap: CapDomain, rule: QuadratureRule) -> t
     must be the rule's domain.
     """
     rule.require_domain(cap)
-    jets = jet_batch(dm.field, rule.nodes)
-    return image_volume_from_jets(dm.t, jets, rule)
+    return image_volume_from_sums(dm.t, jet_sums(dm.field, rule, (dm.t,), None))
 
 
-def image_volume_from_jets(t: float, jets: JetBatch, rule: QuadratureRule) -> tuple[float, float]:
-    """Image volume at offset t, reduced from a jet evaluated at the rule's nodes."""
-    poly = 1.0 + jets.sigma1 * t + jets.sigma2 * t * t
-    if np.min(poly) <= DET_FLOOR:
-        i = int(np.argmin(poly))
+def image_volume_from_sums(t: float, sums: JetSums) -> tuple[float, float]:
+    """Image volume at offset t, read off a jet reduced over the rule with that offset."""
+    low, node = sums.polynomial_min[t]
+    if low <= DET_FLOOR:
         raise ValueError(
-            f"determinant factor {poly[i]:.3e} at node {i} is below the floor "
+            f"determinant factor {low:.3e} at node {node} is below the floor "
             f"{DET_FLOOR}; t={t} is outside the diffeomorphism window"
         )
-    det = math.sqrt(1.0 + t * t) * poly
-    return integrate(rule, lambda _nodes: det)
+    return sums.determinant[t]

@@ -163,16 +163,23 @@ def perturbed_field(
 
     def evaluate(x):
         # The frame is applied to the same normalized point as hopf_field,
-        # so the A = 0 case reproduces the Hopf field bit-for-bit.
+        # so the A = 0 case reproduces the Hopf field bit-for-bit.  Each
+        # intermediate is deleted after its last read: sin f and cos f, the
+        # point and the angle would otherwise outlive both products.
         xs = du.normalize(x)
-        d = du.arccos(du.apply_linear(center, xs))
-        f = du.relu(1.0 - (d / r) ** 2) ** m * amp
+        f = du.relu(1.0 - (du.arccos(du.apply_linear(center, xs)) / r) ** 2) ** m * amp
         tilt = du.apply_linear(e1, xs)
         if twist == "angular":
             sg, cg = du.sincos(du.arctan2(du.apply_linear(b2, xs), du.apply_linear(b1, xs)))
             tilt = cg * tilt + sg * du.apply_linear(e2, xs)
+            del sg, cg
         sf, cf = du.sincos(f)
-        return cf * du.apply_linear(h, xs) + sf * tilt
+        del f
+        along = cf * du.apply_linear(h, xs)
+        del cf, xs
+        across = sf * tilt
+        del sf, tilt
+        return along + across
 
     return UnitField(
         label="perturbed",

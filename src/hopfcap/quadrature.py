@@ -9,33 +9,57 @@ deterministic rule is Gauss-Legendre in rho and theta and periodic
 trapezoid in phi; its Legendre nodes come from Newton's method on the
 three-term recurrence, with no LAPACK call.  The stochastic rule draws
 uniform samples on the cap via the inverse CDF of the radial density.
+
+A rule is read one block of ``JET_BLOCK`` consecutive nodes at a time.  A
+Gauss rule keeps only the 1-D factors of its tensor grid and builds each
+block's nodes and weights from the rho-slab segments the block crosses,
+with the bits of the whole arrays; its ``nodes`` and ``weights`` build
+those arrays on first read, for callers that want them, and keep them.
+Every sum over a rule is made block by block and combined in one place,
+``WeightedSum``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import CapDomain, cap_volume, tangent_basis
 
 WEIGHT_SUM_TOL = 1e-10
+# Nodes per block of a walk over a rule.  The jet evaluates, and every
+# reduction sums, one block at a time, so the block bounds the dual
+# temporaries: the largest is the (3, 4, n) float64 tangent, 96 * JET_BLOCK
+# bytes = 768 KiB, and cli.main's allocator thresholds follow from it.
+JET_BLOCK = 8192
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for one cap."""
+    """Nodes and weights for one cap, built one block at a time.
 
-    nodes: np.ndarray    # (N, 4) points on S^3, strictly inside the cap
-    weights: np.ndarray  # (N,) volume-measure weights
+    ``factors`` is what the rule's blocks are built from.  A Gauss rule keeps
+    only its 1-D factors: (3, n_rho) rows sin(rho), cos(rho) and w_rho, the
+    (4, n_theta n_phi) table of directions
+    sin t cos p b1 + sin t sin p b2 + cos t b3, flattened in (theta, phi)
+    order, and (2, n_theta n_phi) rows w_theta and w_phi on that table.
+    Node (i, a) of the (rho, direction) grid is
+    cos(rho_i) c + sin(rho_i) direction_a, with weight
+    (w_rho_i w_theta_a) w_phi_a.  A Monte Carlo rule keeps its (N, 4) nodes
+    and (N,) weights.
+    """
+
     domain: CapDomain
     kind: str            # "gauss" | "montecarlo"
     orders: tuple        # (n_rho, n_theta, n_phi) or (n_samples,)
+    factors: tuple
 
     @property
     def size(self) -> int:
-        return self.nodes.shape[0]
+        return math.prod(self.orders)
 
     def require_domain(self, cap: CapDomain) -> None:
         """Raise ``ValueError`` unless ``cap`` is the cap this rule integrates over."""
@@ -45,23 +69,62 @@ class QuadratureRule:
                 f"(center {self.domain.center.x}, radius {self.domain.radius})"
             )
 
+    def blocks(self):
+        """(start, stop) of each consecutive block of ``JET_BLOCK`` nodes."""
+        for start in range(0, self.size, JET_BLOCK):
+            yield start, min(start + JET_BLOCK, self.size)
 
-def _polar_nodes(cap: CapDomain, rho, theta, phi):
-    """Ambient points on the (rho, theta, phi) tensor grid, flattened in that order.
+    def block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Component-major nodes (4, n) and weights (n,) of nodes start..stop-1."""
+        return self._block_nodes(start, stop), self._block_weights(start, stop)
 
-    The direction is formed once on the (theta, phi) grid; only the (N, 4)
-    result is as long as the rule.
-    """
-    b1, b2, b3 = tangent_basis(cap.center)
-    st = np.sin(theta)[:, None, None]
-    direction = (
-        st * np.cos(phi)[:, None] * b1
-        + st * np.sin(phi)[:, None] * b2
-        + np.cos(theta)[:, None, None] * b3
-    )
-    nodes = np.sin(rho)[:, None, None, None] * direction
-    nodes += np.cos(rho)[:, None, None, None] * cap.center.x
-    return nodes.reshape(-1, 4)
+    def _block_nodes(self, start: int, stop: int) -> np.ndarray:
+        if self.kind == "montecarlo":
+            return np.ascontiguousarray(self.factors[0][start:stop].T)
+        radial, directions, _ = self.factors
+        nodes = np.empty((4, stop - start))
+        for rho, table, out in self._slab_runs(start, stop):
+            run = nodes[:, out].reshape(4, rho.stop - rho.start, -1)  # a view: (4, slabs, directions)
+            np.multiply(directions[:, None, table], radial[0, rho, None], out=run)
+            run += (self.domain.center.x[:, None] * radial[1, rho])[:, :, None]
+        return nodes
+
+    def _block_weights(self, start: int, stop: int) -> np.ndarray:
+        if self.kind == "montecarlo":
+            return self.factors[1][start:stop]
+        radial, _, angular = self.factors
+        weights = np.empty(stop - start)
+        for rho, table, out in self._slab_runs(start, stop):
+            run = weights[out].reshape(rho.stop - rho.start, -1)  # a view: (slabs, directions)
+            np.multiply(radial[2, rho, None], angular[0, table], out=run)
+            run *= angular[1, table]
+        return weights
+
+    def _slab_runs(self, start: int, stop: int):
+        """(rho slice, direction slice, block slice) of each run of nodes
+        start..stop-1: part of one rho-slab, or consecutive whole slabs."""
+        n_dir = self.factors[1].shape[1]
+        pos = start
+        while pos < stop:
+            i, a = divmod(pos, n_dir)
+            if a == 0 and stop - pos >= n_dir:
+                slabs, n = (stop - pos) // n_dir, n_dir
+            else:
+                slabs, n = 1, min(n_dir - a, stop - pos)
+            yield slice(i, i + slabs), slice(a, a + n), slice(pos - start, pos - start + slabs * n)
+            pos += slabs * n
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """(N, 4) points on S^3, strictly inside the cap; a Gauss rule builds them on first read."""
+        if self.kind == "montecarlo":
+            return self.factors[0]
+        return np.ascontiguousarray(self._block_nodes(0, self.size).T)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """(N,) volume-measure weights; a Gauss rule builds them on first read."""
+        return self._block_weights(0, self.size)
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -103,23 +166,32 @@ def build_gauss_rule(cap: CapDomain, n_rho: int, n_theta: int, n_phi: int) -> Qu
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     wphi = np.full(n_phi, 2.0 * math.pi / n_phi)
 
-    # Fixed flattening order (rho, theta, phi) for reproducible reductions.
-    weights = (wrho[:, None, None] * wtheta[None, :, None] * wphi[None, None, :]).ravel()
-    nodes = _polar_nodes(cap, rho, theta, phi)
-
-    total = float(np.sum(weights))
+    # The weight sum is the product of the 1-D sums, read without building
+    # the N weights.
+    total = math.fsum(wrho) * math.fsum(wtheta) * math.fsum(wphi)
     vol = cap_volume(cap)
     if abs(total - vol) > WEIGHT_SUM_TOL * max(1.0, vol):
         raise ValueError(
             f"Gauss orders ({n_rho}, {n_theta}, {n_phi}) are too low: the weight sum {total} "
             f"misses the cap volume {vol}; raise the orders"
         )
+    b1, b2, b3 = tangent_basis(cap.center)
+    st = np.sin(theta)[:, None, None]
+    direction = (
+        st * np.cos(phi)[:, None] * b1
+        + st * np.sin(phi)[:, None] * b2
+        + np.cos(theta)[:, None, None] * b3
+    )
+    # Fixed flattening order (rho, theta, phi) for reproducible reductions.
     return QuadratureRule(
-        nodes=nodes,
-        weights=weights,
         domain=cap,
         kind="gauss",
         orders=(n_rho, n_theta, n_phi),
+        factors=(
+            np.stack([np.sin(rho), np.cos(rho), wrho]),
+            np.ascontiguousarray(direction.reshape(-1, 4).T),
+            np.stack([np.repeat(wtheta, n_phi), np.tile(wphi, n_theta)]),
+        ),
     )
 
 
@@ -149,36 +221,86 @@ def build_mc_rule(cap: CapDomain, n_samples: int, seed: int) -> QuadratureRule:
     nodes = np.cos(rho)[:, None] * cap.center.x + np.sin(rho)[:, None] * (direction @ b)
     vol = cap_volume(cap)
     weights = np.full(n_samples, vol / n_samples)
-    return QuadratureRule(
-        nodes=nodes,
-        weights=weights,
-        domain=cap,
-        kind="montecarlo",
-        orders=(n_samples,),
-    )
+    return QuadratureRule(domain=cap, kind="montecarlo", orders=(n_samples,), factors=(nodes, weights))
+
+
+class WeightedSum:
+    """Sums of w f over a rule for rows of values f, added one block at a time.
+
+    Each block adds numpy's fixed-order pairwise sum of each row's terms,
+    and ``result`` combines each row's block sums once, correctly rounded by
+    ``math.fsum``.  A sum's bits therefore depend only on the per-node values
+    and the block bounds, so ``integrate`` and the streamed jet sums of
+    ``calculus.jet_sums`` agree bit for bit.  Each sum comes with an error
+    estimate: Gauss rules the roundoff eps * sum |w f|, Monte Carlo rules the
+    standard error of the sample mean, from sums of f shifted by its mean
+    over the first block.
+    """
+
+    def __init__(self, rule: QuadratureRule):
+        self._rule = rule
+        self._blocks = []
+        self._shift = None
+
+    def add(self, weights: np.ndarray, values: np.ndarray) -> None:
+        """Add one block: ``values`` (k, n) holds the block's k rows, ``weights`` (n,)."""
+        wf = values * weights
+        total = np.sum(wf, axis=1)
+        if self._rule.kind == "montecarlo":
+            if self._shift is None:
+                self._shift = np.mean(values, axis=1, keepdims=True)
+            d = values - self._shift
+            self._blocks.append((total, np.sum(d, axis=1), np.sum(d * d, axis=1)))
+        else:
+            # |w f| overwrites w f, read only by the sum above.
+            self._blocks.append((total, np.sum(np.abs(wf, out=wf), axis=1)))
+
+    def result(self) -> list[tuple[float, float]]:
+        """Each row's sum and its error estimate, as ``integrate`` returns them."""
+        # For each statistic, one correctly rounded sum per row over the blocks.
+        stats = [[math.fsum(row) for row in np.transpose(blocks)] for blocks in zip(*self._blocks)]
+        if self._rule.kind == "montecarlo":
+            n = self._rule.size
+            vol = cap_volume(self._rule.domain)
+            out = []
+            for total, shifted, squares in zip(*stats):
+                mean = shifted / n
+                var = max(squares / n - mean * mean, 0.0)
+                out.append((total, vol * math.sqrt(var) / math.sqrt(n)))
+            return out
+        eps = float(np.finfo(float).eps)
+        return [(total, eps * abs_total) for total, abs_total in zip(*stats)]
+
+
+def require_finite(values: np.ndarray, start: int, points: np.ndarray) -> None:
+    """Raise ``ValueError`` at the first node of a block with a non-finite value.
+
+    ``values`` holds rows (k, n) over the block's nodes, which are nodes
+    start..start+n-1 of the rule, and ``points`` their (4, n) coordinates.
+    """
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    i = int(np.argmin(finite.all(axis=0)))
+    bad = values[:, i][~finite[:, i]][0]
+    raise ValueError(f"non-finite integrand value {bad} at node {start + i}: {points[:, i]}")
 
 
 def integrate(rule: QuadratureRule, f) -> tuple[float, float]:
     """Weighted sum of f over the rule nodes, plus an error estimate.
 
-    ``f`` maps an (N, 4) array of points to (N,) scalars.  The reduction is
-    numpy's fixed-order pairwise sum, bit-reproducible for a given rule.
-    Gauss rules report the roundoff term eps * sum |w f|; Monte Carlo rules
-    report the standard error of the sample mean.
+    ``f`` maps an (N, 4) array of points to (N,) scalars.  The values are
+    summed block by block and combined by ``WeightedSum``, bit-reproducible
+    for a given rule.  Gauss rules report the roundoff term eps * sum |w f|;
+    Monte Carlo rules report the standard error of the sample mean.
     """
     fx = np.asarray(f(rule.nodes), dtype=float)
     if fx.shape != (rule.size,):
         raise ValueError(f"integrand returned shape {fx.shape}, expected ({rule.size},)")
-    finite = np.isfinite(fx)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"non-finite integrand value {fx[i]} at node {i}: {rule.nodes[i]}")
-    wfx = rule.weights * fx
-    value = float(np.sum(wfx))
-    if rule.kind == "montecarlo":
-        vol = cap_volume(rule.domain)
-        err = float(vol * np.std(fx) / math.sqrt(rule.size))
-    else:
-        # |w f| overwrites w f, read only by the sum above: one N-length temporary.
-        err = float(np.finfo(float).eps * np.sum(np.abs(wfx, out=wfx)))
-    return value, err
+    points = rule.nodes.T
+    total = WeightedSum(rule)
+    for start, stop in rule.blocks():
+        values = fx[None, start:stop]
+        require_finite(values, start, points[:, start:stop])
+        total.add(rule._block_weights(start, stop), values)
+    return total.result()[0]

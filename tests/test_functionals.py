@@ -12,11 +12,10 @@ from hopfcap import (
     build_gauss_rule,
     cap_volume,
     energy,
-    energy_from_jets,
+    energy_and_volume,
     hopf_field,
     image_volume,
-    integrate,
-    jet_batch,
+    jet_sums,
     perturbed_field,
     small_cap_field,
     sweep_family,
@@ -112,9 +111,8 @@ def sigma2_energy_gap(field, cap, rule):
     Nonnegative because |h|^2 >= 2 det h pointwise; zero exactly when h is
     antisymmetric and the field-direction derivative vanishes (Hopf fields).
     """
-    jets = jet_batch(field, rule.nodes)
-    s2, _ = integrate(rule, lambda _n: jets.sigma2)
-    return energy_from_jets(jets, rule).value - (1.5 * cap_volume(cap) + s2)
+    s2, _ = jet_sums(field, rule, (), None).sigma2
+    return energy_and_volume(field, rule)[0].value - (1.5 * cap_volume(cap) + s2)
 
 
 class TestEnergyLowerBoundGap:

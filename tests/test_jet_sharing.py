@@ -1,9 +1,11 @@
-"""One jet per (field, rule, mode): checks and functionals reduce a shared batch.
+"""One jet per (field, rule, mode): checks and functionals reduce one streamed jet.
 
-The ``jet_calls`` fixture wraps ``jet_batch`` in every hopfcap module that
-imported it, so each evaluation the package makes is recorded with its
-field, node count and differentiation mode.  The one FD jet of a report is
-the AD-against-FD oracle's, on a subsample of the rule's nodes.
+The ``jet_calls`` fixture wraps ``jet_batch`` and the streaming driver
+``jet_sums`` in every hopfcap module that imported them, so each evaluation
+the package makes is recorded with its field, node count and
+differentiation mode (``jet_sums`` is AD over every node of its rule).  The
+one FD jet of a report is the AD-against-FD oracle's, on a subsample of the
+rule's nodes.
 """
 
 import sys
@@ -26,6 +28,7 @@ from hopfcap import (
     image_volume,
     integrate,
     jet_batch,
+    jet_sums,
     perturbed_field,
     run_all,
     sweep_family,
@@ -42,13 +45,20 @@ ORDERS = (16, 8, 16)
 def jet_calls(monkeypatch):
     calls = []
 
-    def counting(field, points, mode="ad", **kwargs):
+    def counting_batch(field, points, mode="ad", **kwargs):
         calls.append(SimpleNamespace(field=field, nodes=len(points), mode=mode))
         return jet_batch(field, points, mode, **kwargs)
 
+    def counting_sums(field, rule, offsets, stride):
+        calls.append(SimpleNamespace(field=field, nodes=rule.size, mode="ad"))
+        return jet_sums(field, rule, offsets, stride)
+
+    counters = {"jet_batch": (jet_batch, counting_batch), "jet_sums": (jet_sums, counting_sums)}
     for name, module in list(sys.modules.items()):
-        if name.startswith("hopfcap") and getattr(module, "jet_batch", None) is jet_batch:
-            monkeypatch.setattr(module, "jet_batch", counting)
+        if name.startswith("hopfcap"):
+            for attr, (original, counting) in counters.items():
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, counting)
     return calls
 
 

@@ -14,7 +14,7 @@ from hopfcap import (
     integrate,
 )
 from hopfcap.geometry import tangent_basis
-from hopfcap.quadrature import _gauss_legendre, _radial_inverse_cdf
+from hopfcap.quadrature import JET_BLOCK, _gauss_legendre, _radial_inverse_cdf
 
 
 @pytest.fixture(scope="module")
@@ -210,9 +210,9 @@ class TestIntegrate:
         assert err < 1e-10
 
     def test_holds_one_node_length_temporary(self, north):
-        # The Gauss error term overwrites w f with |w f|, and the finiteness
-        # test is one boolean mask: the peak is w f plus N bytes, not two
-        # float64 temporaries.  The bits are those of the plain formulas.
+        # The sums are made one JET_BLOCK block at a time, so the peak stays
+        # under w f plus N bytes: no float64 temporary is as long as the rule.
+        # The bits are those of numpy's block sums combined by math.fsum.
         rule = build_gauss_rule(CapDomain(north, 1.0), 64, 32, 64)
         fx = np.cos(3.0 * rule.nodes[:, 1]) - 0.2
         tracemalloc.start()
@@ -223,5 +223,6 @@ class TestIntegrate:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * rule.size
         wfx = rule.weights * fx
-        assert value == float(np.sum(wfx))
-        assert err == float(np.finfo(float).eps * np.sum(np.abs(wfx)))
+        blocks = [slice(s, s + JET_BLOCK) for s in range(0, rule.size, JET_BLOCK)]
+        assert value == math.fsum(np.sum(wfx[b]) for b in blocks)
+        assert err == np.finfo(float).eps * math.fsum(np.sum(np.abs(wfx[b])) for b in blocks)
