@@ -27,6 +27,9 @@ from .quadrature import QuadratureRule, build_gauss_rule
 TOL_SIGMA = {"ad": 1e-9, "fd": 1e-6}
 TOL_INTEGRAL_REL = 1e-5
 TOL_BOUND_REL = 1e-6
+# The sweep's refinement returns an amplitude within TOL_SWEEP_LOC / 2 of
+# the minimizer, and its location check passes when |A| <= TOL_SWEEP_LOC:
+# the search's width and the check's tolerance are one value.
 TOL_SWEEP_LOC = 0.02
 # Small-cap counterexample: mean |grad v|^2 limit, log-log slope tolerance,
 # the cap radii the slope is fitted over and the Gauss orders of
@@ -178,23 +181,64 @@ class SweepResult:
     refined_volume_min: float
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    """Location of the minimum of a unimodal f on [lo, hi], within tol."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+def _brent_min(f, grid, values, tol: float) -> float:
+    """Location of the minimum of a unimodal f, refined from its values on a grid.
+
+    Brent's method (Brent, "Algorithms for Minimization without
+    Derivatives", 1973, ch. 5): parabolic steps through the best three
+    points, with a golden-section step whenever a parabola is not trusted.
+    The search starts from what the grid already knows: the bracket is the
+    grid argmin's neighbours, and the first parabola runs through the argmin
+    and those neighbours.  An argmin at a grid edge has no known interior
+    point, so the search starts with the golden point of its bracket nearer
+    to it.  It stops once the minimizer's bracket [a, b] has
+    max(x - a, b - x) <= tol / 2, so the returned x, the best evaluated
+    point, is within tol / 2 of the minimizer.
+    """
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    step_min = tol / 4.0  # the shortest step
+    i = int(np.argmin(values))
+    lo, hi = max(i - 1, 0), min(i + 1, len(grid) - 1)
+    a, b = float(grid[lo]), float(grid[hi])
+    # x is the best point, w the next best and v the third; the bracket's
+    # width stands in for the two steps before the first.  An edge argmin
+    # is both x and w, so the first parabola is degenerate and the first
+    # step is golden: to the golden point of [a, b] nearer to the argmin.
+    (fx, x), (fw, w), (fv, v) = sorted((float(values[j]), float(grid[j])) for j in (lo, i, hi))
+    step = before_last = b - a
+    while max(x - a, b - x) > 2.0 * step_min:
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(before_last) > step_min:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # Trust the parabola's vertex only inside (a, b) and only if the
+            # step is shorter than half the step before last.
+            parabolic = q * (a - x) < p < q * (b - x) and abs(p) < abs(0.5 * q * before_last)
+        if parabolic:
+            before_last, step = step, p / q
+            if x + step - a < 2.0 * step_min or b - (x + step) < 2.0 * step_min:
+                step = step_min if mid > x else -step_min
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            before_last = (a if x >= mid else b) - x
+            step = golden * before_last
+        u = x + (step if abs(step) >= step_min else math.copysign(step_min, step))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
 
 
 def sweep_grid(amplitudes) -> np.ndarray:
@@ -216,15 +260,18 @@ def sweep_family(
     exponent: int = BUMP_EXPONENT,
     twist=None,
 ) -> SweepResult:
-    """Evaluate both functionals over the bump-amplitude grid; refine the minimum.
+    """Evaluate both functionals over the bump-amplitude grid; refine each minimum.
 
-    ``cap`` carries the bump and must be the rule's domain.
+    Each functional's minimum is refined by ``_brent_min`` from the grid's
+    own bracket and values, to within ``TOL_SWEEP_LOC / 2``.  ``cap``
+    carries the bump and must be the rule's domain.
     """
     rule.require_domain(cap)
     amps = sweep_grid(amplitudes)
 
-    # Both golden-section searches revisit amplitudes, and each step reads
-    # one of the two functionals: evaluate each amplitude once.
+    # Both searches start from grid amplitudes and may step to the same
+    # amplitudes, and each step reads one of the two functionals: evaluate
+    # each amplitude once.
     seen = {}
 
     def functionals_at(a: float) -> tuple[float, float]:
@@ -240,13 +287,8 @@ def sweep_family(
     i_e = int(np.argmin(energies))
     i_v = int(np.argmin(volumes))
 
-    def bracket(i):
-        lo = amps[max(i - 1, 0)]
-        hi = amps[min(i + 1, len(amps) - 1)]
-        return float(lo), float(hi)
-
-    refined_e = _golden_section(lambda a: functionals_at(a)[0], *bracket(i_e), TOL_SWEEP_LOC)
-    refined_v = _golden_section(lambda a: functionals_at(a)[1], *bracket(i_v), TOL_SWEEP_LOC)
+    refined_e = _brent_min(lambda a: functionals_at(a)[0], amps, energies, TOL_SWEEP_LOC)
+    refined_v = _brent_min(lambda a: functionals_at(a)[1], amps, volumes, TOL_SWEEP_LOC)
 
     return SweepResult(
         amplitudes=amps,

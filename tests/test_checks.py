@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcap import (
     BumpProfile,
@@ -26,6 +27,9 @@ from hopfcap.checks import (
     GAUSS_ORDERS,
     ORACLE_NODES,
     SMALL_CAP_SCALING_RADII,
+    SWEEP_AMPLITUDES,
+    TOL_SWEEP_LOC,
+    _brent_min,
     _field_reports,
     _oracle_stride,
     sweep_grid,
@@ -196,8 +200,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("grid", [(0.0, 0.0, 0.5), (-0.0, 0.0, 0.5), (0.0, 0.5, 0.5)])
     def test_repeated_amplitude_rejected(self, cap, coarse_rule, grid):
-        # A repeat makes a zero-width refinement bracket, so no golden-section
-        # step would run and the location check would pass unexamined.
+        # A repeat can make a zero-width refinement bracket, so the search
+        # would return the repeated amplitude without a step and the
+        # location check would pass unexamined.
         with pytest.raises(ValueError, match="repeats"):
             sweep_family(cap, grid, coarse_rule)
 
@@ -220,6 +225,81 @@ class TestSweep:
         result = sweep_family(cap, (0.0, 0.5, 1.0), coarse_rule)
         assert result.energies[1] < result.energies[2]
         assert result.volumes[1] < result.volumes[2]
+
+
+# Closed-form unimodal shapes of d = a - c, each with whether it is smooth.
+# The cubic is asymmetric and unimodal while |d| < 2/3.
+UNIMODAL = {
+    "square": (lambda d: d * d, True),
+    "quartic": (lambda d: d**4, True),
+    "abs": (abs, False),
+    "cosh": (lambda d: math.cosh(8.0 * d), True),
+    "cubic": (lambda d: d * d + d**3, True),
+}
+# The default grid's bracket around its argmin 0.
+BRACKET = (-0.25, 0.0, 0.25)
+# Golden section on [-0.25, 0.25] shrinks the width 0.5 by 0.618 per
+# evaluation until it is at most TOL_SWEEP_LOC = 0.02: 2 + 7 evaluations.
+GOLDEN_EVALUATIONS = 9
+
+
+def refine(shape, grid):
+    """``_brent_min`` of ``shape`` seeded on ``grid``, and the points it evaluated."""
+    evaluated = []
+
+    def f(a):
+        evaluated.append(a)
+        return shape(a)
+
+    found = _brent_min(f, np.asarray(grid), [shape(a) for a in grid], TOL_SWEEP_LOC)
+    return found, evaluated
+
+
+class TestBrentMin:
+    @given(st.sampled_from(sorted(UNIMODAL)), st.floats(BRACKET[0], BRACKET[-1]))
+    @settings(max_examples=300, deadline=None)
+    def test_unimodal_minimum_within_half_the_tolerance(self, name, c):
+        shape, smooth = UNIMODAL[name]
+        found, evaluated = refine(lambda a: shape(a - c), BRACKET)
+        assert abs(found - c) <= TOL_SWEEP_LOC / 2
+        assert found in evaluated or found in BRACKET  # a point, not a midpoint
+        assert all(BRACKET[0] <= a <= BRACKET[-1] for a in evaluated)
+        assert len(set(evaluated) | set(BRACKET)) == len(evaluated) + len(BRACKET)  # none twice
+        if smooth:
+            assert len(evaluated) <= GOLDEN_EVALUATIONS
+
+    @pytest.mark.parametrize("noise", [1e-17, -1e-17])
+    def test_even_function_returns_the_grid_zero(self, noise):
+        # Roundoff tilts an even function one way or the other.  The best
+        # evaluated point is the grid's 0 either way, where a bracket's
+        # midpoint would take the tilt's sign.
+        found, evaluated = refine(lambda a: a * a + math.copysign(noise, a), SWEEP_AMPLITUDES)
+        assert found == 0.0 and math.copysign(1.0, found) == 1.0
+        assert sorted(evaluated) == [-TOL_SWEEP_LOC / 4, TOL_SWEEP_LOC / 4]
+
+    def test_constant_function_terminates(self):
+        found, evaluated = refine(lambda a: 1.0, BRACKET)
+        assert BRACKET[0] <= found <= BRACKET[-1]
+        assert len(evaluated) <= GOLDEN_EVALUATIONS
+
+    @pytest.mark.parametrize(
+        "grid, shape",
+        [
+            ((0.0, 0.5, 1.0), lambda a: a * a),
+            ((0.0, 0.5, 1.0), lambda a: a),
+            ((0.0, 0.5, 1.0), lambda a: (a + 0.1) ** 2),
+            ((-1.0, -0.5, 0.0), lambda a: a * a),
+        ],
+        ids=["square", "linear", "minimizer-beyond-the-grid", "upper-edge"],
+    )
+    def test_edge_argmin_terminates_near_the_edge(self, grid, shape):
+        found, evaluated = refine(shape, grid)
+        # The edge 0 has no known interior neighbour: the search starts at the
+        # golden point of its bracket, nearer to the edge.
+        golden = (3.0 - math.sqrt(5.0)) / 2.0
+        assert evaluated[0] == pytest.approx(math.copysign(0.5 * golden, sum(grid)), abs=1e-15)
+        assert abs(found) <= TOL_SWEEP_LOC / 2
+        assert all(min(grid) <= a <= max(grid) for a in evaluated)
 
 
 class TestSmallCapCounterexample:

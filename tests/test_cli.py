@@ -176,10 +176,10 @@ class TestBoundedMemory:
 
 @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="needs the C library's mallopt")
 def test_jet_blocks_reuse_freed_memory():
-    # Each of the sweep's 16 jets allocates and frees the same block
+    # Each of the sweep's 9 jets allocates and frees the same block
     # temporaries.  Under glibc's default policy every block faults its
-    # pages in again (about 55 000 minor faults for this command); with the
-    # freed memory kept mapped it takes about 2 000.
+    # pages in again (about 29 000 minor faults for this command); with the
+    # freed memory kept mapped it takes about 1 800.
     child = (
         "import contextlib, io, resource, sys\n"
         "from hopfcap.cli import main\n"
@@ -259,6 +259,30 @@ class TestSweepCommand:
         assert footer.startswith("#")
         assert "argmin_energy=0.0" in footer
         assert "argmin_volume=0.0" in footer
+
+    # The grid rows of `sweep --orders 16,8,16`: the refinement adds
+    # amplitudes but changes none of these bytes.
+    GRID_ROWS = (
+        "amplitude,energy,volume\n"
+        "-1.0,10.29174639335627,7.940967999513971\n"
+        "-0.5,8.997705081718916,7.138059732193064\n"
+        "-0.25,8.674194753809578,6.9248480018688765\n"
+        "0.0,8.566357977839798,6.8530863822718295\n"
+        "0.25,8.674194753809578,6.924848001868876\n"
+        "0.5,8.997705081718918,7.138059732193063\n"
+        "1.0,10.29174639335627,7.940967999513971\n"
+    )
+
+    def test_grid_rows_and_refined_footer(self, capsys):
+        assert main(["sweep", "--orders", "16,8,16"]) == 0
+        rows, footer = capsys.readouterr().out.rsplit("#", 1)
+        assert rows == self.GRID_ROWS
+        # The refinement returns the grid's exact 0 on the even family,
+        # whatever the roundoff, and on the twisted family as well.
+        refined = " refined_energy_min=0.0 refined_volume_min=0.0\n"
+        assert footer == " argmin_energy=0.0 argmin_volume=0.0" + refined
+        assert main(["sweep", "--orders", "16,8,16", "--twist", "angular"]) == 0
+        assert capsys.readouterr().out.endswith(refined)
 
     def test_single_point_grid(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -86,7 +86,11 @@ class TestJetCounts:
         sweep_family(CAP, grid, rule)
         amps = [c.field.params["amplitude"] for c in jet_calls]
         assert len(amps) == len(set(amps))
-        assert set(grid) < set(amps)  # the golden-section steps add amplitudes
+        assert set(grid) < set(amps)  # the refinement steps add amplitudes
+        # Both searches start from the grid's argmin 0 and its neighbours
+        # +-0.25, and the even family's parabola sends them to the same two
+        # steps, 0 +- TOL_SWEEP_LOC / 4: 7 grid jets and 2 more.
+        assert len(amps) == 9
 
     def test_functionals_command_one_jet(self, jet_calls, tmp_path):
         out = tmp_path / "f.json"
