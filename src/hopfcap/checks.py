@@ -102,7 +102,11 @@ def _report(name, lhs, rhs, tolerance, policy, context) -> CheckReport:
 
 
 def check_hopf_constants(n_points: int = ORACLE_NODES, seed: int = 0, mode: str = "ad") -> list[CheckReport]:
-    """max |sigma1| and max |sigma2 - 1| for a Hopf field at random points."""
+    """max |sigma1| and max |sigma2 - 1| for a Hopf field at random points.
+
+    The points are ``random_sphere_points(n_points, seed)``, drawn from the
+    standard library's seeded Mersenne Twister.
+    """
     tol = TOL_SIGMA[mode]
     pts = random_sphere_points(n_points, seed=seed)
     jets = jet_batch(hopf_field(), pts, mode=mode)

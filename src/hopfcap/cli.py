@@ -97,6 +97,14 @@ def _csv_ints(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
 
 
+def _seed(text: str) -> int:
+    """A --seed value; random.Random would read a negative seed as its absolute value."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hopfcap")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -121,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--orders", type=_csv_ints, default=None)
         p.add_argument("--rule", choices=["gauss", "montecarlo"], default="gauss")
         p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--output", default=None)
     for p in (commands["verify"], commands["functionals"]):
         p.add_argument("--field", choices=["hopf", "perturbed", "small-cap"], default="hopf")

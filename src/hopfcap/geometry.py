@@ -3,11 +3,18 @@
 Points of S^3 are unit 4-vectors read as quaternions (w, i, j, k).  This
 module provides the quaternion algebra, geodesic-ball (cap) domains, the
 tangent basis (i x, j x, k x) and uniform random points.
+
+Every seeded sample in the package comes from ``seeded_uniforms``, which
+reads 53-bit uniforms off the standard library's Mersenne Twister
+(``random.Random``), a module the interpreter has loaded at startup, so
+drawing a sample loads no generator module of numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +112,27 @@ def tangent_basis(p: SpherePoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return quat_mul(QUAT_I, p.x), quat_mul(QUAT_J, p.x), quat_mul(QUAT_K, p.x)
 
 
+def seeded_uniforms(k: int, n: int, seed: int) -> np.ndarray:
+    """(k, n) uniforms on [0, 1), 53 random bits each, fixed by ``seed`` >= 0.
+
+    The bits are the little-endian bytes of ``random.Random(seed)``; each
+    value keeps the top 53 bits of one 64-bit word, times 2**-53.
+    """
+    seed = operator.index(seed)
+    # random.Random seeds with |seed|, so -1 would silently draw seed 1's sample.
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    words = np.frombuffer(random.Random(seed).randbytes(8 * k * n), dtype="<u8")
+    return (words >> np.uint64(11)).reshape(k, n) * 2.0**-53
+
+
 def random_sphere_points(n: int, seed: int) -> np.ndarray:
-    """(n, 4) array of uniform points on S^3 (Gaussian normalization)."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, 4))
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+    """(n, 4) array of uniform points on S^3, from ``seeded_uniforms``.
+
+    Hopf coordinates (sqrt(u) e^{2 pi i a}, sqrt(1 - u) e^{2 pi i b}) with
+    u, a, b uniform on [0, 1) are exactly uniform on S^3.
+    """
+    u, a, b = seeded_uniforms(3, n, seed)
+    r1, r2 = np.sqrt(u), np.sqrt(1.0 - u)
+    a, b = 2.0 * math.pi * a, 2.0 * math.pi * b
+    return np.stack([r1 * np.cos(a), r1 * np.sin(a), r2 * np.cos(b), r2 * np.sin(b)], axis=-1)

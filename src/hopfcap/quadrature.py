@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import CapDomain, cap_volume, tangent_basis
+from .geometry import CapDomain, cap_volume, seeded_uniforms, tangent_basis
 
 WEIGHT_SUM_TOL = 1e-10
 # Nodes per block of a walk over a rule.  The jet evaluates, and every
@@ -210,13 +210,20 @@ def _radial_inverse_cdf(cap: CapDomain, u: np.ndarray) -> np.ndarray:
 
 
 def build_mc_rule(cap: CapDomain, n_samples: int, seed: int) -> QuadratureRule:
-    """Uniform Monte Carlo samples on the cap with equal weights vol/n."""
+    """Uniform Monte Carlo samples on the cap with equal weights vol/n.
+
+    Three ``seeded_uniforms`` per sample: u gives the radius as a quantile
+    of the radial density, and v, w the direction on S^2, z = 2 v - 1 and
+    azimuth 2 pi w (Archimedes: z is uniform on [-1, 1]).
+    """
     if n_samples < 1000:
         raise ValueError("Monte Carlo rule needs at least 1000 samples")
-    rng = np.random.default_rng(seed)
-    rho = _radial_inverse_cdf(cap, rng.random(n_samples))
-    direction = rng.standard_normal((n_samples, 3))
-    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    u, v, w = seeded_uniforms(3, n_samples, seed)
+    rho = _radial_inverse_cdf(cap, u)
+    z = 2.0 * v - 1.0
+    phi = 2.0 * math.pi * w
+    s = np.sqrt(1.0 - z * z)
+    direction = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
     b = np.stack(tangent_basis(cap.center), axis=0)  # (3, 4)
     nodes = np.cos(rho)[:, None] * cap.center.x + np.sin(rho)[:, None] * (direction @ b)
     vol = cap_volume(cap)

@@ -242,6 +242,37 @@ def test_report_bytes_do_not_depend_on_the_blas_kernel():
         assert outputs[0] == outputs[1], argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--field", "perturbed", "--orders", "16,8,16"],
+        ["verify", "--rule", "montecarlo", "--samples", "2000"],
+        ["functionals"],
+        ["sweep"],
+    ],
+    ids=["verify-gauss", "verify-montecarlo", "functionals", "sweep"],
+)
+def test_commands_do_not_load_numpy_random(argv):
+    # Every seeded sample comes from the interpreter's own generator;
+    # loading numpy's would add about 6 MB to the peak resident set.
+    child = (
+        "import contextlib, io, sys\n"
+        "from hopfcap.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print('numpy.random' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != OUTPUT_DIR_ENV}
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True, text=True, timeout=300, env={**env, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestSweepCommand:
     def test_default_grid(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -444,6 +475,14 @@ class TestInputValidation:
         # not an overflow in the jet.
         assert main(argv) == 2
         assert "1e+300" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("rule", [[], ["--rule", "montecarlo"]], ids=["gauss", "montecarlo"])
+    @pytest.mark.parametrize("command", ["verify", "functionals", "sweep"])
+    def test_negative_seed_exits_two(self, command, rule, no_compute, capsys):
+        # The stdlib generator would silently draw seed 1's sample for -1.
+        assert main([command, "--seed", "-1", *rule]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 class TestUnexpectedErrors:

@@ -1,11 +1,20 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcap import CapDomain, SpherePoint, cap_volume, quat_mul
-from hopfcap.geometry import QUAT_I, QUAT_J, QUAT_K, QUAT_ONE, left_mult_matrix, random_sphere_points
+from hopfcap.geometry import (
+    QUAT_I,
+    QUAT_J,
+    QUAT_K,
+    QUAT_ONE,
+    left_mult_matrix,
+    random_sphere_points,
+    seeded_uniforms,
+)
 
 quat = st.lists(st.floats(min_value=-2, max_value=2, allow_nan=False), min_size=4, max_size=4).map(
     np.array
@@ -105,3 +114,43 @@ class TestCapEquality:
         assert keyed == {self.cap(): "c"}
         assert hash(self.cap()) == hash(self.cap(center=(1.0, -0.0, 0, 0)))
         assert len({self.cap(), self.cap(radius=0.5)}) == 2
+
+
+class TestSeededSamples:
+    def test_uniforms_are_the_top_53_bits_of_the_stdlib_words(self):
+        # Oracle: the generator's 64-bit words drawn one at a time.
+        r = random.Random(5)
+        words = [r.getrandbits(64) for _ in range(2 * 7)]
+        expected = np.array([(x >> 11) * 2.0**-53 for x in words]).reshape(2, 7)
+        assert np.array_equal(seeded_uniforms(2, 7, 5), expected)
+
+    def test_uniforms_lie_in_the_unit_interval(self):
+        u = seeded_uniforms(3, 100_000, 2)
+        assert u.shape == (3, 100_000)
+        assert u.min() >= 0.0 and u.max() < 1.0
+        # Mean 1/2 and standard deviation 1/sqrt(12) per value.
+        assert np.all(np.abs(u.mean(axis=1) - 0.5) < 3 / math.sqrt(12 * u.shape[1]))
+
+    def test_same_seed_same_bytes(self):
+        assert random_sphere_points(1000, 7).tobytes() == random_sphere_points(1000, 7).tobytes()
+        assert random_sphere_points(1000, 0).tobytes() != random_sphere_points(1000, 1).tobytes()
+
+    def test_points_are_unit_and_isotropic(self):
+        pts = random_sphere_points(200_000, 3)
+        assert pts.shape == (200_000, 4)
+        assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 1e-15
+        # Each E[x_i^2] is 1/4 on S^3; sigma is the standard error of the mean.
+        sq = pts**2
+        sigma = sq.std(axis=0) / math.sqrt(len(pts))
+        assert np.all(np.abs(sq.mean(axis=0) - 0.25) < 3 * sigma)
+
+    def test_negative_seed_rejected(self):
+        # random.Random would draw seed 1's sample for seed -1.
+        with pytest.raises(ValueError, match="non-negative integer, got -1"):
+            seeded_uniforms(1, 4, -1)
+        with pytest.raises(ValueError, match="non-negative integer, got -1"):
+            random_sphere_points(4, -1)
+
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(TypeError):
+            random_sphere_points(4, 1.5)

@@ -13,7 +13,7 @@ from hopfcap import (
     cap_volume,
     integrate,
 )
-from hopfcap.geometry import tangent_basis
+from hopfcap.geometry import seeded_uniforms, tangent_basis
 from hopfcap.quadrature import JET_BLOCK, _gauss_legendre, _radial_inverse_cdf
 
 
@@ -183,6 +183,25 @@ class TestMonteCarloRule:
     def test_rejects_small_sample(self, north):
         with pytest.raises(ValueError):
             build_mc_rule(CapDomain(north, 1.0), 500, seed=0)
+
+    def test_rejects_negative_seed(self, north):
+        with pytest.raises(ValueError, match="non-negative"):
+            build_mc_rule(CapDomain(north, 1.0), 5000, seed=-1)
+
+    def test_directions_are_unit_and_centred(self):
+        # Node k is cos(rho) c + sin(rho) d in the tangent basis (b1, b2, b3)
+        # at c, with rho the quantile of the first of its three uniforms.
+        center = SpherePoint(np.array([0.5, -0.5, 0.5, 0.5]))
+        cap = CapDomain(center, 1.3)
+        n = 100_000
+        rule = build_mc_rule(cap, n, seed=4)
+        rho = _radial_inverse_cdf(cap, seeded_uniforms(3, n, 4)[0])
+        d = (rule.nodes @ np.stack(tangent_basis(center)).T) / np.sin(rho)[:, None]
+        assert np.allclose(rule.nodes @ center.x, np.cos(rho), rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(np.linalg.norm(d, axis=1) - 1.0)) <= 1e-14
+        # Uniform on S^2: each component has mean 0 and variance 1/3.
+        assert np.all(np.abs(d.mean(axis=0)) < 3 / math.sqrt(3 * n))
+        assert np.allclose((d**2).mean(axis=0), 1 / 3, atol=3e-3)
 
 
 class TestIntegrate:
