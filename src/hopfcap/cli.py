@@ -89,17 +89,33 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 * tangent_bytes)
 
 
-def _csv_floats(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(","))
+def _csv(convert: Callable, form: str) -> Callable[[str], tuple]:
+    """An argparse type for comma-separated values, each read by ``convert``.
+
+    argparse names a type function that raises ValueError in its message
+    ("invalid parse value"), so a bad item raises ArgumentTypeError naming
+    the form expected instead.
+    """
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(x) for x in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+
+    return parse
 
 
-def _csv_ints(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(","))
+_csv_floats = _csv(float, "comma-separated numbers")
+_csv_ints = _csv(int, "comma-separated integers")
 
 
 def _seed(text: str) -> int:
     """A --seed value; random.Random would read a negative seed as its absolute value."""
-    seed = int(text)
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}") from None
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
     return seed

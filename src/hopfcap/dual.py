@@ -38,6 +38,18 @@ formula:
   where that buffer cannot hold the result (0-d operands, or a result
   wider than that product) does it allocate.
 * ``sincos`` gives both Duals from one ``np.sin`` and one ``np.cos``.
+
+``a *= c``, ``a += b`` and ``a -= b`` are in-place forms: they write
+``c * a``, ``a + b`` and ``a - b`` into a's buffers, so a field evaluator
+forms each (4, n) vector once (as an ``apply_linear`` result) and scales
+and adds into it.  They have the bits of the operators: the product
+computes the same two products of the product rule (eps * c.val in place,
+then val * c.eps one direction at a time, added to it), and IEEE products
+and sums commute.  ``a`` must hold the result's shape and be a fresh
+buffer the evaluator made itself: ``Dual(x, y)`` and ``plain(x)`` wrap the
+caller's arrays, and ``+`` or ``-`` with a plain operand returns a Dual
+that shares ``eps`` with its Dual operand, so writing into any of these
+would change an array the caller still reads.
 """
 
 from __future__ import annotations
@@ -82,6 +94,37 @@ class Dual:
         return Dual(self.val * other, self.eps * other)
 
     __rmul__ = __mul__
+
+    # The in-place forms write the result into self's buffers, which must
+    # be fresh and of the result's shape (see the module docstring).
+
+    def __iadd__(self, other):
+        if isinstance(other, Dual):
+            self.eps += other.eps
+            other = other.val
+        self.val += other
+        return self
+
+    def __isub__(self, other):
+        if isinstance(other, Dual):
+            self.eps -= other.eps
+            other = other.val
+        self.val -= other
+        return self
+
+    def __imul__(self, other):
+        if not isinstance(other, Dual):
+            self.val *= other
+            self.eps *= other
+            return self
+        # eps = val * other.eps + eps * other.val, the two products of
+        # __mul__, the first formed one direction at a time.
+        self.eps *= other.val
+        for d in np.ndindex(self.eps.shape[: self.eps.ndim - self.val.ndim]):
+            eps = self.eps[d + (...,)]
+            eps += self.val * other.eps[d]
+        self.val *= other.val
+        return self
 
     def __truediv__(self, other):
         if isinstance(other, Dual):

@@ -17,6 +17,14 @@ dot product.  Calling a ``UnitField`` on plain (..., 4) points evaluates
 it on ``dual.plain`` points and returns the value in that shape.  Every
 evaluator is 0-homogeneous: the input is normalized before use, so
 ambient directional derivatives are well-defined off the sphere.
+
+The evaluators run once per jet block, and their temporaries are most of
+the block's memory.  Each (4, n) vector Dual (value and three tangents, 16
+rows of n float64) is formed once, by ``dual.normalize`` or
+``dual.apply_linear``, and the products and sums after it are written into
+it with ``dual``'s in-place forms, with the bits of the operators.  The
+input Dual is the caller's (the jet's nodes and basis) and is only read.
+Each intermediate is deleted after its last read.
 """
 
 from __future__ import annotations
@@ -164,22 +172,31 @@ def perturbed_field(
     def evaluate(x):
         # The frame is applied to the same normalized point as hopf_field,
         # so the A = 0 case reproduces the Hopf field bit-for-bit.  Each
-        # intermediate is deleted after its last read: sin f and cos f, the
-        # point and the angle would otherwise outlive both products.
+        # (4, n) vector is formed once, by apply_linear, and the products
+        # and the sum are written into it.  The point goes once the last
+        # vector is formed from it, and each factor after its last read.
         xs = du.normalize(x)
         f = du.relu(1.0 - (du.arccos(du.apply_linear(center, xs)) / r) ** 2) ** m * amp
         tilt = du.apply_linear(e1, xs)
         if twist == "angular":
             sg, cg = du.sincos(du.arctan2(du.apply_linear(b2, xs), du.apply_linear(b1, xs)))
-            tilt = cg * tilt + sg * du.apply_linear(e2, xs)
-            del sg, cg
+            tilt *= cg
+            del cg
+            turn = du.apply_linear(e2, xs)
+            turn *= sg
+            del sg
+            tilt += turn
+            del turn
+        along = du.apply_linear(h, xs)
+        del xs
         sf, cf = du.sincos(f)
         del f
-        along = cf * du.apply_linear(h, xs)
-        del cf, xs
-        across = sf * tilt
-        del sf, tilt
-        return along + across
+        along *= cf
+        del cf
+        tilt *= sf
+        del sf
+        along += tilt
+        return along
 
     return UnitField(
         label="perturbed",
@@ -213,10 +230,20 @@ def small_cap_field(cap: CapDomain) -> UnitField:
     p, u = cap.center.x[:, None], u0[:, None]
 
     def evaluate(x):
+        # (u - su p) - k (x - sp p) with k = su / (1 + sp).  The normalized
+        # point is the evaluator's own buffer: x - sp p and its product with
+        # k are written into it.
         xs = du.normalize(x)
         su = du.apply_linear(u.T, xs)
         sp = du.apply_linear(p.T, xs)
-        return (u - su * p) - (su / (1.0 + sp)) * (xs - sp * p)
+        k = su / (1.0 + sp)
+        xs -= sp * p
+        del sp
+        xs *= k
+        del k
+        v = u - su * p
+        v -= xs
+        return v
 
     return UnitField(
         label="small-cap",

@@ -372,6 +372,17 @@ def test_jet_bits_match_the_dense_dual_forms(cap, monkeypatch, dense_forms):
     _assert_jet_bits_survive(cap, use_dense_forms)
 
 
+def test_jet_bits_match_the_out_of_place_dual_forms(cap, monkeypatch):
+    # The fields' in-place products, sums and differences change no bit of
+    # any invariant.  o * s is the out-of-place c * v, factor first.
+    def use_out_of_place():
+        monkeypatch.setattr(du.Dual, "__imul__", lambda s, o: o * s)
+        monkeypatch.setattr(du.Dual, "__iadd__", lambda s, o: s + o)
+        monkeypatch.setattr(du.Dual, "__isub__", lambda s, o: s - o)
+
+    _assert_jet_bits_survive(cap, use_out_of_place)
+
+
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < 2 or not hasattr(resource, "RUSAGE_THREAD"),
     reason="needs two CPUs and per-thread rusage",

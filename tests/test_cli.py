@@ -476,6 +476,24 @@ class TestInputValidation:
         assert main(argv) == 2
         assert "1e+300" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["verify", "--seed", "x"], "--seed: seed must be a non-negative integer, got 'x'"),
+            (["functionals", "--seed", "1.5"], "--seed: seed must be a non-negative integer, got '1.5'"),
+            (["verify", "--orders", "x"], "--orders: expected comma-separated integers, got 'x'"),
+            (["sweep", "--orders", "32,16.5,32"], "--orders: expected comma-separated integers, got '32,16.5,32'"),
+            (["functionals", "--cap-center", "1,a,0,0"], "--cap-center: expected comma-separated numbers, got '1,a,0,0'"),
+            (["sweep", "--amplitudes", "0,,1"], "--amplitudes: expected comma-separated numbers, got '0,,1'"),
+            (["verify", "--t-grid", "0.1;0.2"], "--t-grid: expected comma-separated numbers, got '0.1;0.2'"),
+        ],
+        ids=["seed", "seed-float", "orders", "orders-float", "cap-center", "amplitudes", "t-grid"],
+    )
+    def test_malformed_value_names_the_expected_form(self, argv, expected, no_compute, capsys):
+        # argparse would name the private type function ("invalid _seed value").
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {expected}" in err and "invalid" not in err
 
     @pytest.mark.parametrize("rule", [[], ["--rule", "montecarlo"]], ids=["gauss", "montecarlo"])
     @pytest.mark.parametrize("command", ["verify", "functionals", "sweep"])

@@ -324,3 +324,45 @@ def test_sincos_bits_match_separate_sin_and_cos(dense_forms):
         assert _same_bits(lean, dense)
     for lean, dense in zip(du.sincos(du.plain(x)), dense_forms.sincos(du.plain(x))):
         assert _same_bits(lean, dense)
+
+
+# Buffer and operand of the in-place forms: a (4, n) vector by a (1, n)
+# factor as in the fields, two vectors, no directions, and plain points
+# (zero directions).
+IN_PLACE = {
+    "scaled_vector": (((4, 200), (3, 4, 200)), ((1, 200), (3, 1, 200))),
+    "vectors": (((4, 200), (3, 4, 200)), ((4, 200), (3, 4, 200))),
+    "no_dirs": (((4, 200), (4, 200)), ((1, 200), (1, 200))),
+    "plain": (((4, 200), (0, 4, 200)), ((1, 200), (0, 1, 200))),
+}
+
+
+@pytest.mark.parametrize("name", list(IN_PLACE))
+@pytest.mark.parametrize("zeros", [False, True], ids=["finite", "signed_zeros"])
+def test_in_place_forms_have_the_bits_of_the_operators(name, zeros):
+    # The in-place product is the factor's product rule written into the
+    # vector's buffers, the sum and difference the operators' elementwise
+    # adds; IEEE products and sums commute, so every bit holds.  The
+    # operand is read, never written.
+    rng = np.random.default_rng(13)
+
+    def dual(shapes):
+        parts = [rng.standard_normal(s) for s in shapes]
+        return du.Dual(*[_with_signed_zeros(p, rng) if zeros else p for p in parts])
+
+    (a_shapes, b_shapes), column = IN_PLACE[name], rng.standard_normal((4, 1))
+    a, b = dual(a_shapes), dual(b_shapes)
+    operand = b.val.tobytes(), b.eps.tobytes()
+    cases = [
+        (du.Dual.__imul__, b, b * a),
+        (du.Dual.__iadd__, b, a + b),
+        (du.Dual.__isub__, b, a - b),
+        (du.Dual.__imul__, column, column * a),
+        (du.Dual.__iadd__, column, a + column),
+        (du.Dual.__isub__, column, a - column),
+    ]
+    for in_place, other, expected in cases:
+        buffer = du.Dual(a.val.copy(), a.eps.copy())
+        out = in_place(buffer, other)
+        assert out is buffer and _same_bits(out, expected), in_place.__name__
+    assert (b.val.tobytes(), b.eps.tobytes()) == operand

@@ -9,6 +9,7 @@ from hopfcap import (
     BumpProfile,
     CapDomain,
     SpherePoint,
+    UnitField,
     hopf_field,
     hopf_frame,
     perturbed_field,
@@ -241,14 +242,52 @@ def test_all_fields_unit_tangent_on_sobol_samples(cap):
         assert_unit_tangent(small_cap_field(sc_cap), inside)
 
 
-@pytest.mark.parametrize("twist,rows", [(None, 88), ("angular", 106)], ids=["untwisted", "angular"])
-def test_one_block_evaluation_frees_each_intermediate(cap, twist, rows):
+BUILTIN = {
+    "hopf": lambda cap: hopf_field(),
+    "perturbed": lambda cap: perturbed_field(cap, BumpProfile(0.5, 3)),
+    "twisted": lambda cap: perturbed_field(cap, BumpProfile(0.5, 3), twist="angular"),
+    "small-cap": lambda cap: small_cap_field(CapDomain(cap.center, 0.3)),
+}
+
+
+@pytest.mark.parametrize("name", list(BUILTIN))
+def test_evaluation_writes_no_input_array(cap, name, monkeypatch):
+    # The fields write products and sums into buffers they formed
+    # themselves, never into the point Dual they were given: its value
+    # and directions, the jet's basis, keep every byte through AD, FD and
+    # plain evaluation.
+    field = BUILTIN[name](cap)
+    seen = []
+
+    def checked(x):
+        before = x.val.tobytes(), x.eps.tobytes()
+        v = field.evaluator(x)
+        seen.append((x.val.tobytes(), x.eps.tobytes()) == before)
+        return v
+
+    guarded = UnitField(field.label, checked)
+    pts = random_sphere_points(3 * 7 + 2, 33)
+    jet_batch(guarded, pts)
+    jet_batch(guarded, pts, mode="fd")
+    monkeypatch.setattr("hopfcap.calculus.JET_BLOCK", 7)
+    jet_batch(guarded, pts)
+    x = np.ascontiguousarray(pts.T)
+    basis = du.apply_linear(_FRAME_ROWS, x).reshape(3, 4, -1)
+    before = x.tobytes(), basis.tobytes()
+    field(du.Dual(x, basis))
+    field(du.plain(x))
+    assert seen == [True] * 7 and (x.tobytes(), basis.tobytes()) == before
+
+
+@pytest.mark.parametrize(
+    "name, rows", [("perturbed", 58), ("twisted", 63), ("small-cap", 55)], ids=["untwisted", "angular", "small-cap"]
+)
+def test_one_block_evaluation_frees_each_intermediate(cap, name, rows):
     # One JET_BLOCK-node evaluation along the jet's three directions, under
-    # tracemalloc.  Each intermediate is deleted after its last read: the
-    # untwisted field peaks at 84 rows of JET_BLOCK float64 and the twisted
-    # one at 104; holding sin f and cos f through both products read 96 and
-    # 108.
-    f = perturbed_field(cap, BumpProfile(0.5, 3), twist=twist)
+    # tracemalloc.  Each (4, n) vector is formed once and each intermediate
+    # is deleted after its last read: the peaks are 55, 60 and 52 rows of
+    # JET_BLOCK float64.
+    f = BUILTIN[name](cap)
     x = np.ascontiguousarray(random_sphere_points(JET_BLOCK, 3).T)
     point = du.Dual(x, du.apply_linear(_FRAME_ROWS, x).reshape(3, 4, -1))
     tracemalloc.start()

@@ -8,6 +8,7 @@ for bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,28 @@ def test_streamed_sums_are_integrate_over_jet_rows(rule):
         assert getattr(sums.sample, name).tobytes() == getattr(jets, name)[::stride].tobytes()
     e, v = energy_and_volume(field, rule)
     assert e.derivative_term == sums.energy_density[0] and v.value == sums.volume_integrand[0]
+
+
+@pytest.mark.parametrize(
+    "offsets, stride, rows",
+    [((), None, 82), ((0.05, 0.1, 0.2, 0.3, 0.4, 0.5), True, 96)],
+    ids=["invariants", "six_offsets_and_stride"],
+)
+def test_jet_sums_peak_is_one_block(offsets, stride, rows):
+    # 32 000 nodes are four blocks, the last partial, under tracemalloc.
+    # The peak is one block's: its nodes, weights and rows, the basis and
+    # the field's evaluation (55 rows), not a per-node array.
+    rule = build_gauss_rule(UNIT_CAP, 40, 20, 40)
+    assert rule.size > 3 * JET_BLOCK
+    field = perturbed_field(UNIT_CAP, BumpProfile(0.5, 3))
+    stride = _oracle_stride(rule.size) if stride else None
+    tracemalloc.start()
+    try:
+        jet_sums(field, rule, offsets, stride)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows * 8 * JET_BLOCK
 
 
 def test_non_finite_value_names_its_node_in_a_later_block():
