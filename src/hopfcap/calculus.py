@@ -28,7 +28,9 @@ entries into one (3, 3, n) array, with no gathered copies of the matrix.
 This module holds no other
 frame: the numeric Jacobian determinant in ``displace`` differentiates along
 its own directions (x i, x j, x k) through ``_value_and_derivative``, whose
-one dual evaluation also gives it the field's value.
+one dual evaluation also gives it the field's value.  Every derivative is
+AD except one: ``jet_batch(mode="fd")``, central differences along the
+same basis, which ``checks`` holds against the AD jet as an oracle.
 """
 
 from __future__ import annotations
@@ -49,24 +51,18 @@ FD_STEP = 1e-5
 _FRAME_ROWS = np.concatenate([left_mult_matrix(a) for a in (QUAT_I, QUAT_J, QUAT_K)])
 
 
-def directional_derivative(field: UnitField, points, directions, mode: str = "ad"):
-    """Ambient derivative Dv[Y] of the field extension along Y.
-
-    ``points`` has shape (..., 4); ``directions`` and the result have shape
-    dirs + points.shape, one direction per leading index.  The points and
-    directions are transposed to the component-major layout of
-    ``_derivative`` and the result back.
-    """
-    x, y = _component_major(points, directions)
-    return _point_major(_derivative(field, x, y, mode), np.shape(directions))
+def directional_derivative(field: UnitField, points, directions):
+    """Ambient derivative Dv[Y] of the field extension along Y, by AD."""
+    return _value_and_derivative(field, points, directions)[1]
 
 
 def _value_and_derivative(field: UnitField, points, directions):
     """The field's value v(x) and Dv[Y], from its one AD evaluation.
 
-    The shapes are those of ``directional_derivative``, and the value is
-    ``field(points)``: a plain evaluation is the same dual arithmetic with
-    no directions, so it has the same bits.
+    ``points`` and the value have shape (..., 4); ``directions`` and Dv[Y]
+    have shape dirs + points.shape, one direction per leading index.  The
+    value is ``field(points)``: a plain evaluation is the same dual
+    arithmetic with no directions, so it has the same bits.
     """
     x, y = _component_major(points, directions)
     d = field(du.Dual(x, y))
@@ -85,22 +81,6 @@ def _component_major(points, directions) -> tuple[np.ndarray, np.ndarray]:
 def _point_major(a: np.ndarray, shape) -> np.ndarray:
     """Component-major (..., 4, n) back to ``shape``, whose last axis is the 4."""
     return np.ascontiguousarray(np.swapaxes(a, -1, -2)).reshape(shape)
-
-
-def _derivative(field: UnitField, x: np.ndarray, y: np.ndarray, mode: str) -> np.ndarray:
-    """Dv[Y] at component-major points x (4, n) along directions y (dirs..., 4, n).
-
-    In "ad" mode the field is evaluated once, on a ``Dual`` carrying every
-    direction.  In "fd" mode the displaced points x +- FD_STEP y of all
-    directions are evaluated in one call on each side, as ``dual.plain``
-    points in the same layout.  Both modes run the same dual operations.
-    """
-    if mode == "ad":
-        return field(du.Dual(x, y)).eps
-    if mode == "fd":
-        plus, minus = (field(du.plain(x + step * y)).val for step in (FD_STEP, -FD_STEP))
-        return (plus - minus) / (2.0 * FD_STEP)
-    raise ValueError(f"unknown differentiation mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -232,13 +212,24 @@ def _jet_block(
 ) -> None:
     """Write (sigma1, sigma2, energy density, volume integrand) into out (4, n).
 
-    ``x`` holds the block's points component-major, (4, n).
+    ``x`` holds the block's points component-major, (4, n).  In "ad" mode
+    the field is evaluated once, on a ``Dual`` carrying the three basis
+    directions.  In "fd" mode the displaced points x +- FD_STEP e of all
+    three directions are evaluated in one call on each side, as
+    ``dual.plain`` points in the same layout.  Both modes run the same dual
+    operations.
     """
     basis = du.apply_linear(_FRAME_ROWS, x).reshape(3, 4, -1)  # i x, j x, k x
     if frame_rotation is not None:
         cos, sin = np.cos(frame_rotation), np.sin(frame_rotation)
         basis[0], basis[1] = cos * basis[0] + sin * basis[1], -sin * basis[0] + cos * basis[1]
-    deriv = _derivative(field, x, basis, mode)
+    if mode == "ad":
+        deriv = field(du.Dual(x, basis)).eps
+    elif mode == "fd":
+        plus, minus = (field(du.plain(x + step * basis)).val for step in (FD_STEP, -FD_STEP))
+        deriv = (plus - minus) / (2.0 * FD_STEP)
+    else:
+        raise ValueError(f"unknown differentiation mode {mode!r}")
     # grad[a, b] = <D_{e_a} v, e_b>: the component rows summed in order.
     grad = du.row_dot(deriv[:, None], basis[None, :]).reshape(3, 3, -1)
     # Row a of the cofactor matrix is grad[a + 1] x grad[a + 2], cyclically:

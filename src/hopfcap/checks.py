@@ -376,18 +376,46 @@ def _small_cap_reports(sums: JetSums, rule: QuadratureRule, scaling_radii) -> li
     return reports
 
 
+def _singular(field: UnitField) -> bool:
+    """Whether the field's jet is singular inside the cap: the angular twist.
+
+    Twisted fields have sigma2 unbounded below near the twist axis, so no
+    positive offset keeps the displacement a diffeomorphism; the
+    image-volume identity does not apply to them.  Their azimuth is
+    singular on that axis, where central differences read 1e3 and more off
+    the AD jet, so they have no AD-against-FD row either.
+    """
+    return field.params.get("twist") == "angular"
+
+
 @dataclass
 class VerifyConfig:
-    """Everything run_all needs: one field and a built rule, whose domain is the cap."""
+    """Everything run_all needs: one field and a built rule, whose domain is the cap.
+
+    ``t_grid`` holds the offsets of the image-volume rows.  The small-cap
+    field and a ``_singular`` field have no such rows: None gives them no
+    offsets, and offsets given for them raise ``ValueError``.  None gives
+    any other field ``T_GRID``.
+    """
 
     field: UnitField
     rule: QuadratureRule
     seed: int = 0
-    t_grid: tuple = T_GRID
+    t_grid: tuple | None = None
 
     def __post_init__(self):
         # Checked here so a bad configuration fails before any jet is built;
         # each offset is checked by its map (-0.0 is 0.0).
+        if self.field.label == "small-cap" or _singular(self.field):
+            if self.t_grid:
+                twist = self.field.params.get("twist", "none")
+                raise ValueError(
+                    f"field {self.field.label!r} with twist {twist!r} has no image-volume rows, "
+                    f"so offsets {list(self.t_grid)} are not read"
+                )
+            self.t_grid = ()
+        elif self.t_grid is None:
+            self.t_grid = T_GRID
         self.t_grid = tuple(DisplacementMap(self.field, float(t) + 0.0).t for t in self.t_grid)
         names = [IMAGE_VOLUME_ROW.format(t) for t in self.t_grid]
         if len(set(names)) < len(names):
@@ -406,37 +434,30 @@ def run_all(config: VerifyConfig) -> list[CheckReport]:
 def _field_reports(config: VerifyConfig) -> list[CheckReport]:
     """The checks of the field, each a row read off its one jet streamed over the rule.
 
-    Every untwisted field's rows include the AD-against-FD oracle.
+    The field's own rows, then the AD-against-FD oracle unless the field is
+    ``_singular``, then one image-volume row per offset of the configuration.
     """
     field, rule = config.field, config.rule
+    stride = None if _singular(field) else _oracle_stride(rule.size)
+    sums = jet_sums(field, rule, config.t_grid, stride)
     cap = rule.domain
-    # Twisted fields have sigma2 unbounded below near the twist axis, so
-    # no positive offset keeps the displacement a diffeomorphism; the
-    # image-volume identity does not apply to them.  Their azimuth is
-    # singular on that axis, where central differences read 1e3 and more
-    # off the AD jet, so they have no AD-against-FD row either.
-    twisted = field.params.get("twist", "none") != "none"
-    small_cap = field.label == "small-cap"
-    stride = None if twisted else _oracle_stride(rule.size)
-    sums = jet_sums(field, rule, () if twisted or small_cap else config.t_grid, stride)
-    if small_cap:
-        reports = _small_cap_reports(sums, rule, SMALL_CAP_SCALING_RADII)
-        return reports + [_ad_fd_report(field, rule, sums, stride)]
     vol_k = cap_volume(cap)
     ctx = _field_context(field, rule)
-    e, v = energy_and_volume_from_sums(sums, rule)
-    rows = [
-        # int sigma2 = vol(K) and int sigma1 = 0: the t^2 and t^1 coefficients.
-        ("boundary_sigma2_integral", sums.sigma2[0], vol_k, TOL_INTEGRAL_REL, "rel"),
-        ("boundary_sigma1_integral", sums.sigma1[0], 0.0, TOL_INTEGRAL_REL * vol_k, "abs"),
-        # E(v) >= E(H) and vol(v) >= vol(H).
-        ("energy_bound", e.value, hopf_energy(cap), TOL_BOUND_REL * vol_k, "lower-bound"),
-        ("volume_bound", v.value, hopf_volume(cap), TOL_BOUND_REL * vol_k, "lower-bound"),
-    ]
-    reports = [_report(*row, ctx) for row in rows]
-    if twisted:
-        return reports
-    reports.append(_ad_fd_report(field, rule, sums, stride))
+    if field.label == "small-cap":
+        reports = _small_cap_reports(sums, rule, SMALL_CAP_SCALING_RADII)
+    else:
+        e, v = energy_and_volume_from_sums(sums, rule)
+        rows = [
+            # int sigma2 = vol(K) and int sigma1 = 0: the t^2 and t^1 coefficients.
+            ("boundary_sigma2_integral", sums.sigma2[0], vol_k, TOL_INTEGRAL_REL, "rel"),
+            ("boundary_sigma1_integral", sums.sigma1[0], 0.0, TOL_INTEGRAL_REL * vol_k, "abs"),
+            # E(v) >= E(H) and vol(v) >= vol(H).
+            ("energy_bound", e.value, hopf_energy(cap), TOL_BOUND_REL * vol_k, "lower-bound"),
+            ("volume_bound", v.value, hopf_volume(cap), TOL_BOUND_REL * vol_k, "lower-bound"),
+        ]
+        reports = [_report(*row, ctx) for row in rows]
+    if stride is not None:
+        reports.append(_ad_fd_report(field, rule, sums, stride))
     # Image volume equals vol(K) (1 + t^2)^(3/2) for each offset t.
     for t in config.t_grid:
         t_ctx = dict(ctx, t=float(t))

@@ -45,7 +45,6 @@ from .checks import (
     GAUSS_ORDERS,
     MC_SAMPLES,
     SWEEP_AMPLITUDES,
-    T_GRID,
     VerifyConfig,
     run_all,
     sweep_family,
@@ -226,18 +225,11 @@ def _emit(text: str, path: str | None) -> None:
 def cmd_verify(args: argparse.Namespace) -> Callable[[], int]:
     cap = _make_cap(args)
     path = _resolve_output(args, "verify.json")
-    field = _make_field(args, cap)
-    # The small-cap and twisted reports have no image-volume rows, so they
-    # read no offsets.
-    if args.field == "small-cap":
-        _reject(_given(args, "t_grid"), "--field small-cap")
-    if args.twist == "angular":
-        _reject(_given(args, "t_grid"), "--twist angular")
     vconf = VerifyConfig(
-        field=field,
+        field=_make_field(args, cap),
         rule=_make_rule(args, cap),
         seed=args.seed,
-        t_grid=T_GRID if args.t_grid is None else args.t_grid,
+        t_grid=args.t_grid,
     )
 
     def compute() -> int:

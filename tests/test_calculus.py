@@ -65,12 +65,14 @@ class TestAmbientJacobian:
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     def test_ad_vs_fd(self, cap):
-        # Smooth fields: central differences at h = 1e-5 agree to 1e-8.
+        # Smooth fields: central differences of plain evaluations at
+        # h = 1e-5 agree with the AD derivative to 1e-8.
         pts = random_sphere_points(200, 3)
         y = random_tangents(pts, 20)
+        h = 1e-5
         for f in [hopf_field(), perturbed_field(cap, BumpProfile(0.5, 3))]:
-            d_ad = directional_derivative(f, pts, y, mode="ad")
-            d_fd = directional_derivative(f, pts, y, mode="fd")
+            d_ad = directional_derivative(f, pts, y)
+            d_fd = (f(pts + h * y) - f(pts - h * y)) / (2.0 * h)
             assert np.max(np.abs(d_ad - d_fd)) < 1e-8
 
     def test_fallback_warns_for_ad_incompatible_field(self):
@@ -80,17 +82,15 @@ class TestAmbientJacobian:
         h = hopf_field()
         f = UnitField("opaque", lambda x: h.evaluator(x).val)
         pts = random_sphere_points(10, 4)
-        y = random_tangents(pts, 21)
         for mode in ("ad", "fd"):
             with pytest.raises(TypeError, match="'opaque' does not return dual numbers"):
-                directional_derivative(f, pts, y, mode=mode)
+                jet_batch(f, pts, mode=mode)
         with pytest.raises(TypeError, match="'opaque' does not return dual numbers"):
             f(pts)
 
     def test_unknown_mode(self):
-        x = np.array([1.0, 0, 0, 0])
-        with pytest.raises(ValueError):
-            directional_derivative(hopf_field(), x, np.array([0.0, 1, 0, 0]), mode="symbolic")
+        with pytest.raises(ValueError, match="unknown differentiation mode 'symbolic'"):
+            jet_batch(hopf_field(), np.array([[1.0, 0, 0, 0]]), mode="symbolic")
 
     def test_small_cap_radial_column_at_center(self):
         cap = CapDomain(SpherePoint(np.array([1.0, 0, 0, 0])), 0.1)
@@ -276,9 +276,8 @@ def test_value_and_derivative_has_the_plain_value(builtin_fields):
     pts = random_sphere_points(50, 28)
     frame = np.stack([quat_mul(pts, q) for q in (QUAT_I, QUAT_J, QUAT_K)])
     for f in builtin_fields:
-        value, deriv = _value_and_derivative(f, pts, frame)
+        value, _ = _value_and_derivative(f, pts, frame)
         assert np.array_equal(value, f(pts)), f.label
-        assert np.array_equal(deriv, directional_derivative(f, pts, frame)), f.label
 
 
 @pytest.mark.parametrize(

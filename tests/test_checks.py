@@ -53,6 +53,20 @@ def cap():
     return CapDomain(NORTH, 1.0)
 
 
+FIELD_KINDS = ("hopf", "perturbed", "angular", "small-cap")
+
+
+def field_of_kind(kind):
+    """A field of the kind and the domain its rows are read over."""
+    unit, small = CapDomain(NORTH, 1.0), CapDomain(NORTH, 0.3)
+    return {
+        "hopf": (hopf_field(), unit),
+        "perturbed": (perturbed_field(unit, BumpProfile(0.5, 3)), unit),
+        "angular": (perturbed_field(unit, BumpProfile(0.5, 3), twist="angular"), unit),
+        "small-cap": (small_cap_field(small), small),
+    }[kind]
+
+
 class TestHopfConstants:
     def test_ad_mode(self):
         reports = check_hopf_constants(n_points=20_000, mode="ad")
@@ -368,13 +382,8 @@ class TestRunAll:
         assert "boundary_sigma2_integral" not in names
 
     @pytest.mark.parametrize("kind", ["hopf", "perturbed", "small-cap"])
-    def test_untwisted_fields_have_the_ad_fd_row(self, cap, kind):
-        small = CapDomain(NORTH, 0.3)
-        field, domain = {
-            "hopf": (hopf_field(), cap),
-            "perturbed": (perturbed_field(cap, BumpProfile(0.5, 3)), cap),
-            "small-cap": (small_cap_field(small), small),
-        }[kind]
+    def test_untwisted_fields_have_the_ad_fd_row(self, kind):
+        field, domain = field_of_kind(kind)
         reports = {r.name: r for r in _field_reports(verify_config(domain, field, (32, 16, 32), t_grid=()))}
         rep = reports["ad_fd_jet_agreement"]
         assert rep.passed and rep.lhs <= 1e-8
@@ -404,3 +413,40 @@ class TestRunAll:
         for r in reports.values():
             if r.rhs != 0.0:
                 assert r.rel_err == pytest.approx(r.abs_err / abs(r.rhs))
+
+
+class TestVerifyConfigRows:
+    """VerifyConfig decides which rows a run holds; _field_reports reads them off."""
+
+    @pytest.mark.parametrize("kind", FIELD_KINDS)
+    def test_offsets_resolve_by_field(self, kind):
+        field, domain = field_of_kind(kind)
+        config = verify_config(domain, field, (16, 8, 16))
+        assert config.t_grid == ((0.05, 0.10, 0.15, 0.20, 0.25, 0.30) if kind in ("hopf", "perturbed") else ())
+
+    @pytest.mark.parametrize("kind", ["angular", "small-cap"])
+    def test_offsets_for_a_field_without_image_volume_rows_rejected(self, kind):
+        field, domain = field_of_kind(kind)
+        twist = "angular" if kind == "angular" else "none"
+        with pytest.raises(ValueError, match=f"field '{field.label}' with twist '{twist}' has no image-volume rows"):
+            verify_config(domain, field, (16, 8, 16), t_grid=(0.1,))
+        assert verify_config(domain, field, (16, 8, 16), t_grid=()).t_grid == ()
+
+    @pytest.mark.parametrize("kind", FIELD_KINDS)
+    def test_row_names_in_order(self, kind):
+        field, domain = field_of_kind(kind)
+        boundary = ["boundary_sigma2_integral", "boundary_sigma1_integral", "energy_bound", "volume_bound"]
+        images = [f"image_volume_t{t}" for t in ("0.05", "0.1", "0.15", "0.2", "0.25", "0.3")]
+        expected = {
+            "hopf": boundary + ["ad_fd_jet_agreement"] + images,
+            "perturbed": boundary + ["ad_fd_jet_agreement"] + images,
+            "angular": boundary,
+            "small-cap": [
+                "small_cap_energy_below_hopf",
+                "small_cap_volume_below_hopf",
+                "small_cap_mean_gradient_sq",
+                "small_cap_gradient_scaling",
+                "ad_fd_jet_agreement",
+            ],
+        }[kind]
+        assert [r.name for r in _field_reports(verify_config(domain, field, (16, 8, 16)))] == expected

@@ -46,7 +46,7 @@ def test_every_export_has_a_caller():
 
 # Parameters with a default plus dataclass fields with a default, over the
 # package.  A new knob must remove another or raise this ceiling in plain sight.
-SETTABLE_CEILING = 18
+SETTABLE_CEILING = 17
 
 
 def settable_values(path):
