@@ -1,8 +1,8 @@
 """Quaternionic model of the unit 3-sphere.
 
 Points of S^3 are unit 4-vectors read as quaternions (w, i, j, k).  This
-module provides the quaternion algebra, geodesic-ball (cap) domains, the
-tangent basis (i x, j x, k x) and uniform random points.
+module provides the quaternion algebra, geodesic-ball (cap) domains and
+their volume, the tangent basis (i x, j x, k x) and uniform random points.
 
 Every seeded sample in the package comes from ``seeded_uniforms``, which
 reads 53-bit uniforms off the standard library's Mersenne Twister
@@ -20,6 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 DRIFT_GUARD = 1e-9
+# Below this radius 2r - sin 2r is summed from its Taylor series: the
+# closed form's relative error grows like 1e-16 / r^2 (about 1e-10 at the
+# cut-off), and the series' first omitted term is below 1e-21 of its sum.
+SERIES_RADIUS = 1e-3
 
 QUAT_ONE = np.array([1.0, 0.0, 0.0, 0.0])
 QUAT_I = np.array([0.0, 1.0, 0.0, 0.0])
@@ -102,9 +106,29 @@ class CapDomain:
 
 
 def cap_volume(cap: CapDomain) -> float:
-    """3-volume of a geodesic ball: 4 pi * integral of sin^2 from 0 to r."""
+    """3-volume of a geodesic ball: 4 pi * integral of sin^2 from 0 to r.
+
+    That is pi (2r - sin 2r), written 2 pi r - pi sin 2r.  Below
+    ``SERIES_RADIUS`` the two terms cancel (relative error 2.7e-6 at
+    r = 1e-5, 0.0 returned at 1e-8), so there it is pi ``radial_mass(r)``,
+    a Taylor series.
+    """
     r = cap.radius
+    if r < SERIES_RADIUS:
+        return math.pi * float(radial_mass(r))
     return 2.0 * math.pi * r - math.pi * math.sin(2.0 * r)
+
+
+def radial_mass(r) -> np.ndarray:
+    """2r - sin 2r = 4 * integral of sin^2 from 0 to r, elementwise, for r >= 0.
+
+    The closed form, with its bits, at r >= ``SERIES_RADIUS``; below it
+    (2r)^3/3! - (2r)^5/5! + (2r)^7/7!.  The result has r's shape.
+    """
+    r = np.asarray(r, dtype=float)
+    x2 = 4.0 * r * r
+    series = 2.0 * r * x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0))
+    return np.where(r < SERIES_RADIUS, series, 2.0 * r - np.sin(2.0 * r))
 
 
 def tangent_basis(p: SpherePoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

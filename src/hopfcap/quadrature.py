@@ -10,11 +10,13 @@ trapezoid in phi; its Legendre nodes come from Newton's method on the
 three-term recurrence, with no LAPACK call.  The stochastic rule draws
 uniform samples on the cap via the inverse CDF of the radial density.
 
-A rule is read one block of ``JET_BLOCK`` consecutive nodes at a time.  A
-Gauss rule keeps only the 1-D factors of its tensor grid and builds each
-block's nodes and weights from the rho-slab segments the block crosses,
-with the bits of the whole arrays; its ``nodes`` and ``weights`` build
-those arrays on first read, for callers that want them, and keep them.
+A rule is read one block of ``JET_BLOCK`` consecutive nodes at a time,
+and ``QuadratureRule.block`` is the one code that forms nodes and weights:
+a Gauss rule keeps only the 1-D factors of its tensor grid and writes each
+block from the rho-slabs it crosses, a Monte Carlo rule slices its stored
+arrays.  Both rules form their nodes with one elementwise polar map,
+``_combine``, so no node depends on the BLAS kernel.  ``nodes`` and
+``weights`` are the block of all nodes, built on first read and kept.
 Every sum over a rule is made block by block and combined in one place,
 ``WeightedSum``.
 """
@@ -27,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import CapDomain, cap_volume, seeded_uniforms, tangent_basis
+from .geometry import CapDomain, cap_volume, radial_mass, seeded_uniforms, tangent_basis
 
 WEIGHT_SUM_TOL = 1e-10
 # Nodes per block of a walk over a rule.  The jet evaluates, and every
@@ -41,15 +43,15 @@ JET_BLOCK = 8192
 class QuadratureRule:
     """Nodes and weights for one cap, built one block at a time.
 
-    ``factors`` is what the rule's blocks are built from.  A Gauss rule keeps
-    only its 1-D factors: (3, n_rho) rows sin(rho), cos(rho) and w_rho, the
-    (4, n_theta n_phi) table of directions
+    ``factors`` is what the rule's blocks are built from.  A Gauss rule
+    keeps only its 1-D factors: (3, n_rho) rows sin(rho), cos(rho) and
+    w_rho; the (4, n_theta n_phi) table of directions
     sin t cos p b1 + sin t sin p b2 + cos t b3, flattened in (theta, phi)
-    order, and (2, n_theta n_phi) rows w_theta and w_phi on that table.
+    order; and (2, n_theta n_phi) rows w_theta and w_phi on that table.
     Node (i, a) of the (rho, direction) grid is
     cos(rho_i) c + sin(rho_i) direction_a, with weight
-    (w_rho_i w_theta_a) w_phi_a.  A Monte Carlo rule keeps its (N, 4) nodes
-    and (N,) weights.
+    (w_rho_i w_theta_a) w_phi_a.  A Monte Carlo rule keeps its nodes,
+    component-major (4, N), and its (N,) weights.
     """
 
     domain: CapDomain
@@ -75,56 +77,58 @@ class QuadratureRule:
             yield start, min(start + JET_BLOCK, self.size)
 
     def block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Component-major nodes (4, n) and weights (n,) of nodes start..stop-1."""
-        return self._block_nodes(start, stop), self._block_weights(start, stop)
+        """Component-major nodes (4, n) and weights (n,) of nodes start..stop-1.
 
-    def _block_nodes(self, start: int, stop: int) -> np.ndarray:
+        A Monte Carlo block is a slice of the rule's arrays.  A Gauss block
+        is written in one walk over its runs of nodes, each the rest of one
+        rho-slab or consecutive whole slabs, nodes and weights together.
+        """
         if self.kind == "montecarlo":
-            return np.ascontiguousarray(self.factors[0][start:stop].T)
-        radial, directions, _ = self.factors
-        nodes = np.empty((4, stop - start))
-        for rho, table, out in self._slab_runs(start, stop):
-            run = nodes[:, out].reshape(4, rho.stop - rho.start, -1)  # a view: (4, slabs, directions)
-            np.multiply(directions[:, None, table], radial[0, rho, None], out=run)
-            run += (self.domain.center.x[:, None] * radial[1, rho])[:, :, None]
-        return nodes
-
-    def _block_weights(self, start: int, stop: int) -> np.ndarray:
-        if self.kind == "montecarlo":
-            return self.factors[1][start:stop]
-        radial, _, angular = self.factors
-        weights = np.empty(stop - start)
-        for rho, table, out in self._slab_runs(start, stop):
-            run = weights[out].reshape(rho.stop - rho.start, -1)  # a view: (slabs, directions)
-            np.multiply(radial[2, rho, None], angular[0, table], out=run)
-            run *= angular[1, table]
-        return weights
-
-    def _slab_runs(self, start: int, stop: int):
-        """(rho slice, direction slice, block slice) of each run of nodes
-        start..stop-1: part of one rho-slab, or consecutive whole slabs."""
-        n_dir = self.factors[1].shape[1]
+            nodes, weights = self.factors
+            return np.ascontiguousarray(nodes[:, start:stop]), weights[start:stop]
+        radial, table, angular = self.factors
+        n_dir, center = table.shape[1], self.domain.center.x[:, None, None]
+        nodes, weights = np.empty((4, stop - start)), np.empty(stop - start)
         pos = start
         while pos < stop:
             i, a = divmod(pos, n_dir)
-            if a == 0 and stop - pos >= n_dir:
-                slabs, n = (stop - pos) // n_dir, n_dir
-            else:
-                slabs, n = 1, min(n_dir - a, stop - pos)
-            yield slice(i, i + slabs), slice(a, a + n), slice(pos - start, pos - start + slabs * n)
+            n = min(n_dir - a, stop - pos)
+            slabs = 1 if a else max(1, (stop - pos) // n_dir)
+            rho, run, out = slice(i, i + slabs), slice(a, a + n), slice(pos - start, pos - start + slabs * n)
+            # Views of the block: (4, slabs, directions) and (slabs, directions).
+            x, w = nodes[:, out].reshape(4, slabs, n), weights[out].reshape(slabs, n)
+            _combine([(table[:, None, run], radial[0, rho, None]), (center, radial[1, rho, None])], x)
+            np.multiply(radial[2, rho, None], angular[0, run], out=w)
+            w *= angular[1, run]
             pos += slabs * n
+        return nodes, weights
+
+    @cached_property
+    def _whole(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.block(0, self.size)
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        """(N, 4) points on S^3, strictly inside the cap; a Gauss rule builds them on first read."""
-        if self.kind == "montecarlo":
-            return self.factors[0]
-        return np.ascontiguousarray(self._block_nodes(0, self.size).T)
+        """(N, 4) points on S^3, strictly inside the cap; built on first read, with ``weights``."""
+        return self._whole[0].T
 
-    @cached_property
+    @property
     def weights(self) -> np.ndarray:
-        """(N,) volume-measure weights; a Gauss rule builds them on first read."""
-        return self._block_weights(0, self.size)
+        """(N,) volume-measure weights; built on first read, with ``nodes``."""
+        return self._whole[1]
+
+
+def _combine(terms, out: np.ndarray | None) -> np.ndarray:
+    """The sum of a * v over the (a, v) pairs of ``terms``, elementwise and in
+    order, into ``out`` (a new array when None).  The polar map
+    cos(rho) c + sin(rho) (d1 b1 + d2 b2 + d3 b3) is two such sums: the (4, M)
+    table of directions, then sin(rho) times a table column plus cos(rho) c.
+    """
+    (a, v), *rest = terms
+    out = np.multiply(a, v, out=out)
+    for a, v in rest:
+        out += a * v
+    return out
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,13 +179,9 @@ def build_gauss_rule(cap: CapDomain, n_rho: int, n_theta: int, n_phi: int) -> Qu
             f"Gauss orders ({n_rho}, {n_theta}, {n_phi}) are too low: the weight sum {total} "
             f"misses the cap volume {vol}; raise the orders"
         )
-    b1, b2, b3 = tangent_basis(cap.center)
-    st = np.sin(theta)[:, None, None]
-    direction = (
-        st * np.cos(phi)[:, None] * b1
-        + st * np.sin(phi)[:, None] * b2
-        + np.cos(theta)[:, None, None] * b3
-    )
+    st = np.sin(theta)[:, None]
+    directions = (st * np.cos(phi), st * np.sin(phi), np.repeat(np.cos(theta), n_phi))
+    basis = np.stack(tangent_basis(cap.center))[:, :, None]  # (3, 4, 1): b1, b2, b3 as columns
     # Fixed flattening order (rho, theta, phi) for reproducible reductions.
     return QuadratureRule(
         domain=cap,
@@ -189,7 +189,7 @@ def build_gauss_rule(cap: CapDomain, n_rho: int, n_theta: int, n_phi: int) -> Qu
         orders=(n_rho, n_theta, n_phi),
         factors=(
             np.stack([np.sin(rho), np.cos(rho), wrho]),
-            np.ascontiguousarray(direction.reshape(-1, 4).T),
+            _combine(zip((d.ravel() for d in directions), basis), None),
             np.stack([np.repeat(wtheta, n_phi), np.tile(wphi, n_theta)]),
         ),
     )
@@ -197,13 +197,13 @@ def build_gauss_rule(cap: CapDomain, n_rho: int, n_theta: int, n_phi: int) -> Qu
 
 def _radial_inverse_cdf(cap: CapDomain, u: np.ndarray) -> np.ndarray:
     """Quantiles of the density proportional to sin^2 on (0, radius)."""
-    total = 2.0 * cap.radius - math.sin(2.0 * cap.radius)
+    total = float(radial_mass(cap.radius))
     grid = np.linspace(0.0, cap.radius, 20001)
-    rho = np.interp(u, (2.0 * grid - np.sin(2.0 * grid)) / total, grid)
+    rho = np.interp(u, radial_mass(grid) / total, grid)
     # One Newton polish step on CDF(rho) = (2 rho - sin 2 rho) / total, whose
     # slope is 4 sin^2 rho / total; the density vanishes at 0, guard the slope.
     pdf = 4.0 * np.sin(rho) ** 2 / total
-    resid = (2.0 * rho - np.sin(2.0 * rho)) / total - u
+    resid = radial_mass(rho) / total - u
     safe = pdf > 1e-12
     rho = np.where(safe, rho - resid / np.where(safe, pdf, 1.0), rho)
     return np.clip(rho, 0.0, cap.radius)
@@ -223,11 +223,10 @@ def build_mc_rule(cap: CapDomain, n_samples: int, seed: int) -> QuadratureRule:
     z = 2.0 * v - 1.0
     phi = 2.0 * math.pi * w
     s = np.sqrt(1.0 - z * z)
-    direction = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
-    b = np.stack(tangent_basis(cap.center), axis=0)  # (3, 4)
-    nodes = np.cos(rho)[:, None] * cap.center.x + np.sin(rho)[:, None] * (direction @ b)
-    vol = cap_volume(cap)
-    weights = np.full(n_samples, vol / n_samples)
+    basis = np.stack(tangent_basis(cap.center))[:, :, None]
+    table = _combine(zip((s * np.cos(phi), s * np.sin(phi), z), basis), None)
+    nodes = _combine([(table, np.sin(rho)), (cap.center.x[:, None], np.cos(rho))], table)
+    weights = np.full(n_samples, cap_volume(cap) / n_samples)
     return QuadratureRule(domain=cap, kind="montecarlo", orders=(n_samples,), factors=(nodes, weights))
 
 
@@ -309,5 +308,5 @@ def integrate(rule: QuadratureRule, f) -> tuple[float, float]:
     for start, stop in rule.blocks():
         values = fx[None, start:stop]
         require_finite(values, start, points[:, start:stop])
-        total.add(rule._block_weights(start, stop), values)
+        total.add(rule.weights[start:stop], values)
     return total.result()[0]

@@ -77,6 +77,14 @@ class TestVerifyCommand:
         assert [r["name"] for r in rows] == ["image_volume_t0"]
         assert math.copysign(1.0, rows[0]["context"]["t"]) == 1.0
 
+    @pytest.mark.parametrize("radius", ["1e-5", "1e-6", "1e-8"])
+    def test_hopf_passes_on_a_tiny_cap(self, tmp_path, radius):
+        # vol(K) = pi (2r - sin 2r) cancels on a tiny cap: written out, it
+        # failed energy_bound and volume_bound at 1e-5 and was 0.0 at 1e-8.
+        out = tmp_path / "report.json"
+        argv = ["verify", "--field", "hopf", "--cap-radius", radius, "--orders", "16,8,16"]
+        assert main([*argv, "--output", str(out)]) == 0
+
     def test_invalid_radius_exit_two(self, tmp_path):
         code, _ = run_verify(tmp_path, "--cap-radius", "3.2")
         assert code == 2
@@ -136,6 +144,14 @@ class TestFunctionalsCommand:
         header, values = out.read_text().strip().splitlines()
         assert header.split(",")[:2] == ["field", "energy"]
         assert len(values.split(",")) == len(header.split(","))
+
+    def test_montecarlo_on_a_tiny_cap(self, capsys):
+        # The radial CDF's 2 rho - sin 2 rho was 0 on this cap, so every
+        # Monte Carlo node was NaN and the command crashed (exit 3).
+        argv = ["functionals", "--field", "perturbed", "--rule", "montecarlo", "--cap-radius", "1e-9"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert math.isfinite(report["energy"]) and report["energy"] > 0.0
 
     def test_stdout_by_default(self, capsys):
         code = main(["functionals", "--field", "hopf", "--orders", "24,12,24"])
@@ -219,25 +235,32 @@ def _openblas_on_x86_64() -> bool:
 def test_report_bytes_do_not_depend_on_the_blas_kernel():
     # The same commands in child processes under the kernel OpenBLAS picks
     # for this CPU and under its oldest x86-64 kernel print the same bytes.
+    # On an off-centre cap every node mixes the center and all three tangent
+    # vectors, so a rule built with a BLAS product would differ here.
+    off_centre = "--cap-center=0.32163376045133846,-0.5360562674188974,0.7504787743864564,0.214422506967559"
     commands = [
-        ["verify", "--field", "perturbed", "--amplitude", "0.5", "--orders", "32,16,32",
-         "--axis", "0,0.6,0.8,0"],
-        ["sweep", "--orders", "32,16,32"],
-        ["verify", "--field", "small-cap", "--cap-radius", "0.3", "--orders", "16,8,16"],
-        ["functionals", "--field", "perturbed", "--rule", "montecarlo", "--samples", "20000",
-         "--seed", "3", "--axis", "0,0.6,0.8,0"],
+        (0, ["verify", "--field", "perturbed", "--amplitude", "0.5", "--orders", "32,16,32",
+             "--axis", "0,0.6,0.8,0"]),
+        (0, ["sweep", "--orders", "32,16,32"]),
+        (0, ["verify", "--field", "small-cap", "--cap-radius", "0.3", "--orders", "16,8,16"]),
+        (0, ["functionals", "--field", "perturbed", "--rule", "montecarlo", "--samples", "20000",
+             "--seed", "3", "--axis", "0,0.6,0.8,0"]),
+        # Exit 1: Monte Carlo rows are held to Gauss tolerances, and the
+        # perturbed field's sigma and image-volume rows miss them.
+        (1, ["verify", "--field", "perturbed", "--rule", "montecarlo", "--seed", "1", off_centre]),
+        (0, ["verify", "--field", "perturbed", "--orders", "24,12,24", "--axis", "0,0.6,0.8,0", off_centre]),
     ]
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", OUTPUT_DIR_ENV)}
-    env["PYTHONPATH"] = path
-    for argv in commands:
+    env.update(PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    for code, argv in commands:
         outputs = []
         for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
             proc = subprocess.run(
                 [sys.executable, "-m", "hopfcap.cli", *argv],
                 capture_output=True, timeout=300, env={**env, **kernel},
             )
-            assert proc.returncode == 0, proc.stderr
+            assert proc.returncode == code, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], argv
 

@@ -11,7 +11,9 @@ from hopfcap.geometry import (
     QUAT_J,
     QUAT_K,
     QUAT_ONE,
+    SERIES_RADIUS,
     left_mult_matrix,
+    radial_mass,
     random_sphere_points,
     seeded_uniforms,
 )
@@ -94,6 +96,26 @@ class TestCapVolume:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             CapDomain(SpherePoint(np.array([1.0, 0, 0, 0])), 3.2)
+
+    @pytest.mark.parametrize("radius", [np.nextafter(SERIES_RADIUS, 0.0), 1e-4, 1e-5, 1e-6, 1e-8, 1e-12])
+    def test_tiny_cap_keeps_its_precision(self, radius):
+        # pi (2r - sin 2r) = (4 pi / 3) r^3 (1 - r^2 / 5 + 2 r^4 / 105 - ...).  The two
+        # terms cancel on a tiny cap: written out, the relative error was 2.7e-6
+        # at r = 1e-5 and the volume 0.0 at r = 1e-8.
+        cap = CapDomain(SpherePoint(np.array([1.0, 0, 0, 0])), float(radius))
+        series = 4.0 * math.pi / 3.0 * radius**3 * (1.0 - radius**2 / 5.0 + 2.0 * radius**4 / 105.0)
+        assert cap_volume(cap) == pytest.approx(series, rel=1e-14)
+
+    def test_closed_form_bits_from_the_series_radius_up(self):
+        # Every radius from the cut-off up keeps the closed form's bits, so no
+        # report on such a cap changes; across the cut-off the volume is continuous.
+        c = SpherePoint(np.array([1.0, 0, 0, 0]))
+        r = np.linspace(SERIES_RADIUS, math.pi, 10_001)
+        assert radial_mass(r).tobytes() == (2.0 * r - np.sin(2.0 * r)).tobytes()
+        for radius in r[::1000]:
+            assert cap_volume(CapDomain(c, radius)) == 2.0 * math.pi * radius - math.pi * math.sin(2.0 * radius)
+        below, at = (cap_volume(CapDomain(c, x)) for x in (np.nextafter(SERIES_RADIUS, 0.0), SERIES_RADIUS))
+        assert at == pytest.approx(below, rel=1e-9)
 
 
 class TestCapEquality:

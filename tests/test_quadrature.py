@@ -13,7 +13,7 @@ from hopfcap import (
     cap_volume,
     integrate,
 )
-from hopfcap.geometry import seeded_uniforms, tangent_basis
+from hopfcap.geometry import radial_mass, seeded_uniforms, tangent_basis
 from hopfcap.quadrature import JET_BLOCK, _gauss_legendre, _radial_inverse_cdf
 
 
@@ -170,15 +170,25 @@ class TestMonteCarloRule:
             cdf = (2 * r_q - math.sin(2 * r_q)) / norm
             assert cdf == pytest.approx(q, abs=0.01)
 
-    @pytest.mark.parametrize("radius", [0.1, 1.0, 2.0, math.pi])
+    @pytest.mark.parametrize("radius", [1e-9, 1e-6, 0.1, 1.0, 2.0, math.pi])
     def test_radial_quantiles_solve_the_cdf(self, north, radius):
         # The Newton step on the interpolated quantile uses the CDF's slope
         # 4 sin^2(rho) / (2r - sin 2r); with half that slope the residual
-        # stays near 2e-9.
+        # stays near 2e-9.  On a tiny cap 2r - sin 2r is its series: written
+        # out, it was 0 at radius 1e-9 and every quantile NaN.
         u = np.random.default_rng(13).random(100_000)
         rho = _radial_inverse_cdf(CapDomain(north, radius), u)
-        cdf = (2.0 * rho - np.sin(2.0 * rho)) / (2.0 * radius - math.sin(2.0 * radius))
-        assert np.max(np.abs(cdf - u)) <= 1e-12
+        assert np.all((rho >= 0.0) & (rho <= radius))
+        assert np.max(np.abs(radial_mass(rho) / radial_mass(radius) - u)) <= 1e-12
+
+    @pytest.mark.parametrize("radius", [1e-9, 1e-6])
+    def test_tiny_cap_nodes_are_finite_and_inside(self, radius):
+        c = np.array([0.3, -0.5, 0.7, 0.2])
+        cap = CapDomain(SpherePoint(c / np.linalg.norm(c)), radius)
+        rule = build_mc_rule(cap, 5000, seed=6)
+        assert np.all(np.isfinite(rule.nodes))
+        # The chord |x - c| = 2 sin(rho / 2) <= rho, up to the roundoff of c.
+        assert np.max(np.linalg.norm(rule.nodes - cap.center.x, axis=1)) <= radius + 1e-15
 
     def test_rejects_small_sample(self, north):
         with pytest.raises(ValueError):
