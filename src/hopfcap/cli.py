@@ -2,13 +2,17 @@
 
 Subcommands:
 
-* ``verify``      -- run the check matrix for a field/cap, write a JSON report.
-* ``functionals`` -- print energy/volume of the field next to the Hopf values.
+* ``verify``      -- run the check matrix for a field/cap; JSON report.
+* ``functionals`` -- energy/volume of the field next to the Hopf values,
+  as JSON or CSV.
 * ``sweep``       -- amplitude sweep of the bump family, CSV output; its
   minimality checks (argmin at 0, refined minimum near 0) set the exit code.
 
 Each command runs in two phases: it validates its flags and builds its
-inputs (cap, field, rule, configuration, output path), then computes.
+inputs (cap, field, rule, configuration), then computes its report text
+and exit code.  ``main`` checks ``--output`` before the first phase and
+writes the report after the second: to the ``--output`` file, or to
+standard output when the flag is unset.  No environment variable is read.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input
 (a ``ValueError`` in the first phase), 3 any other error, such as a
 ``ValueError`` during the computation (its traceback goes to stderr).
@@ -56,7 +60,6 @@ from .functionals import energy_and_volume, hopf_energy, hopf_volume
 from .geometry import CapDomain, SpherePoint
 from .quadrature import JET_BLOCK, QuadratureRule, build_gauss_rule, build_mc_rule
 
-OUTPUT_DIR_ENV = "HOPFCAP_OUTPUT_DIR"
 # glibc's mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -198,33 +201,31 @@ def _make_rule(args: argparse.Namespace, cap: CapDomain) -> QuadratureRule:
     return build_gauss_rule(cap, *orders)
 
 
-def _resolve_output(args: argparse.Namespace, default_name: str) -> str | None:
-    """Report path, or None for stdout; it names a file in a directory that exists."""
-    path = args.output
+def _check_output(path: str | None) -> None:
+    """Reject an ``--output`` that is not a file name in a directory that exists."""
     if path is None:
-        out_dir = os.environ.get(OUTPUT_DIR_ENV)
-        if not out_dir:
-            return None
-        path = os.path.join(out_dir, default_name)
+        return
     if not path or os.path.isdir(path):
         raise ValueError(f"output path {path!r} is not a file name")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ValueError(f"output directory {directory!r} does not exist")
-    return path
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+def _json_text(data) -> str:
+    """Strict JSON: sorted keys, no NaN or infinity, one closing newline."""
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def cmd_verify(args: argparse.Namespace) -> Callable[[], int]:
+def _csv_text(rows) -> str:
+    """CSV rows, each ended by a bare newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def cmd_verify(args: argparse.Namespace) -> Callable[[], tuple[str, int]]:
     cap = _make_cap(args)
-    path = _resolve_output(args, "verify.json")
     vconf = VerifyConfig(
         field=_make_field(args, cap),
         rule=_make_rule(args, cap),
@@ -232,24 +233,19 @@ def cmd_verify(args: argparse.Namespace) -> Callable[[], int]:
         t_grid=args.t_grid,
     )
 
-    def compute() -> int:
+    def compute() -> tuple[str, int]:
         reports = run_all(vconf)
-        text = json.dumps(
-            [r.to_dict() for r in reports], indent=2, sort_keys=True, allow_nan=False
-        ) + "\n"
-        _emit(text, path)
-        return 0 if all(r.passed for r in reports) else 1
+        return _json_text([r.to_dict() for r in reports]), 0 if all(r.passed for r in reports) else 1
 
     return compute
 
 
-def cmd_functionals(args: argparse.Namespace) -> Callable[[], int]:
+def cmd_functionals(args: argparse.Namespace) -> Callable[[], tuple[str, int]]:
     cap = _make_cap(args)
-    path = _resolve_output(args, f"functionals.{args.fmt}")
     field = _make_field(args, cap)
     rule = _make_rule(args, cap)
 
-    def compute() -> int:
+    def compute() -> tuple[str, int]:
         e, v = energy_and_volume(field, rule)
         rows = {
             "field": field.label,
@@ -260,43 +256,29 @@ def cmd_functionals(args: argparse.Namespace) -> Callable[[], int]:
             "energy_surplus": e.value - hopf_energy(cap),
             "volume_surplus": v.value - hopf_volume(cap),
         }
-        if args.fmt == "json":
-            text = json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        else:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(list(rows))
-            writer.writerow([rows[k] for k in rows])
-            text = buf.getvalue()
-        _emit(text, path)
-        return 0
+        text = _json_text(rows) if args.fmt == "json" else _csv_text([list(rows), list(rows.values())])
+        return text, 0
 
     return compute
 
 
-def cmd_sweep(args: argparse.Namespace) -> Callable[[], int]:
+def cmd_sweep(args: argparse.Namespace) -> Callable[[], tuple[str, int]]:
     cap = _make_cap(args)
-    path = _resolve_output(args, "sweep.csv")
     amplitudes = sweep_grid(args.amplitudes)
     # The family's bump profile, built here so a bad --exponent is input.
     BumpProfile(0.0, **_given(args, "exponent"))
     rule = _make_rule(args, cap)
 
-    def compute() -> int:
+    def compute() -> tuple[str, int]:
         result = sweep_family(cap, amplitudes, rule, **_given(args, "exponent", "twist"))
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["amplitude", "energy", "volume"])
-        for a, e, v in zip(result.amplitudes, result.energies, result.volumes):
-            writer.writerow([a, e, v])
-        buf.write(
+        rows = zip(result.amplitudes, result.energies, result.volumes)
+        text = _csv_text([["amplitude", "energy", "volume"], *rows]) + (
             f"# argmin_energy={result.amplitudes[result.argmin_energy]} "
             f"argmin_volume={result.amplitudes[result.argmin_volume]} "
             f"refined_energy_min={result.refined_energy_min} "
             f"refined_volume_min={result.refined_volume_min}\n"
         )
-        _emit(buf.getvalue(), path)
-        return 0 if all(r.passed for r in sweep_reports(result)) else 1
+        return text, 0 if all(r.passed for r in sweep_reports(result)) else 1
 
     return compute
 
@@ -311,11 +293,18 @@ def main(argv=None) -> int:
     handlers = {"verify": cmd_verify, "functionals": cmd_functionals, "sweep": cmd_sweep}
     try:
         try:
+            _check_output(args.output)
             compute = handlers[args.command](args)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        return compute()
+        text, code = compute()
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", newline="") as fh:
+                fh.write(text)
+        return code
     except Exception:
         # A crash must not read as a failed check (exit 1) or as bad input.
         traceback.print_exc()

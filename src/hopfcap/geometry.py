@@ -24,6 +24,9 @@ DRIFT_GUARD = 1e-9
 # closed form's relative error grows like 1e-16 / r^2 (about 1e-10 at the
 # cut-off), and the series' first omitted term is below 1e-21 of its sum.
 SERIES_RADIUS = 1e-3
+# The most 64-bit words one draw can hold: Random.randbytes(m) is
+# getrandbits(8 m), whose bit count is a C int on CPython 3.11.
+MAX_WORDS = (2**31 - 1) // 64
 
 QUAT_ONE = np.array([1.0, 0.0, 0.0, 0.0])
 QUAT_I = np.array([0.0, 1.0, 0.0, 0.0])
@@ -146,6 +149,10 @@ def seeded_uniforms(k: int, n: int, seed: int) -> np.ndarray:
     # random.Random seeds with |seed|, so -1 would silently draw seed 1's sample.
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if k * n > MAX_WORDS:
+        raise ValueError(
+            f"{k} rows of {n} uniforms exceed one draw's {MAX_WORDS} values: at most {MAX_WORDS // k} per row"
+        )
     words = np.frombuffer(random.Random(seed).randbytes(8 * k * n), dtype="<u8")
     return (words >> np.uint64(11)).reshape(k, n) * 2.0**-53
 

@@ -170,14 +170,24 @@ def build_gauss_rule(cap: CapDomain, n_rho: int, n_theta: int, n_phi: int) -> Qu
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     wphi = np.full(n_phi, 2.0 * math.pi / n_phi)
 
-    # The weight sum is the product of the 1-D sums, read without building
-    # the N weights.
-    total = math.fsum(wrho) * math.fsum(wtheta) * math.fsum(wphi)
-    vol = cap_volume(cap)
-    if abs(total - vol) > WEIGHT_SUM_TOL * max(1.0, vol):
+    # The weight sum is the product of the 1-D sums; each is held to its
+    # exact integral, relative, so the guard reads alike on every cap: the
+    # theta weights sum to 2 and the rho weights to radial_mass(r) / 4 (the
+    # phi weights sum to 2 pi at every order).  radial_mass's closed form is
+    # off by up to 1.2 ulp of 2r, 1.6e-10 of its value just above
+    # SERIES_RADIUS, where every rho order is exact to rounding; the rho test
+    # allows one ulp of 2r beside its relative tolerance for that.
+    theta_sum = math.fsum(wtheta)
+    rho_sum = math.fsum(wrho)
+    rho_exact = float(radial_mass(cap.radius)) / 4.0
+    if (
+        abs(theta_sum - 2.0) > 2.0 * WEIGHT_SUM_TOL
+        or abs(rho_sum - rho_exact) > WEIGHT_SUM_TOL * rho_exact + math.ulp(2.0 * cap.radius)
+    ):
         raise ValueError(
-            f"Gauss orders ({n_rho}, {n_theta}, {n_phi}) are too low: the weight sum {total} "
-            f"misses the cap volume {vol}; raise the orders"
+            f"Gauss orders ({n_rho}, {n_theta}, {n_phi}) are too low: the theta weights sum to "
+            f"{theta_sum} against 2 and the rho weights to {rho_sum} against {rho_exact}; "
+            "raise the orders"
         )
     st = np.sin(theta)[:, None]
     directions = (st * np.cos(phi), st * np.sin(phi), np.repeat(np.cos(theta), n_phi))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopfcap.cli import OUTPUT_DIR_ENV, _build_parser, main
+from hopfcap.cli import _build_parser, main
 from hopfcap.quadrature import build_gauss_rule
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -102,13 +102,6 @@ class TestVerifyCommand:
         _, out2 = run_verify(tmp_path, "--field", "perturbed", "--amplitude", "0.3")
         assert text1 == out2.read_text()
 
-    def test_output_dir_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
-        code = main(["verify", "--field", "hopf", *FAST])
-        assert code == 0
-        assert (tmp_path / "verify.json").exists()
-        assert capsys.readouterr().out == ""
-
 
 class TestFunctionalsCommand:
     def test_hopf_half_sphere_values(self, tmp_path):
@@ -144,6 +137,14 @@ class TestFunctionalsCommand:
         header, values = out.read_text().strip().splitlines()
         assert header.split(",")[:2] == ["field", "energy"]
         assert len(values.split(",")) == len(header.split(","))
+
+    def test_no_environment_variable_redirects_the_report(self, tmp_path, monkeypatch, capsys):
+        # Without --output the report goes to stdout; HOPFCAP_OUTPUT_DIR
+        # used to send it to a file in that directory instead.
+        monkeypatch.setenv("HOPFCAP_OUTPUT_DIR", str(tmp_path))
+        assert main(["functionals", "--orders", "16,8,16"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) >= {"energy", "volume"}
+        assert list(tmp_path.iterdir()) == []
 
     def test_montecarlo_on_a_tiny_cap(self, capsys):
         # The radial CDF's 2 rho - sin 2 rho was 0 on this cap, so every
@@ -206,10 +207,9 @@ def test_jet_blocks_reuse_freed_memory():
         "sys.exit(code)\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {k: v for k, v in os.environ.items() if k != OUTPUT_DIR_ENV}
     proc = subprocess.run(
         [sys.executable, "-c", child],
-        capture_output=True, text=True, timeout=300, env={**env, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) <= 15_000
@@ -251,7 +251,7 @@ def test_report_bytes_do_not_depend_on_the_blas_kernel():
         (0, ["verify", "--field", "perturbed", "--orders", "24,12,24", "--axis", "0,0.6,0.8,0", off_centre]),
     ]
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", OUTPUT_DIR_ENV)}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env.update(PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
     for code, argv in commands:
         outputs = []
@@ -287,10 +287,9 @@ def test_commands_do_not_load_numpy_random(argv):
         "sys.exit(code)\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {k: v for k, v in os.environ.items() if k != OUTPUT_DIR_ENV}
     proc = subprocess.run(
         [sys.executable, "-c", child],
-        capture_output=True, text=True, timeout=300, env={**env, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -388,10 +387,6 @@ class TestInputValidation:
             assert main(["functionals", "--output", out]) == 2
             assert main(["sweep", "--output", out]) == 2
 
-    def test_missing_output_dir_env(self, tmp_path, monkeypatch, no_compute):
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "missing"))
-        assert main(["verify", *FAST]) == 2
-
     def test_verify_rejects_csv(self, tmp_path, no_compute):
         code, out = run_verify(tmp_path, "--format", "csv")
         assert code == 2
@@ -485,6 +480,12 @@ class TestInputValidation:
             (["sweep", "--orders", "16,8,16", "--amplitudes=-0,0,0.5"], "repeats"),
             (["verify", "--field", "hopf", "--orders", "16,8,16", "--t-grid=0,-0"],
              "'image_volume_t0', 'image_volume_t0'"),
+            # The theta weights miss 2 by 7.9e-6 at n_theta = 4 on every cap.
+            (["verify", "--field", "hopf", "--cap-radius", "0.01", "--orders", "4,4,4"], "(4, 4, 4)"),
+            (["functionals", "--cap-radius", "0.01", "--orders", "8,4,8"], "(8, 4, 8)"),
+            # One draw of the standard library's generator holds at most
+            # 33 554 431 words: 3 per sample.
+            (["functionals", "--rule", "montecarlo", "--samples", "11184811"], "at most 11184810"),
         ],
     )
     def test_bad_value_exits_two_naming_it(self, argv, named, no_compute, capsys):

@@ -173,6 +173,13 @@ class TestSeededSamples:
         with pytest.raises(ValueError, match="non-negative integer, got -1"):
             random_sphere_points(4, -1)
 
+    def test_too_many_values_for_one_draw(self):
+        # Random.randbytes(m) draws getrandbits(8 m), whose bit count is a C
+        # int on CPython 3.11: 3 x 11 184 811 words is the first count past
+        # it, and the check comes before anything is drawn.
+        with pytest.raises(ValueError, match="at most 11184810 per row"):
+            seeded_uniforms(3, 11_184_811, 0)
+
     def test_non_integer_seed_rejected(self):
         with pytest.raises(TypeError):
             random_sphere_points(4, 1.5)

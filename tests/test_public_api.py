@@ -1,5 +1,6 @@
-"""Every name hopfcap exports has a caller outside its own unit tests, and
-the package's settable values do not grow unnoticed.
+"""Every name hopfcap exports has a caller outside its own unit tests, the
+package's settable values do not grow unnoticed, and no module reads the
+process environment.
 
 A name counts as used when a package module other than ``__init__.py``
 references it, or when the acceptance gate does.
@@ -63,3 +64,20 @@ def settable_values(path):
 
 def test_settable_values_do_not_grow():
     assert sum(settable_values(p) for p in PACKAGE.glob("*.py")) <= SETTABLE_CEILING
+
+
+# Names through which a module would read the process environment.
+AMBIENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    # Every input is a flag or an argument, so a run is fixed by its
+    # command line; an environment variable would change it unseen.
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in AMBIENT:
+                reads.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno}" for a in node.names if a.name in AMBIENT]
+    assert reads == []

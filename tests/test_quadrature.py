@@ -101,6 +101,23 @@ class TestGaussRule:
             with pytest.raises(ValueError, match=r"too low.*raise the orders"):
                 build_gauss_rule(CapDomain(north, 1.0), *orders)
 
+    @pytest.mark.parametrize("radius", [1e-8, 1e-5, 0.01, 0.05, 1.0])
+    def test_low_theta_order_rejected_on_every_cap(self, north, radius):
+        # The theta weights miss 2 by 7.9e-6 at n_theta = 4, whatever the
+        # radius; an absolute test of the weight sum let this through on
+        # caps below r ~ 0.05.
+        for orders in ((4, 4, 4), (8, 4, 8)):
+            with pytest.raises(ValueError, match=r"too low.*raise the orders"):
+                build_gauss_rule(CapDomain(north, radius), *orders)
+
+    @pytest.mark.parametrize("radius", [1e-8, 1e-5, 1e-3, 1.0001e-3, 1.0028e-3, 0.01, 1.0, math.pi])
+    def test_sufficient_orders_accepted_on_every_cap(self, north, radius):
+        # cap_volume's closed form is 1.0e-10 (r = 1e-3) and 1.8e-10
+        # (r = 1.0028e-3) off, relative: a guard must not read that as an
+        # order too low.
+        for orders in ((16, 8, 16), (32, 16, 32), (64, 32, 64)):
+            build_gauss_rule(CapDomain(north, radius), *orders)
+
     def test_nodes_follow_polar_formula(self):
         # Node (i, j, k) of the flattened (rho, theta, phi) grid sits at
         # cos(rho_i) c + sin(rho_i) (sin t_j cos p_k b1 + sin t_j sin p_k b2 + cos t_j b3),
