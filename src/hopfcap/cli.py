@@ -22,12 +22,16 @@ Tolerances, the determinant floor and the Hopf sample count are fixed by
 the library.  JSON reports are strict (a value a check could not compute
 is null) and byte-identical for identical configuration and seed.
 
-``main`` owns the process, so it sets the C allocator's policy before it
-parses arguments: freed memory stays mapped.  The streamed jet allocates
-and frees the same block temporaries once per ``JET_BLOCK`` nodes; under glibc's
-default policy that memory goes back to the kernel after each block and is
-faulted in again, zeroed, for the next.  A library must not change its
-importer's allocator, so this lives here and not in the package.
+``main`` owns the process, so before it parses arguments it sets two
+process policies.  The C allocator keeps freed memory mapped: the streamed
+jet allocates and frees the same block temporaries once per ``JET_BLOCK``
+nodes, and under glibc's default policy that memory goes back to the kernel
+after each block and is faulted in again, zeroed, for the next.  The idle
+OpenBLAS thread pool is stopped: no command makes a BLAS call large enough
+to use it, yet a pool worker busy-waits for about 2^28 clock ticks after it was started or last
+used, and when the imports end inside that window the rest of the spin
+burns CPU during the command.  A library must not change its importer's
+allocator or BLAS pool, so both live here and not in the package.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import glob
 import io
 import json
 import os
@@ -89,6 +94,31 @@ def _keep_freed_memory() -> None:
     tangent_bytes = 3 * 4 * 8 * JET_BLOCK
     mallopt(_M_MMAP_THRESHOLD, 4 * tangent_bytes)
     mallopt(_M_TRIM_THRESHOLD, 64 * tangent_bytes)
+
+
+def _openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS object numpy loaded from its wheel's ``numpy.libs``, if any."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = glob.glob(os.path.join(libs, "*openblas*.so*"))
+    return ctypes.CDLL(paths[0]) if paths else None
+
+
+def _stop_idle_blas_pool() -> None:
+    """Stop OpenBLAS's worker threads, so none spins while a command runs.
+
+    An OpenBLAS worker busy-waits for 2^28 time-stamp-counter ticks (about
+    125 ms at 2.1 GHz) after the library loads or a threaded call ends,
+    before it sleeps.  ``blas_thread_shutdown_`` is the function OpenBLAS
+    registers as its own ``pthread_atfork`` prepare handler: it joins the
+    workers, and the next threaded call starts them again with the same
+    thread count.  Without the object or the symbol the pool is left as is.
+    """
+    shutdown = getattr(_openblas(), "blas_thread_shutdown_", None)
+    if shutdown is None:
+        return
+    shutdown.argtypes = ()
+    shutdown.restype = ctypes.c_int
+    shutdown()
 
 
 def _csv(convert: Callable, form: str) -> Callable[[str], tuple]:
@@ -284,6 +314,7 @@ def cmd_sweep(args: argparse.Namespace) -> Callable[[], tuple[str, int]]:
 
 
 def main(argv=None) -> int:
+    _stop_idle_blas_pool()
     _keep_freed_memory()
     parser = _build_parser()
     try:

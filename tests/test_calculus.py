@@ -1,5 +1,4 @@
 import os
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -382,32 +381,28 @@ def test_jet_bits_match_the_out_of_place_dual_forms(cap, monkeypatch):
     _assert_jet_bits_survive(cap, use_out_of_place)
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2 or not hasattr(resource, "RUSAGE_THREAD"),
-    reason="needs two CPUs and per-thread rusage",
-)
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
 def test_jet_products_stay_on_the_calling_thread():
     # With two BLAS threads allowed, a jet over 40 blocks must not wake
     # the second one: the jet makes no BLAS call, so no worker thread runs.
-    # CPU of the other threads is RUSAGE_SELF minus RUSAGE_THREAD, read after
-    # a pause in which the BLAS workers end the busy wait they start with.
+    # The idle pool is stopped first, as the CLI stops it, so a threaded
+    # call inside the jet would start a new worker whose spin shows here.
+    # CPU of the other threads is the process's CPU time minus this thread's.
     child = (
-        "import resource, time\n"
+        "import time\n"
         "import numpy as np\n"
         "from hopfcap import BumpProfile, CapDomain, SpherePoint, jet_batch, perturbed_field\n"
         "from hopfcap.calculus import JET_BLOCK\n"
+        "from hopfcap.cli import _stop_idle_blas_pool\n"
         "from hopfcap.geometry import random_sphere_points\n"
         "cap = CapDomain(SpherePoint(np.array([1.0, 0, 0, 0])), 1.0)\n"
         "f = perturbed_field(cap, BumpProfile(0.5, 3), axis=(0.0, 0.48, 0.6, 0.64))\n"
         "pts = random_sphere_points(40 * JET_BLOCK, 28)\n"
-        "def cpu(who):\n"
-        "    r = resource.getrusage(who)\n"
-        "    return r.ru_utime + r.ru_stime\n"
-        "time.sleep(0.5)\n"
-        "self0, own0 = cpu(resource.RUSAGE_SELF), cpu(resource.RUSAGE_THREAD)\n"
+        "_stop_idle_blas_pool()\n"
+        "process0, own0 = time.process_time(), time.thread_time()\n"
         "jet_batch(f, pts)\n"
-        "own = cpu(resource.RUSAGE_THREAD) - own0\n"
-        "print(own, cpu(resource.RUSAGE_SELF) - self0 - own)\n"
+        "own = time.thread_time() - own0\n"
+        "print(own, time.process_time() - process0 - own)\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}

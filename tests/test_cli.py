@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopfcap.cli import _build_parser, main
+from hopfcap.cli import _build_parser, _openblas, _stop_idle_blas_pool, main
 from hopfcap.quadrature import build_gauss_rule
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -224,6 +224,71 @@ def test_same_report_without_mallopt(monkeypatch, capsys):
     monkeypatch.setattr("hopfcap.cli._c_library", lambda: object())
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def _run_with_two_blas_threads(child: str) -> str:
+    """Run ``child`` in a fresh interpreter allowed two BLAS threads; its stdout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2 or _openblas() is None, reason="needs two CPUs and numpy's OpenBLAS")
+def test_no_blas_worker_spins_during_a_command():
+    # A threaded product right before main leaves an OpenBLAS worker
+    # busy-waiting for about 125 ms, longer than these three commands take.
+    # main stops the idle pool first, so the other threads' CPU (the
+    # process's CPU time minus this thread's) stays near zero; without that
+    # it is about as large as the calling thread's own.
+    child = (
+        "import contextlib, io, time\n"
+        "import numpy as np\n"
+        "from hopfcap.cli import main\n"
+        "a = np.ones((600, 600))\n"
+        "a @ a\n"
+        "process0, own0 = time.process_time(), time.thread_time()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['verify', '--field', 'perturbed'], ['functionals'], ['sweep']):\n"
+        "        assert main([*argv, '--orders', '16,8,16']) == 0\n"
+        "own = time.thread_time() - own0\n"
+        "print(own, time.process_time() - process0 - own)\n"
+    )
+    own, other = map(float, _run_with_two_blas_threads(child).split())
+    assert other <= 0.1 * own, (own, other)
+
+
+def test_blas_works_after_main():
+    # The next threaded call starts the stopped pool again, with the same
+    # bits; stopping a pool that is already stopped does nothing.
+    child = (
+        "import contextlib, io\n"
+        "import numpy as np\n"
+        "from hopfcap.cli import _stop_idle_blas_pool, main\n"
+        "a = np.sin(np.arange(360_000.0)).reshape(600, 600)\n"
+        "before = a @ a\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['functionals', '--orders', '16,8,16']) == 0\n"
+        "after = a @ a\n"
+        "_stop_idle_blas_pool()\n"
+        "_stop_idle_blas_pool()\n"
+        "print(np.array_equal(before, after), np.array_equal(before, a @ a))\n"
+    )
+    assert _run_with_two_blas_threads(child).split() == ["True", "True"]
+
+
+@pytest.mark.parametrize("found", [None, object()], ids=["no-object", "no-symbol"])
+def test_blas_pool_left_alone_without_openblas(found, monkeypatch, capsys):
+    # Without numpy's OpenBLAS object, or without its shutdown symbol, the
+    # pool is left as it is and the command prints the same bytes.
+    argv = ["functionals", "--field", "perturbed", "--orders", "16,8,16"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr("hopfcap.cli._openblas", lambda: found)
+    assert _stop_idle_blas_pool() is None
+    assert main(argv) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 def _openblas_on_x86_64() -> bool:
