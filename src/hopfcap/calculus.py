@@ -1,36 +1,47 @@
 """Differentiation of unit fields and per-point invariants.
 
-The covariant derivative on S^3 is obtained from ambient directional
-derivatives of the 0-homogeneous field extension by tangential projection
-(the immersion relation for S^3 in R^4).  The jet differentiates the
-field along the tangent basis (i x, j x, k x) of left multiplications and
-reads sigma1, sigma2, the energy density and the volume integrand off the
-3x3 matrix of those derivatives; all four are symmetric functions of
-grad v, so no frame adapted to v is needed.  The points are taken in blocks of
-``JET_BLOCK`` nodes, each block one dual evaluation (``_jet_block``) with
-value (4, n) and tangent (3, 4, n), component-major as in ``dual``.  Two
-drivers run it.  ``jet_sums`` walks a quadrature rule, building each
-block's nodes and weights from the rule, and reduces the block's scalars
-inside it to the weighted sums, minima and subsample that the functionals
-and checks read, so no per-node array outlives its block.  ``jet_batch``
-takes given points and writes each block's four scalars into its columns of
-one (4, N) result.  Every block allocates and frees the same temporaries,
-so a process that keeps freed memory mapped (``cli.main`` does) reuses them
+The jet reads sigma1, sigma2, the energy density and the volume integrand
+off the 3x3 matrix B[a, b] = <grad_{e_a} v, e_b> in the tangent basis
+e = (i x, j x, k x) of left multiplications; all four are symmetric
+functions of grad v, so no frame adapted to v is needed.  B has two
+routes, which share the field's evaluation and nothing after it:
+
+* AD (the jet): every field is v = u x with u its frame components
+  (``fields``), and e_a = q_a x with q_a in (i, j, k), so
+  D_{e_a} v = (d_a u) x + (u q_a) x and, right multiplication by x being
+  an isometry, B = du + [u]x: B[a, b] = d_a u_b + (u x q_a)_b.  The field
+  is evaluated once, on a ``Dual`` carrying the three basis directions,
+  and B is its derivative matrix plus six signed entries of u
+  (``_ad_jet``); no 4-vector of the field is formed.  Since u is a unit
+  vector, d_a u and u x q_a are orthogonal to u, so B u = 0: v's own
+  direction in this basis is u, with no projection.
+* FD (the ``ad_fd_jet_agreement`` oracle, ``jet_batch(mode="fd")``): the
+  field's value v at x +- FD_STEP e_a, differenced and projected on the
+  basis by ``row_dot``, the covariant derivative's immersion relation for
+  S^3 in R^4.
+
+The points are taken in blocks of ``JET_BLOCK`` nodes, each block one
+evaluation (``_jet_block``), component-major as in ``dual``.  Two drivers
+run it.  ``jet_sums`` walks a quadrature rule, building each block's nodes
+and weights from the rule, and reduces the block's scalars inside it to
+the weighted sums, minima and subsample that the functionals and checks
+read, so no per-node array outlives its block.  ``jet_batch`` takes given
+points and writes each block's four scalars into its columns of one
+(4, N) result.  Every block allocates and frees the same temporaries, so a
+process that keeps freed memory mapped (``cli.main`` does) reuses them
 instead of faulting fresh pages for each block.  The jet is elementwise
 arithmetic in a fixed order, with no matrix or cross product and no BLAS
 call: its bits do not depend on the BLAS kernel, and it runs on the calling
-thread.  Every sum of products
-in it is one of the two kernels of ``dual``: ``_linear`` (a constant matrix,
-the basis) or ``row_dot`` (a rowwise dot: the derivative matrix and the
-squared norms of it and its cofactors); the two traces are explicit adds.
-Each cofactor is written straight from two products of derivative-matrix
-entries into one (3, 3, n) array, with no gathered copies of the matrix.
-This module holds no other
-frame: the numeric Jacobian determinant in ``displace`` differentiates along
-its own directions (x i, x j, x k) through ``_value_and_derivative``, whose
-one dual evaluation also gives it the field's value.  Every derivative is
-AD except one: ``jet_batch(mode="fd")``, central differences along the
-same basis, which ``checks`` holds against the AD jet as an oracle.
+thread.  Every sum of products in it is a kernel of ``dual``: ``_linear`` (a
+constant matrix: the basis, and the fields' constant frames) or ``row_dot``
+(a rowwise dot: the FD projection and the squared norms of B and its
+cofactors); the traces and B's cross term are explicit adds.  Each cofactor
+is written straight from two products of entries of B into one (3, 3, n)
+array, with no gathered copies of the matrix.  This module holds no other
+frame: the numeric Jacobian determinant in ``displace`` differentiates the
+field's value along its own directions (x i, x j, x k) through
+``_value_and_derivative``, whose one dual evaluation also gives it the
+value.  Every derivative is AD except the FD oracle's.
 """
 
 from __future__ import annotations
@@ -42,13 +53,10 @@ import numpy as np
 
 from . import dual as du
 from .fields import UnitField
-from .geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix
+from .geometry import FRAME_ROWS
 from .quadrature import JET_BLOCK, QuadratureRule, WeightedSum, require_finite
 
 FD_STEP = 1e-5
-
-# (12, 4): i x, j x, k x in one product
-_FRAME_ROWS = np.concatenate([left_mult_matrix(a) for a in (QUAT_I, QUAT_J, QUAT_K)])
 
 
 def directional_derivative(field: UnitField, points, directions):
@@ -207,31 +215,85 @@ def jet_sums(field: UnitField, rule: QuadratureRule, offsets, stride: int | None
     )
 
 
+# (a, b, c, sign): B[a, b] gets sign * u_c, the entry (u x q_a)_b = e_abc u_c.
+_CROSS = ((0, 1, 2, 1), (0, 2, 1, -1), (1, 0, 2, -1), (1, 2, 0, 1), (2, 0, 1, 1), (2, 1, 0, -1))
+
+
+def _basis(x: np.ndarray, frame_rotation: np.ndarray | None):
+    """The tangent basis (3, 4, n) at points (4, n), and (cos, sin) of the rotation or None.
+
+    (i x, j x, k x), with the first two turned by the per-point angles:
+    e0 -> cos e0 + sin e1 and e1 -> -sin e0 + cos e1.
+    """
+    basis = du.apply_linear(FRAME_ROWS, x).reshape(3, 4, -1)
+    if frame_rotation is None:
+        return basis, None
+    cos, sin = np.cos(frame_rotation), np.sin(frame_rotation)
+    basis[0], basis[1] = cos * basis[0] + sin * basis[1], -sin * basis[0] + cos * basis[1]
+    return basis, (cos, sin)
+
+
+def _turned(a: np.ndarray, cos, sin) -> np.ndarray:
+    """A new array of a's components (axis -2) 0 and 1 turned as e_0 and e_1 are, 2 kept."""
+    out = np.empty(np.broadcast_shapes(a.shape, np.shape(cos)))
+    out[..., 0, :] = cos * a[..., 0, :] + sin * a[..., 1, :]
+    out[..., 1, :] = -sin * a[..., 0, :] + cos * a[..., 1, :]
+    out[..., 2, :] = a[..., 2, :]
+    return out
+
+
+def _ad_jet(field: UnitField, x: np.ndarray, frame_rotation: np.ndarray | None):
+    """The frame components u and B = du + [u]x (3, 3, n) at points x (4, n), by AD.
+
+    u = v conj(x) is evaluated once, on a ``Dual`` carrying the basis
+    directions, so u.eps[a] = d_a u.  Under a rotation, q_0 and q_1 turn
+    as e_0 and e_1 do, so the (i, j) components of u and of each d_a u turn
+    by the node's angle, and the cross term keeps its form in the turned
+    units.  B[a, b] is d_a u_b plus (u x q_a)_b: +-u_c off the diagonal
+    (``_CROSS``) and +0.0 on it, so B's entries have the signs of the dense
+    sum du + [u]x whatever the signs of u's exactly-zero derivatives.
+    """
+    basis, turn = _basis(x, frame_rotation)
+    u = field.components(du.Dual(x, basis))
+    del basis
+    if turn is not None:
+        u = du.Dual(_turned(u.val, *turn), _turned(u.eps, *turn))
+    grad = np.empty((3, 3, x.shape[-1]))
+    for a in range(3):
+        np.add(u.eps[a, a], 0.0, out=grad[a, a])
+    for a, b, c, sign in _CROSS:
+        (np.add if sign > 0 else np.subtract)(u.eps[a, b], u.val[c], out=grad[a, b])
+    return u, grad
+
+
+def _fd_jet(field: UnitField, x: np.ndarray, frame_rotation: np.ndarray | None) -> np.ndarray:
+    """B (3, 3, n) at points x (4, n) from central differences of the field's value.
+
+    The displaced points x +- FD_STEP e of all three directions are
+    evaluated in one call on each side, as ``dual.plain`` points in the
+    same layout, and the difference quotients are projected on the basis.
+    """
+    basis, _ = _basis(x, frame_rotation)
+    plus, minus = (field(du.plain(x + step * basis)).val for step in (FD_STEP, -FD_STEP))
+    deriv = (plus - minus) / (2.0 * FD_STEP)
+    # grad[a, b] = <D_{e_a} v, e_b>: the component rows summed in order.
+    return du.row_dot(deriv[:, None], basis[None, :]).reshape(3, 3, -1)
+
+
 def _jet_block(
     field: UnitField, x: np.ndarray, mode: str, frame_rotation: np.ndarray | None, out: np.ndarray
 ) -> None:
     """Write (sigma1, sigma2, energy density, volume integrand) into out (4, n).
 
     ``x`` holds the block's points component-major, (4, n).  In "ad" mode
-    the field is evaluated once, on a ``Dual`` carrying the three basis
-    directions.  In "fd" mode the displaced points x +- FD_STEP e of all
-    three directions are evaluated in one call on each side, as
-    ``dual.plain`` points in the same layout.  Both modes run the same dual
-    operations.
+    B is ``_ad_jet``'s; in "fd" mode it is ``_fd_jet``'s.
     """
-    basis = du.apply_linear(_FRAME_ROWS, x).reshape(3, 4, -1)  # i x, j x, k x
-    if frame_rotation is not None:
-        cos, sin = np.cos(frame_rotation), np.sin(frame_rotation)
-        basis[0], basis[1] = cos * basis[0] + sin * basis[1], -sin * basis[0] + cos * basis[1]
     if mode == "ad":
-        deriv = field(du.Dual(x, basis)).eps
+        grad = _ad_jet(field, x, frame_rotation)[1]
     elif mode == "fd":
-        plus, minus = (field(du.plain(x + step * basis)).val for step in (FD_STEP, -FD_STEP))
-        deriv = (plus - minus) / (2.0 * FD_STEP)
+        grad = _fd_jet(field, x, frame_rotation)
     else:
         raise ValueError(f"unknown differentiation mode {mode!r}")
-    # grad[a, b] = <D_{e_a} v, e_b>: the component rows summed in order.
-    grad = du.row_dot(deriv[:, None], basis[None, :]).reshape(3, 3, -1)
     # Row a of the cofactor matrix is grad[a + 1] x grad[a + 2], cyclically:
     # cof[a, b] = grad[a+1, b+1] grad[a+2, b+2] - grad[a+1, b+2] grad[a+2, b+1].
     cof = np.empty_like(grad)

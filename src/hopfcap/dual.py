@@ -7,7 +7,10 @@ direction (vector forward mode); ``dirs`` may be empty.  A plain operand of
 ``+`` or ``-`` must broadcast to ``val``.  Field evaluators are written
 against the small function set below, one body each, for a Dual.  A plain
 evaluation is a Dual with no directions, ``plain(x)``, so a value has the
-same bits whether or not it is differentiated.  ``apply_linear`` also
+same bits whether or not it is differentiated.  On such a Dual, ``sqrt``,
+``arccos``, ``arctan2``, ``**`` and ``Dual / Dual`` form only the value:
+their derivative factors are skipped when ``eps`` holds no entry, and the
+result's ``eps`` is an empty array of its shape.  ``apply_linear`` also
 takes plain points, through the same kernel: the jet forms its seed
 directions with it.
 
@@ -18,19 +21,20 @@ sum over the component rows (axis -2) with elementwise multiply-adds in a
 fixed order, so every inner loop runs over the n nodes and no product goes
 to BLAS: the result does not depend on which BLAS kernel or how many BLAS
 threads the host has.  ``_linear`` (through ``apply_linear``) applies a
-constant matrix; a dot product with a constant vector is the one-row
+constant matrix: the jet's seed directions, and a field's constant frame
+applied to its angles; a dot product with a constant vector is the one-row
 matrix (1, 4).  It skips the zero coefficients of the matrix, which changes
 at most the sign of an exactly-zero entry of the dense sum, so a frame map
 at a quaternion basis axis (a signed permutation) is one multiply per row.
 ``row_dot`` sums the rowwise products of two arrays: the squared norm in
-``normalize``, and the jet's derivative matrix and squared norms in
+``norm``, and the FD jet's projection and the invariants' squared norms in
 ``calculus``.
 
 A few operations form each intermediate once, with the bits of the dense
 formula:
 
-* ``normalize`` forms the squared norm's eps as 2 * sum_j val_j * eps_j,
-  one row accumulated in j order.  The product rule's term is
+* ``norm`` forms the squared norm's eps as 2 * sum_j val_j * eps_j, one
+  row accumulated in j order.  The product rule's term is
   val_j * eps_j + eps_j * val_j, the same product doubled, and doubling is
   exact, so the bits are those of the dense sum.
 * ``Dual / Dual`` forms the quotient val * inv once, reuses it in eps and
@@ -41,15 +45,15 @@ formula:
 
 ``a *= c``, ``a += b`` and ``a -= b`` are in-place forms: they write
 ``c * a``, ``a + b`` and ``a - b`` into a's buffers, so a field evaluator
-forms each (4, n) vector once (as an ``apply_linear`` result) and scales
-and adds into it.  They have the bits of the operators: the product
-computes the same two products of the product rule (eps * c.val in place,
-then val * c.eps one direction at a time, added to it), and IEEE products
-and sums commute.  ``a`` must hold the result's shape and be a fresh
-buffer the evaluator made itself: ``Dual(x, y)`` and ``plain(x)`` wrap the
-caller's arrays, and ``+`` or ``-`` with a plain operand returns a Dual
-that shares ``eps`` with its Dual operand, so writing into any of these
-would change an array the caller still reads.
+forms each vector once and scales and adds into it.  They have the bits of
+the operators: the product computes the same two products of the product
+rule (eps * c.val in place, then val * c.eps one direction at a time,
+added to it), and IEEE products and sums commute.  ``a`` must hold the
+result's shape and be a fresh buffer the evaluator made itself:
+``Dual(x, y)`` and ``plain(x)`` wrap the caller's arrays, and ``+`` or
+``-`` with a plain operand returns a Dual that shares ``eps`` with its
+Dual operand, so writing into any of these would change an array the
+caller still reads.
 """
 
 from __future__ import annotations
@@ -130,6 +134,8 @@ class Dual:
         if isinstance(other, Dual):
             inv = 1.0 / other.val
             q = self.val * inv
+            if _no_directions(self, other):
+                return Dual(q, _empty_eps(q, self, other))
             eps = q * other.eps
             if isinstance(eps, np.ndarray) and np.broadcast_shapes(self.eps.shape, eps.shape) == eps.shape:
                 np.subtract(self.eps, eps, out=eps)
@@ -142,7 +148,23 @@ class Dual:
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError("Dual.__pow__ supports positive integer exponents only")
-        return Dual(self.val**n, n * self.val ** (n - 1) * self.eps)
+        # v^n = v^(n-1) v, with v^(n-1) the derivative's factor too: a
+        # square, not a general power, at the bump's n = 3.
+        low = self.val ** (n - 1)
+        val = low * self.val
+        if _no_directions(self):
+            return Dual(val, _empty_eps(val, self))
+        return Dual(val, n * low * self.eps)
+
+
+def _no_directions(*duals) -> bool:
+    """Whether no operand holds a derivative entry, as on ``plain`` points."""
+    return not any(d.eps.size for d in duals)
+
+
+def _empty_eps(val, *duals):
+    """The empty derivative of a result with value ``val`` of operands with no directions."""
+    return np.empty(np.broadcast_shapes(np.shape(val), *(d.eps.shape for d in duals)))
 
 
 def plain(x):
@@ -153,6 +175,8 @@ def plain(x):
 
 def sqrt(x):
     r = np.sqrt(x.val)
+    if _no_directions(x):
+        return Dual(r, _empty_eps(r, x))
     return Dual(r, 0.5 / r * x.eps)
 
 
@@ -165,12 +189,18 @@ def sincos(x):
 def arccos(x):
     """Arc cosine with clipped values and a floored derivative denominator."""
     v = np.clip(x.val, -1.0, 1.0)
+    if _no_directions(x):
+        val = np.arccos(v)
+        return Dual(val, _empty_eps(val, x))
     denom = np.sqrt(np.maximum(1.0 - v * v, _DENOM_FLOOR))
     return Dual(np.arccos(v), -x.eps / denom)
 
 
 def arctan2(y, x):
     """Arc tangent of y / x for two Duals."""
+    if _no_directions(y, x):
+        val = np.arctan2(y.val, x.val)
+        return Dual(val, _empty_eps(val, y, x))
     denom = np.maximum(x.val * x.val + y.val * y.val, _DENOM_FLOOR)
     return Dual(np.arctan2(y.val, x.val), (x.val * y.eps - y.val * x.eps) / denom)
 
@@ -216,6 +246,11 @@ def row_dot(a, b):
     return total
 
 
+def stack(rows):
+    """Duals of (..., k, n) rows stacked on axis -2, value and derivatives alike."""
+    return Dual(np.concatenate([r.val for r in rows], axis=-2), np.concatenate([r.eps for r in rows], axis=-2))
+
+
 def apply_linear(matrix, x):
     """The constant matrix applied to component-major points ``x`` (..., 4, n)."""
     m = np.asarray(matrix, dtype=float)
@@ -224,8 +259,13 @@ def apply_linear(matrix, x):
     return _linear(m, np.asarray(x, dtype=float))
 
 
-def normalize(x):
-    """Scale the component-major (..., 4, n) vectors of a Dual to unit length."""
+def norm(x):
+    """Euclidean lengths (..., 1, n) of the component-major vectors of a Dual."""
     eps = row_dot(x.val, x.eps)
     eps *= 2.0
-    return x / sqrt(Dual(row_dot(x.val, x.val), eps))
+    return sqrt(Dual(row_dot(x.val, x.val), eps))
+
+
+def normalize(x):
+    """Scale the component-major (..., 4, n) vectors of a Dual to unit length."""
+    return x / norm(x)

@@ -10,21 +10,27 @@ Three built-in families:
   vector from the cap center; has small covariant derivative on small caps
   and ignores the boundary condition.
 
-Every evaluator takes a ``Dual`` of component-major points, value
-(..., 4, n), and returns the tangent vectors as a ``Dual`` in the same
-layout; constant vectors enter as (4, 1) columns, or as (1, 4) rows in a
-dot product.  Calling a ``UnitField`` on plain (..., 4) points evaluates
-it on ``dual.plain`` points and returns the value in that shape.  Every
-evaluator is 0-homogeneous: the input is normalized before use, so
-ambient directional derivatives are well-defined off the sphere.
+S^3 is the group of unit quaternions, and the Hopf field and its frame
+(E1, E2) are left-invariant: x -> a x, b x, c x.  So every unit tangent
+field is v = u x, with u = v conj(x) a unit imaginary quaternion, the
+field's frame components.  Every evaluator takes a ``Dual`` of
+component-major points, value (..., 4, n), and returns u as a ``Dual`` of
+(..., 3, n) rows, the i, j and k parts; constant vectors enter as (3, 1)
+columns, or as (1, 4) rows in a dot product, and constant maps through
+``dual.apply_linear``.  Every evaluator is 0-homogeneous, so ambient
+directional derivatives are well-defined off the sphere; the perturbed
+field reads |x| as a scalar and forms no normalized 4-vector.
+
+Calling a ``UnitField`` gives the tangent vector v = u x^ with x^ = x / |x|,
+the sum of u's components times i x^, j x^ and k x^, on a ``Dual`` in its
+layout or on plain (..., 4) points in their shape; the central differences, the
+ambient derivative and the numeric determinant read v.  The AD jet reads u
+(``UnitField.components``) and never forms v: in this frame its matrix is
+du + [u]x.
 
 The evaluators run once per jet block, and their temporaries are most of
-the block's memory.  Each (4, n) vector Dual (value and three tangents, 16
-rows of n float64) is formed once, by ``dual.normalize`` or
-``dual.apply_linear``, and the products and sums after it are written into
-it with ``dual``'s in-place forms, with the bits of the operators.  The
-input Dual is the caller's (the jet's nodes and basis) and is only read.
-Each intermediate is deleted after its last read.
+the block's memory.  The input Dual is the caller's (the jet's nodes and
+basis) and is only read.  Each intermediate is deleted after its last read.
 """
 
 from __future__ import annotations
@@ -36,17 +42,17 @@ from typing import Callable, Union
 import numpy as np
 
 from . import dual as du
-from .geometry import CapDomain, left_mult_matrix, quat_mul, tangent_basis
+from .geometry import FRAME_ROWS, QUAT_I, QUAT_J, QUAT_K, QUAT_ONE, CapDomain, quat_mul, tangent_basis
 
 
 @dataclass(frozen=True)
 class UnitField:
-    """Closed-form unit tangent field v: S^3 -> T S^3.
+    """Closed-form unit tangent field v = u x: S^3 -> T S^3.
 
-    ``evaluator`` maps a Dual of component-major (4, n) points to a Dual of
-    tangent vectors in the same layout.  ``hopf_boundary`` records where the
-    field is known to coincide with a Hopf field: "everywhere", a CapDomain
-    (on and outside its boundary), or None.
+    ``evaluator`` maps a Dual of component-major (4, n) points to the frame
+    components u = v conj(x), a Dual of (3, n) rows.  ``hopf_boundary``
+    records where the field is known to coincide with a Hopf field:
+    "everywhere", a CapDomain (on and outside its boundary), or None.
     """
 
     label: str
@@ -54,16 +60,31 @@ class UnitField:
     params: dict = dc_field(default_factory=dict)
     hopf_boundary: Union[str, CapDomain, None] = None
 
+    def components(self, x):
+        """The frame components u at a component-major ``Dual`` of points, (..., 3, n)."""
+        u = self.evaluator(x)
+        if not isinstance(u, du.Dual):
+            raise TypeError(f"field {self.label!r} does not return dual numbers")
+        return u
+
     def __call__(self, x):
-        """The field at a component-major ``Dual``, or at plain points of
-        shape (..., 4), returned in that shape."""
+        """The field v = u x^ at a component-major ``Dual``, or at plain
+        points of shape (..., 4), returned in that shape."""
         plain = not isinstance(x, du.Dual)
         if plain:
             x = np.asarray(x, dtype=float)
             shape, x = x.shape, du.plain(np.ascontiguousarray(x.reshape(-1, 4).T))
-        v = self.evaluator(x)
-        if not isinstance(v, du.Dual):
-            raise TypeError(f"field {self.label!r} does not return dual numbers")
+        # v = u x^ = sum_c u_c (q_c x^) over the imaginary units q = i, j, k.
+        u, xs = self.components(x), du.normalize(x)
+        v = None
+        for c, unit_map in enumerate(FRAME_ROWS.reshape(3, 4, 4)):
+            term = du.apply_linear(unit_map, xs)
+            term *= du.Dual(u.val[..., c : c + 1, :], u.eps[..., c : c + 1, :])
+            if v is None:
+                v = term
+            else:
+                v += term
+            del term
         return np.ascontiguousarray(v.val.T).reshape(shape) if plain else v
 
 
@@ -81,12 +102,17 @@ def _check_axis(axis) -> np.ndarray:
 
 
 def hopf_field(axis=(0.0, 1.0, 0.0, 0.0)) -> UnitField:
-    """Great-circle flow v(x) = axis * x for a unit imaginary quaternion axis."""
+    """Great-circle flow v(x) = axis * x for a unit imaginary quaternion axis.
+
+    Its frame components are the constant axis, a (3, 1) column with zero
+    derivatives.
+    """
     axis = _check_axis(axis)
-    mat = left_mult_matrix(axis)
+    column = axis[1:, None]
 
     def evaluate(x):
-        return du.apply_linear(mat, du.normalize(x))
+        batch = x.val.shape[:-2]
+        return du.Dual(np.broadcast_to(column, batch + (3, 1)), np.zeros(x.eps.shape[:-2] + (3, 1)))
 
     return UnitField(
         label="hopf",
@@ -108,10 +134,9 @@ def _complete_axis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hopf_frame(axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left-multiplication matrices of the orthonormal tangent frame (H, E1, E2)."""
+    """The orthonormal imaginary units (a, b, c = a b) of the frame (H, E1, E2) = (a x, b x, c x)."""
     axis = _check_axis(axis)
-    b, c = _complete_axis(axis)
-    return left_mult_matrix(axis), left_mult_matrix(b), left_mult_matrix(c)
+    return (axis, *_complete_axis(axis))
 
 
 BUMP_EXPONENT = 3  # default m of the bump profile, also of the sweep family
@@ -163,40 +188,28 @@ def perturbed_field(
     twist = "none" if twist is None else twist
     if twist not in ("none", "angular"):
         raise ValueError(f"unknown twist {twist!r}")
-    h, e1, e2 = hopf_frame(axis)
+    # Columns a, b, c: u = cos f a + sin f (cos g b + sin g c) is this
+    # rotation applied to the angles' unit vector.
+    frame = np.stack(hopf_frame(axis), axis=1)[1:]
     center = cap.center.x[None, :]
     r = cap.radius
     amp, m = bump.amplitude, bump.exponent
     b1, b2 = (b[None, :] for b in tangent_basis(cap.center)[:2])
 
     def evaluate(x):
-        # The frame is applied to the same normalized point as hopf_field,
-        # so the A = 0 case reproduces the Hopf field bit-for-bit.  Each
-        # (4, n) vector is formed once, by apply_linear, and the products
-        # and the sum are written into it.  The point goes once the last
-        # vector is formed from it, and each factor after its last read.
-        xs = du.normalize(x)
-        f = du.relu(1.0 - (du.arccos(du.apply_linear(center, xs)) / r) ** 2) ** m * amp
-        tilt = du.apply_linear(e1, xs)
-        if twist == "angular":
-            sg, cg = du.sincos(du.arctan2(du.apply_linear(b2, xs), du.apply_linear(b1, xs)))
-            tilt *= cg
-            del cg
-            turn = du.apply_linear(e2, xs)
-            turn *= sg
-            del sg
-            tilt += turn
-            del turn
-        along = du.apply_linear(h, xs)
-        del xs
+        # The distance to the center is read off <center, x> / |x|, and the
+        # azimuth off a ratio, so no 4-vector is normalized.  Each factor
+        # goes after its last read.
+        f = du.relu(1.0 - (du.arccos(du.apply_linear(center, x) / du.norm(x)) / r) ** 2) ** m * amp
         sf, cf = du.sincos(f)
         del f
-        along *= cf
-        del cf
-        tilt *= sf
+        if twist == "none":
+            return du.apply_linear(frame[:, :2], du.stack([cf, sf]))
+        sg, cg = du.sincos(du.arctan2(du.apply_linear(b2, x), du.apply_linear(b1, x)))
+        cg *= sf
+        sg *= sf
         del sf
-        along += tilt
-        return along
+        return du.apply_linear(frame, du.stack([cf, cg, sg]))
 
     return UnitField(
         label="perturbed",
@@ -218,32 +231,36 @@ def small_cap_field(cap: CapDomain) -> UnitField:
 
     u0 is the first ``tangent_basis`` vector at p.  Along each geodesic
     leaving the center, the value is the parallel transport of u0; in
-    closed form
+    closed form, with su = <u0, x>, sp = <x, p> and k = su / (1 + sp),
 
-        v(x) = u0 - <u0, x> p - <u0, x> / (1 + <x, p>) (x - <x, p> p)
+        v(x) = u0 - su p - k (x - sp p)
 
-    which is smooth away from the antipode of the center.  Meaningful on
-    small caps, where the covariant derivative stays small: its mean square
-    grows like 0.2 r^2.
+    which is smooth away from the antipode of the center.  Its frame
+    components are u = v conj(x): x conj(x) = 1 is real, and
+    su - k sp = k, so u = Im(u0 conj(x)) - k Im(p conj(x)), two constant
+    3x4 maps of x.  Meaningful on small caps, where the covariant
+    derivative stays small: its mean square grows like 0.2 r^2.
     """
     u0 = tangent_basis(cap.center)[0]
-    p, u = cap.center.x[:, None], u0[:, None]
+    p = cap.center.x
+
+    def conj_map(w):
+        """The 3x4 matrix of x -> Im(w conj(x))."""
+        conj = (QUAT_ONE, -QUAT_I, -QUAT_J, -QUAT_K)
+        return np.stack([quat_mul(w, e)[1:] for e in conj], axis=1)
+
+    along, across = conj_map(u0), conj_map(p)
 
     def evaluate(x):
-        # (u - su p) - k (x - sp p) with k = su / (1 + sp).  The normalized
-        # point is the evaluator's own buffer: x - sp p and its product with
-        # k are written into it.
         xs = du.normalize(x)
-        su = du.apply_linear(u.T, xs)
-        sp = du.apply_linear(p.T, xs)
-        k = su / (1.0 + sp)
-        xs -= sp * p
-        del sp
-        xs *= k
+        k = du.apply_linear(u0[None, :], xs) / (1.0 + du.apply_linear(p[None, :], xs))
+        u = du.apply_linear(along, xs)
+        turn = du.apply_linear(across, xs)
+        del xs
+        turn *= k
         del k
-        v = u - su * p
-        v -= xs
-        return v
+        u -= turn
+        return u
 
     return UnitField(
         label="small-cap",

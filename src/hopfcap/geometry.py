@@ -64,6 +64,11 @@ def left_mult_matrix(a):
     )
 
 
+# (12, 4): x -> (i x, j x, k x), the tangent basis of ``tangent_basis`` at
+# every point, as one constant map.
+FRAME_ROWS = np.concatenate([left_mult_matrix(q) for q in (QUAT_I, QUAT_J, QUAT_K)])
+
+
 @dataclass(frozen=True)
 class SpherePoint:
     """Unit 4-vector on S^3, renormalized on construction.

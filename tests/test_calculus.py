@@ -19,7 +19,7 @@ from hopfcap import (
     small_cap_field,
 )
 from hopfcap import dual as du
-from hopfcap.calculus import _value_and_derivative, directional_derivative
+from hopfcap.calculus import _ad_jet, _value_and_derivative, directional_derivative
 from hopfcap.geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix, quat_mul, random_sphere_points
 from hopfcap.quadrature import build_gauss_rule
 
@@ -330,23 +330,95 @@ def test_field_sees_one_block_at_a_time(cap, monkeypatch):
     assert shapes == [((4, 7), (3, 4, 7))] * 7 + [((4, 1), (3, 4, 1))]
 
 
-def _assert_jet_bits_survive(cap, use_dense_forms):
-    """Every invariant bit of five jets is the same before and after
-    ``use_dense_forms()`` swaps dense forms in for the lean ones.
-
-    The fields cover the default and an off-basis axis, the angular twist,
-    the Hopf and the small-cap field; the points are random and Gauss
-    nodes, whose exact +-0 coordinates give lean and dense sums zeros of
-    other signs.
-    """
-    fields = [
+def jet_fields(cap):
+    """The default and an off-basis axis, the angular twist, the Hopf and the small-cap field."""
+    return [
         perturbed_field(cap, BumpProfile(0.5, 3)),
         perturbed_field(cap, BumpProfile(0.5, 3), axis=(0.0, 0.48, 0.6, 0.64)),
         perturbed_field(cap, BumpProfile(1.2, 2), twist="angular"),
         hopf_field(),
         small_cap_field(CapDomain(cap.center, 0.3)),
     ]
-    point_sets = [random_sphere_points(2000, 29), build_gauss_rule(cap, 16, 8, 16).nodes]
+
+
+def jet_point_sets(cap):
+    """Random points and Gauss nodes, whose coordinates include exact +-0."""
+    return [random_sphere_points(2000, 29), build_gauss_rule(cap, 16, 8, 16).nodes]
+
+
+def projected_jet_matrix(field, pts, theta):
+    """B[a, b] = <Dv[e_a], e_b> (N, 3, 3) by the ambient route.
+
+    AD of the field's value v through ``directional_derivative`` along the
+    basis e = (i x, j x, k x), its first two turned by the angles ``theta``
+    (or not, for None), projected on e: the jet's route before it read B
+    off the frame components.
+    """
+    basis = np.stack([quat_mul(q, pts) for q in (QUAT_I, QUAT_J, QUAT_K)])
+    if theta is not None:
+        cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        basis[0], basis[1] = cos * basis[0] + sin * basis[1], -sin * basis[0] + cos * basis[1]
+    return np.einsum("ani,bni->nab", directional_derivative(field, pts, basis), basis)
+
+
+def matrix_invariants(b):
+    """sigma1, sigma2, energy density and volume integrand of (N, 3, 3) matrices.
+
+    Row a of the cofactor matrix is the cross product of rows a+1 and a+2.
+    """
+    cof = np.cross(np.roll(b, -1, axis=1), np.roll(b, -2, axis=1))
+    energy = np.sum(b * b, axis=(1, 2))
+    return {
+        "sigma1": np.trace(b, axis1=1, axis2=2),
+        "sigma2": np.trace(cof, axis1=1, axis2=2),
+        "energy_density": energy,
+        "volume_integrand": np.sqrt(1.0 + energy + np.sum(cof * cof, axis=(1, 2))),
+    }
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["plain", "rotated"])
+def test_frame_jet_matches_the_projected_ambient_jet(cap, rotate):
+    # The jet reads B = du + [u]x off the frame components u; the oracle
+    # projects the AD derivative of v = u x^ on the basis, so the two share
+    # the field's evaluation and no algebra after it.  Per node, with or
+    # without turned frames:
+    # * the invariants agree to 1e-13 max(1, |value|);
+    # * B u = 0 (B has rank <= 2 and u is v's direction in the basis) to
+    #   1e-13 max(1, |B|).
+    # Two singular spots need the scale of B.  The angular twist at Gauss
+    # nodes 3.3e-4 from its axis has |B| = 2.8e3 and sigma2 = 2.6e3, the
+    # difference of products near 8e6, so its invariants are held to
+    # 1e-13 max(1, |value|, |B|^2) (sigma2 agrees to 2.7e-13 relative
+    # there).  The small-cap field near its center's antipode has
+    # |B| = 17.5 and B u = 3.5e-13, as the projected route's B v^ does.
+    rng = np.random.default_rng(30)
+    for pts in jet_point_sets(cap):
+        theta = rng.uniform(0.0, 2 * np.pi, len(pts)) if rotate else None
+        x = np.ascontiguousarray(pts.T)
+        for f in jet_fields(cap):
+            u, b = _ad_jet(f, x, theta)
+            size = np.sqrt(np.sum(b * b, axis=(0, 1)))
+            singular = f.params.get("twist") == "angular"
+            jets = jet_batch(f, pts, frame_rotation=theta)
+            for attr, want in matrix_invariants(projected_jet_matrix(f, pts, theta)).items():
+                scale = np.maximum(1.0, np.abs(want))
+                if singular:
+                    scale = np.maximum(scale, size**2)
+                assert np.max(np.abs(getattr(jets, attr) - want) / scale) <= 1e-13, (f.label, attr)
+            residual = np.abs(np.einsum("abn,bn->an", b, u.val))
+            assert np.max(residual / np.maximum(1.0, size)) <= 1e-13, f.label
+
+
+def _assert_jet_bits_survive(cap, use_dense_forms):
+    """Every invariant bit of five jets is the same before and after
+    ``use_dense_forms()`` swaps dense forms in for the lean ones.
+
+    The fields are ``jet_fields`` and the points ``jet_point_sets``: the
+    Gauss nodes' exact +-0 coordinates give lean and dense sums zeros of
+    other signs.
+    """
+    fields = jet_fields(cap)
+    point_sets = jet_point_sets(cap)
     lean = [jet_batch(f, pts) for pts in point_sets for f in fields]
     use_dense_forms()
     dense = [jet_batch(f, pts) for pts in point_sets for f in fields]

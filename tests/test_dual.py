@@ -1,11 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from hopfcap import dual as du
-from hopfcap.calculus import _FRAME_ROWS
 from hopfcap.fields import hopf_frame
-from hopfcap.geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix
+from hopfcap.geometry import FRAME_ROWS, QUAT_I, QUAT_J, QUAT_K, left_mult_matrix
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -140,8 +141,8 @@ LINEAR_MAPS = {
     "i": left_mult_matrix(QUAT_I),
     "j": left_mult_matrix(QUAT_J),
     "k": left_mult_matrix(QUAT_K),
-    **dict(zip(("H", "E1", "E2"), hopf_frame((0.0, 0.48, 0.6, 0.64)))),
-    "frame_rows": _FRAME_ROWS,
+    **{name: left_mult_matrix(q) for name, q in zip(("H", "E1", "E2"), hopf_frame((0.0, 0.48, 0.6, 0.64)))},
+    "frame_rows": FRAME_ROWS,
     "dense": np.random.default_rng(7).uniform(-1.0, 1.0, (4, 4)),
     "zero_row": _with_zero_row(),
     "mixed": np.array(
@@ -203,6 +204,8 @@ OPERATIONS = {
     "apply_linear_row": lambda d: du.apply_linear(C4.T, d),
     "apply_linear_north_row": lambda d: du.apply_linear(LINEAR_MAPS["row_north"], d),
     "normalize": du.normalize,
+    "norm": du.norm,
+    "stack": lambda d: du.stack([du.sqrt(d * d + 1.0), d]),
 }
 
 
@@ -366,3 +369,36 @@ def test_in_place_forms_have_the_bits_of_the_operators(name, zeros):
         out = in_place(buffer, other)
         assert out is buffer and _same_bits(out, expected), in_place.__name__
     assert (b.val.tobytes(), b.eps.tobytes()) == operand
+
+
+# Each operation that skips its derivative factor on plain points, on a and
+# b, and the most rows of n float64 it may hold then: its value, the
+# clipped argument of arccos, and the power below v^3 or the inverse of b.
+PLAIN_FACTORS = {
+    "sqrt": (lambda a, b: du.sqrt(a), 1),
+    "arccos": (lambda a, b: du.arccos(a), 2),
+    "arctan2": (du.arctan2, 1),
+    "pow": (lambda a, b: a**3, 2),
+    "div": (lambda a, b: a / b, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(PLAIN_FACTORS))
+def test_plain_points_form_no_derivative_factor(name):
+    # With no directions the operation forms its value alone: eps is an
+    # empty array of the result's shape, the value has the bits of the
+    # differentiated evaluation, and no n-row factor is held beside it.
+    op, rows = PLAIN_FACTORS[name]
+    n = 100_000
+    x = np.linspace(0.1, 0.9, n).reshape(1, n)
+    a, b = du.plain(x), du.plain(x + 1.0)
+    tracemalloc.start()
+    try:
+        out = op(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    seeded = op(du.Dual(x, np.ones((3, 1, n))), du.Dual(x + 1.0, np.ones((3, 1, n))))
+    assert out.eps.shape == (0, 1, n)
+    assert out.val.tobytes() == seeded.val.tobytes()
+    assert peak <= (rows + 0.1) * 8 * n

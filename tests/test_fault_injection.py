@@ -4,12 +4,18 @@ The ``dual`` faults change only a derivative (the ``eps`` part) of one dual
 operation, so the AD jet goes wrong while every plain value keeps its bits.
 The checks reduced from the AD jet alone can pass such a jet; the
 ``ad_fd_jet_agreement`` row compares it with central differences of plain
-values, which the fault cannot reach, and fails.
+values, which the fault cannot reach, and fails.  Each is injected through
+a field whose frame components run the faulted operation: the perturbed
+field, or the small-cap field for the in-place product, which the
+perturbed field does not form.
 
-The jet-level faults change an invariant after ``_jet_block`` forms it, or
-the reduction of the image volume, so the AD and FD jets share them.  Each
-is caught by a named row, or is a strict ``xfail`` naming the ROADMAP row
-meant to catch it: when that row lands the test passes and the mark must go.
+The cross-term fault flips the sign of [u]x in the AD jet's
+B = du + [u]x, which the FD jet does not form, so the same row fails.  The
+other jet-level faults change an invariant after ``_jet_block`` forms it,
+or the reduction of the image volume, so the AD and FD jets share them.
+Each is caught by a named row, or is a strict ``xfail`` naming the ROADMAP
+row meant to catch it: when that row lands the test passes and the mark
+must go.
 """
 
 import dataclasses
@@ -17,7 +23,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hopfcap import BumpProfile, VerifyConfig, perturbed_field, run_all
+from hopfcap import (
+    BumpProfile,
+    CapDomain,
+    SpherePoint,
+    VerifyConfig,
+    build_gauss_rule,
+    perturbed_field,
+    run_all,
+    small_cap_field,
+)
 from hopfcap import calculus
 from hopfcap import dual as du
 
@@ -44,34 +59,56 @@ def in_place_product_without_cross_term(self, other):
     return self
 
 
+# fault -> (dual operation, replacement, field whose certificate runs it)
 FAULTS = {
-    "sincos_sine_sign": ("sincos", sine_derivative_sign_flipped),
-    "arccos_times_0.9": ("arccos", arccos_derivative_scaled),
-    "pow_n_v_to_the_n": ("Dual.__pow__", pow_derivative_exponent_n),
-    "imul_drops_cross_term": ("Dual.__imul__", in_place_product_without_cross_term),
+    "sincos_sine_sign": ("sincos", sine_derivative_sign_flipped, "perturbed"),
+    "arccos_times_0.9": ("arccos", arccos_derivative_scaled, "perturbed"),
+    "pow_n_v_to_the_n": ("Dual.__pow__", pow_derivative_exponent_n, "perturbed"),
+    "imul_drops_cross_term": ("Dual.__imul__", in_place_product_without_cross_term, "small-cap"),
 }
 
+# The small-cap field on a cap where its own rows pass.
+SMALL_CAP = CapDomain(SpherePoint(np.array([1.0, 0.0, 0.0, 0.0])), 0.3)
 
-def certificate(unit_cap_rule):
+
+@pytest.fixture(scope="module")
+def configs(unit_cap_rule):
+    """Field name -> the verify configuration of that field on its cap."""
     cap = unit_cap_rule.domain
-    config = VerifyConfig(perturbed_field(cap, BumpProfile(0.5, 3)), unit_cap_rule)
+    return {
+        "perturbed": VerifyConfig(perturbed_field(cap, BumpProfile(0.5, 3)), unit_cap_rule),
+        "small-cap": VerifyConfig(small_cap_field(SMALL_CAP), build_gauss_rule(SMALL_CAP, 32, 16, 32)),
+    }
+
+
+def certificate(config):
     return {r.name: r for r in run_all(config)}
 
 
-def test_no_fault_passes_every_row(unit_cap_rule):
-    reports = certificate(unit_cap_rule)
+def _assert_every_row_passes(config):
+    reports = certificate(config)
     assert [name for name, r in reports.items() if not r.passed] == []
     assert reports["ad_fd_jet_agreement"].lhs <= 1e-8
 
 
+def test_no_fault_passes_every_row(configs):
+    _assert_every_row_passes(configs["perturbed"])
+
+
+def test_no_fault_passes_every_small_cap_row(configs):
+    # The in-place product's fault is injected here, so this oracle row
+    # must pass without it.
+    _assert_every_row_passes(configs["small-cap"])
+
+
 @pytest.mark.parametrize("fault", list(FAULTS))
-def test_fault_fails_the_ad_fd_row(fault, unit_cap_rule, monkeypatch):
-    name, replacement = FAULTS[fault]
+def test_fault_fails_the_ad_fd_row(fault, configs, monkeypatch):
+    name, replacement, field = FAULTS[fault]
     if name.startswith("Dual."):
         monkeypatch.setattr(du.Dual, name.removeprefix("Dual."), replacement)
     else:
         monkeypatch.setattr(du, name, replacement)
-    row = certificate(unit_cap_rule)["ad_fd_jet_agreement"]
+    row = certificate(configs[field])["ad_fd_jet_agreement"]
     assert not row.passed
     assert row.lhs > 1e-2
 
@@ -118,7 +155,14 @@ def _uncaught(row):
     return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"no row catches it yet; {row} is meant to")
 
 
+# B = du - [u]x: each entry of the cross term with its sign flipped.
+CROSS_TERM_SIGN_FLIPPED = tuple((a, b, c, -sign) for a, b, c, sign in calculus._CROSS)
+
+
 JET_FAULTS = [
+    pytest.param(
+        "hopfcap.calculus._CROSS", CROSS_TERM_SIGN_FLIPPED, "ad_fd_jet_agreement", id="cross_term_sign_flipped",
+    ),
     pytest.param(
         "hopfcap.calculus._jet_block", _jet_block_then(energy_density_is_2_sigma2), None,
         marks=_uncaught("ROADMAP item 2's energy_surplus_radial"), id="energy_density_2_sigma2",
@@ -139,9 +183,9 @@ JET_FAULTS = [
 
 
 @pytest.mark.parametrize("target, replacement, row", JET_FAULTS)
-def test_jet_fault_fails_a_row(target, replacement, row, unit_cap_rule, monkeypatch):
+def test_jet_fault_fails_a_row(target, replacement, row, configs, monkeypatch):
     monkeypatch.setattr(target, replacement)
-    failing = [name for name, r in certificate(unit_cap_rule).items() if not r.passed]
+    failing = [name for name, r in certificate(configs["perturbed"]).items() if not r.passed]
     if row is None:
         assert failing
     else:

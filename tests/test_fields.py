@@ -16,8 +16,8 @@ from hopfcap import (
     small_cap_field,
 )
 from hopfcap import dual as du
-from hopfcap.calculus import _FRAME_ROWS, directional_derivative, jet_batch
-from hopfcap.geometry import QUAT_I, quat_mul, random_sphere_points, tangent_basis
+from hopfcap.calculus import directional_derivative, jet_batch
+from hopfcap.geometry import FRAME_ROWS, QUAT_I, quat_mul, random_sphere_points, tangent_basis
 from hopfcap.quadrature import JET_BLOCK
 
 
@@ -70,8 +70,8 @@ class TestHopfField:
 
 
 def frame_vectors(pts, axis=(0.0, 1.0, 0.0, 0.0)):
-    """(H, E1, E2) at unit points (N, 4), from the left-multiplication matrices."""
-    return [du.apply_linear(m, pts.T).T for m in hopf_frame(axis)]
+    """(H, E1, E2) = (a x, b x, c x) at unit points (N, 4), from the frame's units."""
+    return [quat_mul(q, pts) for q in hopf_frame(axis)]
 
 
 class TestHopfFrame:
@@ -94,11 +94,16 @@ class TestHopfFrame:
         axis = np.array([0.0, 1.0, 2.0, -1.0])
         axis /= np.linalg.norm(axis)
         pts = random_sphere_points(200, 7)
-        h, e1, e2 = hopf_frame(axis)
-        for m in (h, e1, e2):
-            assert_unit_tangent(lambda p, m=m: du.apply_linear(m, p.T).T, pts, tol=1e-12)
-        # H is the Hopf field of the axis itself.
-        assert np.max(np.abs(du.apply_linear(h, pts.T).T - hopf_field(axis)(pts))) < 1e-15
+        a, b, c = hopf_frame(axis)
+        for q in (a, b, c):
+            assert_unit_tangent(lambda p, q=q: quat_mul(q, p), pts, tol=1e-12)
+        # The units are orthonormal imaginary quaternions with c = a b, and H
+        # is the Hopf field of the axis itself.
+        units = np.stack([a, b, c])
+        assert np.max(np.abs(units[:, 0])) < 1e-15
+        assert np.max(np.abs(units @ units.T - np.eye(3))) < 1e-15
+        assert np.max(np.abs(quat_mul(a, b) - c)) < 1e-15
+        assert np.max(np.abs(quat_mul(a, pts) - hopf_field(axis)(pts))) < 1e-15
 
 
 class TestPerturbedField:
@@ -137,7 +142,8 @@ class TestPerturbedField:
             perturbed_field(cap, BumpProfile(3.5, 3))
 
     def test_twisted_normalizes_once(self, cap, monkeypatch):
-        # The frame is applied to the one normalized point, not re-normalized.
+        # The frame components read |x| as a scalar and normalize no point;
+        # the value u x^ normalizes the point once.
         calls = []
         normalize = du.normalize
 
@@ -147,7 +153,10 @@ class TestPerturbedField:
 
         monkeypatch.setattr(du, "normalize", counting)
         f = perturbed_field(cap, BumpProfile(0.9, 2), twist="angular")
-        f(random_sphere_points(20, 25))
+        pts = random_sphere_points(20, 25)
+        f.components(du.plain(np.ascontiguousarray(pts.T)))
+        assert len(calls) == 0
+        f(pts)
         assert len(calls) == 1
 
     def test_unknown_twist_rejected(self, cap):
@@ -226,6 +235,22 @@ def test_plain_values_are_the_bits_of_a_differentiated_evaluation(cap, name):
     assert f(pts).tobytes() == np.ascontiguousarray(ad.T).tobytes()
 
 
+@pytest.mark.parametrize("name", ["hopf", "perturbed", "twisted", "small-cap"])
+def test_components_are_the_value_times_the_conjugate_point(cap, name):
+    # u = v conj(x): a unit imaginary quaternion whose product with x is
+    # the field's value; the Hopf field's is its axis.
+    f = BUILTIN[name](cap)
+    pts = random_sphere_points(2000, 34)
+    u = f.components(du.plain(np.ascontiguousarray(pts.T))).val
+    u = np.broadcast_to(u, (3, len(pts))).T
+    w = quat_mul(f(pts), pts * [1.0, -1.0, -1.0, -1.0])
+    assert np.max(np.abs(w[:, 0])) < 1e-12
+    assert np.max(np.abs(w[:, 1:] - u)) < 1e-12
+    assert np.max(np.abs(np.linalg.norm(u, axis=-1) - 1.0)) < 1e-12
+    if name == "hopf":
+        assert np.array_equal(u, np.broadcast_to(QUAT_I[1:], u.shape))
+
+
 def test_all_fields_unit_tangent_on_sobol_samples(cap):
     pts = sobol_sphere_points(2**17, seed=21)  # power of 2 keeps Sobol balanced
     fields = [
@@ -272,7 +297,7 @@ def test_evaluation_writes_no_input_array(cap, name, monkeypatch):
     monkeypatch.setattr("hopfcap.calculus.JET_BLOCK", 7)
     jet_batch(guarded, pts)
     x = np.ascontiguousarray(pts.T)
-    basis = du.apply_linear(_FRAME_ROWS, x).reshape(3, 4, -1)
+    basis = du.apply_linear(FRAME_ROWS, x).reshape(3, 4, -1)
     before = x.tobytes(), basis.tobytes()
     field(du.Dual(x, basis))
     field(du.plain(x))
@@ -280,19 +305,19 @@ def test_evaluation_writes_no_input_array(cap, name, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, rows", [("perturbed", 58), ("twisted", 63), ("small-cap", 55)], ids=["untwisted", "angular", "small-cap"]
+    "name, rows", [("perturbed", 34), ("twisted", 42), ("small-cap", 50)], ids=["untwisted", "angular", "small-cap"]
 )
 def test_one_block_evaluation_frees_each_intermediate(cap, name, rows):
-    # One JET_BLOCK-node evaluation along the jet's three directions, under
-    # tracemalloc.  Each (4, n) vector is formed once and each intermediate
-    # is deleted after its last read: the peaks are 55, 60 and 52 rows of
-    # JET_BLOCK float64.
+    # One JET_BLOCK-node evaluation of the frame components along the jet's
+    # three directions, under tracemalloc.  No 4-vector of the field is
+    # formed, and each intermediate is deleted after its last read: the
+    # peaks are 31, 39 and 47 rows of JET_BLOCK float64.
     f = BUILTIN[name](cap)
     x = np.ascontiguousarray(random_sphere_points(JET_BLOCK, 3).T)
-    point = du.Dual(x, du.apply_linear(_FRAME_ROWS, x).reshape(3, 4, -1))
+    point = du.Dual(x, du.apply_linear(FRAME_ROWS, x).reshape(3, 4, -1))
     tracemalloc.start()
     try:
-        f(point)
+        f.components(point)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -22,7 +22,7 @@ from hopfcap import (
     volume,
 )
 from hopfcap import dual as du
-from hopfcap.geometry import left_mult_matrix, quat_mul
+from hopfcap.geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix, quat_mul
 
 
 @pytest.fixture(scope="module")
@@ -135,12 +135,19 @@ class TestEnergyLowerBoundGap:
 
 
 def _left_translate(field: UnitField, q) -> UnitField:
-    """Push a field forward through the isometry x -> q x of the 3-sphere."""
-    mat = left_mult_matrix(np.asarray(q, dtype=float))
-    inv = mat.T  # orthogonal: left multiplication by the conjugate
+    """Push a field forward through the isometry x -> q x of the 3-sphere.
+
+    v'(x) = q v(conj(q) x) = (q u conj(q)) x with u the field's frame
+    components at conj(q) x, so u' is u turned by the rotation
+    u -> q u conj(q) of the imaginary quaternions, a 3x3 matrix.
+    """
+    q = np.asarray(q, dtype=float)
+    inv = left_mult_matrix(q).T  # orthogonal: left multiplication by the conjugate
+    conj = q * [1.0, -1.0, -1.0, -1.0]
+    turn = np.stack([quat_mul(quat_mul(q, e), conj)[1:] for e in (QUAT_I, QUAT_J, QUAT_K)], axis=1)
 
     def evaluate(x):
-        return du.apply_linear(mat, field.evaluator(du.apply_linear(inv, x)))
+        return du.apply_linear(turn, field.evaluator(du.apply_linear(inv, x)))
 
     return UnitField("translated-" + field.label, evaluate)
 

@@ -126,13 +126,14 @@ def test_streamed_sums_are_integrate_over_jet_rows(rule):
 
 @pytest.mark.parametrize(
     "offsets, stride, rows",
-    [((), None, 82), ((0.05, 0.1, 0.2, 0.3, 0.4, 0.5), True, 96)],
+    [((), None, 58), ((0.05, 0.1, 0.2, 0.3, 0.4, 0.5), True, 72)],
     ids=["invariants", "six_offsets_and_stride"],
 )
 def test_jet_sums_peak_is_one_block(offsets, stride, rows):
     # 32 000 nodes are four blocks, the last partial, under tracemalloc.
     # The peak is one block's: its nodes, weights and rows, the basis and
-    # the field's evaluation (55 rows), not a per-node array.
+    # the field's frame components (31 rows), not a per-node array: 56 and
+    # 70 rows of JET_BLOCK float64.
     rule = build_gauss_rule(UNIT_CAP, 40, 20, 40)
     assert rule.size > 3 * JET_BLOCK
     field = perturbed_field(UNIT_CAP, BumpProfile(0.5, 3))
