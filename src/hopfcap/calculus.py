@@ -72,23 +72,10 @@ def _value_and_derivative(field: UnitField, points, directions):
     value is ``field(points)``: a plain evaluation is the same dual
     arithmetic with no directions, so it has the same bits.
     """
-    x, y = _component_major(points, directions)
-    d = field(du.Dual(x, y))
-    return _point_major(d.val, np.shape(points)), _point_major(d.eps, np.shape(directions))
-
-
-def _component_major(points, directions) -> tuple[np.ndarray, np.ndarray]:
-    """Points (..., 4) as (4, n) and directions dirs + (..., 4) as dirs + (4, n)."""
     x = np.asarray(points, dtype=float)
     y = np.asarray(directions, dtype=float)
-    dirs = y.shape[: y.ndim - x.ndim]
-    xc = np.ascontiguousarray(x.reshape(-1, 4).T)
-    return xc, np.ascontiguousarray(np.swapaxes(y.reshape(dirs + (-1, 4)), -1, -2))
-
-
-def _point_major(a: np.ndarray, shape) -> np.ndarray:
-    """Component-major (..., 4, n) back to ``shape``, whose last axis is the 4."""
-    return np.ascontiguousarray(np.swapaxes(a, -1, -2)).reshape(shape)
+    d = field(du.Dual(du.component_major(x, 0), du.component_major(y, y.ndim - x.ndim)))
+    return du.point_major(d.val, x.shape), du.point_major(d.eps, y.shape)
 
 
 @dataclass(frozen=True)
@@ -140,7 +127,7 @@ def jet_batch(
     for start in range(0, len(x), JET_BLOCK):
         block = slice(start, start + JET_BLOCK)
         rotation = None if theta is None else theta[block]
-        _jet_block(field, np.ascontiguousarray(x[block].T), mode, rotation, out[:, block])
+        _jet_block(field, du.component_major(x[block], 0), mode, rotation, out[:, block])
     return JetBatch(*out)
 
 

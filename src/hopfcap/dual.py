@@ -6,16 +6,16 @@ A ``Dual`` carries a value ``val`` and derivatives ``eps`` of shape
 direction (vector forward mode); ``dirs`` may be empty.  A plain operand of
 ``+`` or ``-`` must broadcast to ``val``.  Field evaluators are written
 against the small function set below, one body each, for a Dual.  A plain
-evaluation is a Dual with no directions, ``plain(x)``, so a value has the
-same bits whether or not it is differentiated.  On such a Dual, ``sqrt``,
-``arccos``, ``arctan2``, ``**`` and ``Dual / Dual`` form only the value:
-their derivative factors are skipped when ``eps`` holds no entry, and the
-result's ``eps`` is an empty array of its shape.  ``apply_linear`` also
-takes plain points, through the same kernel: the jet forms its seed
-directions with it.
+evaluation is a Dual with no directions, ``plain(x)``: each operation runs
+its one body, and the derivative part comes out of the same expressions as
+an empty array of the result's shape, so a value has the same bits whether
+or not it is differentiated.  ``apply_linear`` also takes plain points,
+through the same kernel: the jet forms its seed directions with it.
 
 Vectors are stored component-major: a batch of n points in R^4 is a (4, n)
 array, one row per component, and its derivatives are (dirs..., 4, n).
+``component_major`` and ``point_major`` are the one conversion between
+this layout and the callers' point-major (..., 4) arrays.
 Every fixed-order sum of products in the jet is one of two kernels, which
 sum over the component rows (axis -2) with elementwise multiply-adds in a
 fixed order, so every inner loop runs over the n nodes and no product goes
@@ -134,8 +134,6 @@ class Dual:
         if isinstance(other, Dual):
             inv = 1.0 / other.val
             q = self.val * inv
-            if _no_directions(self, other):
-                return Dual(q, _empty_eps(q, self, other))
             eps = q * other.eps
             if isinstance(eps, np.ndarray) and np.broadcast_shapes(self.eps.shape, eps.shape) == eps.shape:
                 np.subtract(self.eps, eps, out=eps)
@@ -151,20 +149,7 @@ class Dual:
         # v^n = v^(n-1) v, with v^(n-1) the derivative's factor too: a
         # square, not a general power, at the bump's n = 3.
         low = self.val ** (n - 1)
-        val = low * self.val
-        if _no_directions(self):
-            return Dual(val, _empty_eps(val, self))
-        return Dual(val, n * low * self.eps)
-
-
-def _no_directions(*duals) -> bool:
-    """Whether no operand holds a derivative entry, as on ``plain`` points."""
-    return not any(d.eps.size for d in duals)
-
-
-def _empty_eps(val, *duals):
-    """The empty derivative of a result with value ``val`` of operands with no directions."""
-    return np.empty(np.broadcast_shapes(np.shape(val), *(d.eps.shape for d in duals)))
+        return Dual(low * self.val, n * low * self.eps)
 
 
 def plain(x):
@@ -173,10 +158,23 @@ def plain(x):
     return Dual(val, np.empty((0,) + val.shape))
 
 
+def component_major(a, lead):
+    """Point-major ``a`` (lead + (..., 4)) as a contiguous (lead + (4, n)) array.
+
+    The first ``lead`` axes (derivative directions) are kept and the point
+    axes between them and the 4 are flattened into n.
+    """
+    a = np.asarray(a, dtype=float)
+    return np.ascontiguousarray(np.swapaxes(a.reshape(a.shape[:lead] + (-1, 4)), -1, -2))
+
+
+def point_major(a, shape):
+    """Component-major ``a`` (..., 4, n) back to ``shape``, whose last axis is the 4."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2)).reshape(shape)
+
+
 def sqrt(x):
     r = np.sqrt(x.val)
-    if _no_directions(x):
-        return Dual(r, _empty_eps(r, x))
     return Dual(r, 0.5 / r * x.eps)
 
 
@@ -189,18 +187,12 @@ def sincos(x):
 def arccos(x):
     """Arc cosine with clipped values and a floored derivative denominator."""
     v = np.clip(x.val, -1.0, 1.0)
-    if _no_directions(x):
-        val = np.arccos(v)
-        return Dual(val, _empty_eps(val, x))
     denom = np.sqrt(np.maximum(1.0 - v * v, _DENOM_FLOOR))
     return Dual(np.arccos(v), -x.eps / denom)
 
 
 def arctan2(y, x):
     """Arc tangent of y / x for two Duals."""
-    if _no_directions(y, x):
-        val = np.arctan2(y.val, x.val)
-        return Dual(val, _empty_eps(val, y, x))
     denom = np.maximum(x.val * x.val + y.val * y.val, _DENOM_FLOOR)
     return Dual(np.arctan2(y.val, x.val), (x.val * y.eps - y.val * x.eps) / denom)
 

@@ -72,8 +72,7 @@ class UnitField:
         points of shape (..., 4), returned in that shape."""
         plain = not isinstance(x, du.Dual)
         if plain:
-            x = np.asarray(x, dtype=float)
-            shape, x = x.shape, du.plain(np.ascontiguousarray(x.reshape(-1, 4).T))
+            shape, x = np.shape(x), du.plain(du.component_major(x, 0))
         # v = u x^ = sum_c u_c (q_c x^) over the imaginary units q = i, j, k.
         u, xs = self.components(x), du.normalize(x)
         v = None
@@ -85,7 +84,7 @@ class UnitField:
             else:
                 v += term
             del term
-        return np.ascontiguousarray(v.val.T).reshape(shape) if plain else v
+        return du.point_major(v.val, shape) if plain else v
 
 
 def _check_axis(axis) -> np.ndarray:
@@ -122,21 +121,18 @@ def hopf_field(axis=(0.0, 1.0, 0.0, 0.0)) -> UnitField:
     )
 
 
-def _complete_axis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two unit imaginary quaternions completing axis to an orthonormal triple."""
-    candidates = np.eye(4)[1:]
-    align = np.abs(candidates @ axis)
-    b = candidates[int(np.argmin(align))]
-    b = b - np.dot(b, axis) * axis
-    b /= np.linalg.norm(b)
-    c = quat_mul(axis, b)  # product of orthogonal imaginary units
-    return b, c
-
-
 def hopf_frame(axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The orthonormal imaginary units (a, b, c = a b) of the frame (H, E1, E2) = (a x, b x, c x)."""
-    axis = _check_axis(axis)
-    return (axis, *_complete_axis(axis))
+    """The orthonormal imaginary units (a, b, c = a b) of the frame (H, E1, E2) = (a x, b x, c x).
+
+    b is the imaginary basis unit least aligned with a, made orthogonal to
+    it; c, a product of orthogonal imaginary units, is one too.
+    """
+    a = _check_axis(axis)
+    candidates = np.eye(4)[1:]
+    b = candidates[int(np.argmin(np.abs(candidates @ a)))]
+    b = b - np.dot(b, a) * a
+    b /= np.linalg.norm(b)
+    return a, b, quat_mul(a, b)
 
 
 BUMP_EXPONENT = 3  # default m of the bump profile, also of the sweep family

@@ -551,6 +551,11 @@ class TestInputValidation:
             # One draw of the standard library's generator holds at most
             # 33 554 431 words: 3 per sample.
             (["functionals", "--rule", "montecarlo", "--samples", "11184811"], "at most 11184810"),
+            # An axis or a cap centre that is not a 4-vector.
+            (["verify", "--field", "hopf", "--axis", "0,1,0", "--orders", "16,8,16"],
+             "axis must be a 4-vector quaternion"),
+            (["functionals", "--cap-center", "1,0,0", "--orders", "16,8,16"],
+             "SpherePoint needs a 4-vector, got shape (3,)"),
         ],
     )
     def test_bad_value_exits_two_naming_it(self, argv, named, no_compute, capsys):
