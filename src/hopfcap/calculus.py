@@ -177,16 +177,10 @@ def jet_sums(field: UnitField, rule: QuadratureRule, offsets, stride: int | None
         jet = rows[:4]
         _jet_block(field, x, "ad", None, jet)
         require_finite(jet, start, x)
-        sigma1, sigma2 = jet[0], jet[1]
         for j, t in enumerate(offsets):
-            poly = rows[4 + j]
-            np.multiply(sigma1, t, out=poly)
-            poly += 1.0
-            poly += sigma2 * t * t
-            i = int(np.argmin(poly))
-            if poly[i] < lowest[j][0]:
-                lowest[j] = (float(poly[i]), start + i)
-            poly *= math.sqrt(1.0 + t * t)
+            low, i = determinant_row(jet[0], jet[1], t, rows[4 + j])
+            if low < lowest[j][0]:
+                lowest[j] = (low, start + i)
         total.add(w, rows)
         if stride is not None:
             first = -start % stride
@@ -200,6 +194,24 @@ def jet_sums(field: UnitField, rule: QuadratureRule, offsets, stride: int | None
         sample=None if stride is None else JetBatch(*np.concatenate(sample, axis=1)),
         sample_nodes=None if stride is None else np.concatenate(sample_nodes),
     )
+
+
+def determinant_row(sigma1: np.ndarray, sigma2: np.ndarray, t: float, out: np.ndarray) -> tuple[float, int]:
+    """Write the offset-t Jacobian determinant sqrt(1 + t^2) (1 + sigma1 t + sigma2 t^2) into ``out``.
+
+    The polynomial is formed in ``out`` and then scaled in place.  Returns
+    the least polynomial value over the row with its first index, which
+    the determinant floor reads, or (inf, -1) for an empty row.
+    """
+    np.multiply(sigma1, t, out=out)
+    out += 1.0
+    out += sigma2 * t * t
+    if not out.size:
+        return math.inf, -1
+    i = int(np.argmin(out))
+    low = float(out[i])
+    out *= math.sqrt(1.0 + t * t)
+    return low, i
 
 
 # (a, b, c, sign): B[a, b] gets sign * u_c, the entry (u x q_a)_b = e_abc u_c.

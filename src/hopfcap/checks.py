@@ -101,7 +101,7 @@ def _report(name, lhs, rhs, tolerance, policy, context) -> CheckReport:
     )
 
 
-def check_hopf_constants(n_points: int = ORACLE_NODES, seed: int = 0, mode: str = "ad") -> list[CheckReport]:
+def check_hopf_constants(n_points: int, seed: int, mode: str) -> list[CheckReport]:
     """max |sigma1| and max |sigma2 - 1| for a Hopf field at random points.
 
     The points are ``random_sphere_points(n_points, seed)``, drawn from the
@@ -317,14 +317,13 @@ def sweep_reports(result: SweepResult) -> list[CheckReport]:
     ]
 
 
-def check_small_cap_counterexample(
-    radius: float, scaling_radii=SMALL_CAP_SCALING_RADII
-) -> list[CheckReport]:
+def check_small_cap_counterexample(radius: float, scaling_radii) -> list[CheckReport]:
     """Unconstrained small-cap field beats the Hopf field on both functionals.
 
     The cap is centred at the north pole and integrated at ``SMALL_CAP_ORDERS``.
-    Also fits mean |grad v|^2 = C r^2 over the scaling radii and
-    checks the log-log slope is 2 within ``SMALL_CAP_SLOPE_TOL``.
+    Also fits mean |grad v|^2 = C r^2 over the scaling radii (``verify``
+    reads ``SMALL_CAP_SCALING_RADII``) and checks the log-log slope is 2
+    within ``SMALL_CAP_SLOPE_TOL``.
     """
     cap = CapDomain(SpherePoint(QUAT_ONE), radius)
     rule = build_gauss_rule(cap, *SMALL_CAP_ORDERS)
@@ -390,23 +389,32 @@ def _singular(field: UnitField) -> bool:
 
 @dataclass
 class VerifyConfig:
-    """Everything run_all needs: one field and a built rule, whose domain is the cap.
+    """Everything run_all needs: one field, a built rule whose domain is the cap, and the seed.
 
     ``t_grid`` holds the offsets of the image-volume rows.  The small-cap
     field and a ``_singular`` field have no such rows: None gives them no
     offsets, and offsets given for them raise ``ValueError``.  None gives
     any other field ``T_GRID``.
+
+    Building the configuration resolves the rest of the run from the field,
+    into two plain attributes: ``counterexample``, true for the small-cap
+    field, whose counterexample rows stand in for the sigma and bound rows,
+    and ``stride``, the step of the AD-against-FD oracle's subsample, None
+    for a ``_singular`` field, which has no oracle row.
     """
 
     field: UnitField
     rule: QuadratureRule
-    seed: int = 0
-    t_grid: tuple | None = None
+    seed: int
+    t_grid: tuple | None
 
     def __post_init__(self):
+        self.counterexample = self.field.label == "small-cap"
+        singular = _singular(self.field)
+        self.stride = None if singular else _oracle_stride(self.rule.size)
         # Checked here so a bad configuration fails before any jet is built;
         # each offset is checked by its map (-0.0 is 0.0).
-        if self.field.label == "small-cap" or _singular(self.field):
+        if self.counterexample or singular:
             if self.t_grid:
                 twist = self.field.params.get("twist", "none")
                 raise ValueError(
@@ -420,7 +428,7 @@ class VerifyConfig:
         names = [IMAGE_VOLUME_ROW.format(t) for t in self.t_grid]
         if len(set(names)) < len(names):
             raise ValueError(f"offsets {list(self.t_grid)} give report rows of the same name: {names}")
-        if self.field.label != "small-cap":
+        if not self.counterexample:
             _require_hopf_boundary(self.field, self.rule.domain)
         elif self.rule.kind != "gauss":
             raise ValueError("the small-cap counterexample integrates with Gauss rules only")
@@ -428,22 +436,21 @@ class VerifyConfig:
 
 def run_all(config: VerifyConfig) -> list[CheckReport]:
     """Execute every applicable check for the configured field."""
-    return check_hopf_constants(seed=config.seed) + _field_reports(config)
+    return check_hopf_constants(ORACLE_NODES, config.seed, "ad") + _field_reports(config)
 
 
 def _field_reports(config: VerifyConfig) -> list[CheckReport]:
     """The checks of the field, each a row read off its one jet streamed over the rule.
 
-    The field's own rows, then the AD-against-FD oracle unless the field is
-    ``_singular``, then one image-volume row per offset of the configuration.
+    The field's own rows, then the AD-against-FD oracle if the configuration
+    has a stride, then one image-volume row per offset of the configuration.
     """
     field, rule = config.field, config.rule
-    stride = None if _singular(field) else _oracle_stride(rule.size)
-    sums = jet_sums(field, rule, config.t_grid, stride)
+    sums = jet_sums(field, rule, config.t_grid, config.stride)
     cap = rule.domain
     vol_k = cap_volume(cap)
     ctx = _field_context(field, rule)
-    if field.label == "small-cap":
+    if config.counterexample:
         reports = _small_cap_reports(sums, rule, SMALL_CAP_SCALING_RADII)
     else:
         e, v = energy_and_volume_from_sums(sums, rule)
@@ -456,8 +463,8 @@ def _field_reports(config: VerifyConfig) -> list[CheckReport]:
             ("volume_bound", v.value, hopf_volume(cap), TOL_BOUND_REL * vol_k, "lower-bound"),
         ]
         reports = [_report(*row, ctx) for row in rows]
-    if stride is not None:
-        reports.append(_ad_fd_report(field, rule, sums, stride))
+    if config.stride is not None:
+        reports.append(_ad_fd_report(field, rule, sums, config.stride))
     # Image volume equals vol(K) (1 + t^2)^(3/2) for each offset t.
     for t in config.t_grid:
         t_ctx = dict(ctx, t=float(t))

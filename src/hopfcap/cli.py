@@ -62,7 +62,7 @@ from .checks import (
 )
 from .fields import BumpProfile, UnitField, hopf_field, perturbed_field, small_cap_field
 from .functionals import energy_and_volume, hopf_energy, hopf_volume
-from .geometry import CapDomain, SpherePoint
+from .geometry import QUAT_ONE, CapDomain, SpherePoint
 from .quadrature import JET_BLOCK, QuadratureRule, build_gauss_rule, build_mc_rule
 
 # glibc's mallopt parameters (malloc.h).
@@ -167,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
         name: sub.add_parser(name, help=text, allow_abbrev=False) for name, text in helps.items()
     }
     for p in commands.values():
-        p.add_argument("--cap-center", type=_csv_floats, default=(1.0, 0.0, 0.0, 0.0))
+        p.add_argument("--cap-center", type=_csv_floats, default=tuple(QUAT_ONE))
         p.add_argument("--cap-radius", type=float, default=1.0)
         # Flags that only some fields or rules read default to None, so that
         # _make_field and _make_rule can tell a flag that was set from one that

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import JetSums, _value_and_derivative, jet_batch, jet_sums
+from .calculus import JetSums, _value_and_derivative, determinant_row, jet_batch, jet_sums
 from .fields import UnitField
 from .geometry import QUAT_I, QUAT_J, QUAT_K, CapDomain, quat_mul
 from .quadrature import QuadratureRule
@@ -54,8 +54,9 @@ class DisplacementMap:
 def jacobian_det_analytic(dm: DisplacementMap, points):
     """sqrt(1 + t^2) (1 + sigma1 t + sigma2 t^2) at each point."""
     jets = jet_batch(dm.field, points)
-    t = dm.t
-    return math.sqrt(1.0 + t * t) * (1.0 + jets.sigma1 * t + jets.sigma2 * t * t)
+    det = np.empty_like(jets.sigma1)
+    determinant_row(jets.sigma1, jets.sigma2, dm.t, det)
+    return det
 
 
 def jacobian_det_numeric(dm: DisplacementMap, points):

@@ -36,7 +36,7 @@ basis) and is only read.  Each intermediate is deleted after its last read.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -50,15 +50,16 @@ class UnitField:
     """Closed-form unit tangent field v = u x: S^3 -> T S^3.
 
     ``evaluator`` maps a Dual of component-major (4, n) points to the frame
-    components u = v conj(x), a Dual of (3, n) rows.  ``hopf_boundary``
-    records where the field is known to coincide with a Hopf field:
-    "everywhere", a CapDomain (on and outside its boundary), or None.
+    components u = v conj(x), a Dual of (3, n) rows.  ``params`` names the
+    family's parameters, which reports quote.  ``hopf_boundary`` records
+    where the field is known to coincide with a Hopf field: "everywhere", a
+    CapDomain (on and outside its boundary), or None.
     """
 
     label: str
     evaluator: Callable
-    params: dict = dc_field(default_factory=dict)
-    hopf_boundary: Union[str, CapDomain, None] = None
+    params: dict
+    hopf_boundary: Union[str, CapDomain, None]
 
     def components(self, x):
         """The frame components u at a component-major ``Dual`` of points, (..., 3, n)."""
@@ -100,7 +101,11 @@ def _check_axis(axis) -> np.ndarray:
     return axis
 
 
-def hopf_field(axis=(0.0, 1.0, 0.0, 0.0)) -> UnitField:
+# The default axis of hopf_field and perturbed_field: the unit i.
+HOPF_AXIS = (0.0, 1.0, 0.0, 0.0)
+
+
+def hopf_field(axis=HOPF_AXIS) -> UnitField:
     """Great-circle flow v(x) = axis * x for a unit imaginary quaternion axis.
 
     Its frame components are the constant axis, a (3, 1) column with zero
@@ -167,7 +172,7 @@ def perturbed_field(
     cap: CapDomain,
     bump: BumpProfile,
     twist: str | None = None,
-    axis=(0.0, 1.0, 0.0, 0.0),
+    axis=HOPF_AXIS,
 ) -> UnitField:
     """Hopf field rotated by a compactly supported bump inside ``cap``.
 

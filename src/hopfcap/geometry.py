@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,8 @@ class CapDomain:
     """Geodesic ball in S^3: all points within ``radius`` of ``center``.
 
     radius = pi denotes the full sphere minus the antipode of the center.
+    A radius below about 1.7e-103 is rejected: its volume is not a normal
+    float, and every integral over the cap is a multiple of that volume.
     """
 
     center: SpherePoint
@@ -111,6 +114,12 @@ class CapDomain:
     def __post_init__(self):
         if not (0.0 < self.radius <= math.pi):
             raise ValueError(f"cap radius must lie in (0, pi], got {self.radius}")
+        volume = cap_volume(self)
+        if volume < sys.float_info.min:
+            raise ValueError(
+                f"cap radius {self.radius} is too small: its volume {volume} is below "
+                f"the smallest normal float {sys.float_info.min}"
+            )
 
 
 def cap_volume(cap: CapDomain) -> float:

@@ -79,7 +79,7 @@ class TestAmbientJacobian:
         # plain points: AD and FD evaluate the same dual operations, and
         # neither falls back to a plain evaluation.
         h = hopf_field()
-        f = UnitField("opaque", lambda x: h.evaluator(x).val)
+        f = UnitField("opaque", lambda x: h.evaluator(x).val, {}, None)
         pts = random_sphere_points(10, 4)
         for mode in ("ad", "fd"):
             with pytest.raises(TypeError, match="'opaque' does not return dual numbers"):
@@ -266,7 +266,7 @@ def recording(field):
             shapes.append((x.val.shape, x.eps.shape))
         return field.evaluator(x)
 
-    return UnitField("recording", evaluate), shapes
+    return UnitField("recording", evaluate, field.params, field.hopf_boundary), shapes
 
 
 def test_value_and_derivative_has_the_plain_value(builtin_fields):

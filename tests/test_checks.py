@@ -23,6 +23,7 @@ from hopfcap import (
     sweep_family,
     sweep_reports,
 )
+from hopfcap import checks
 from hopfcap.checks import (
     GAUSS_ORDERS,
     ORACLE_NODES,
@@ -32,14 +33,17 @@ from hopfcap.checks import (
     _brent_min,
     _field_reports,
     _oracle_stride,
+    _singular,
     sweep_grid,
 )
+from hopfcap.cli import main
 
 NORTH = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
 
 
-def verify_config(cap, field, orders, **kwargs):
-    return VerifyConfig(field=field, rule=build_gauss_rule(cap, *orders), **kwargs)
+def verify_config(cap, field, orders, t_grid=None):
+    """The field's configuration at seed 0; ``t_grid`` None gives the field's own offsets."""
+    return VerifyConfig(field, build_gauss_rule(cap, *orders), 0, t_grid)
 
 
 def field_rows(field, cap, orders=(48, 24, 48), t_grid=()):
@@ -69,20 +73,20 @@ def field_of_kind(kind):
 
 class TestHopfConstants:
     def test_ad_mode(self):
-        reports = check_hopf_constants(n_points=20_000, mode="ad")
+        reports = check_hopf_constants(n_points=20_000, seed=0, mode="ad")
         assert all(r.passed for r in reports)
         assert {r.name for r in reports} == {"hopf_sigma1_zero", "hopf_sigma2_one"}
         assert all(r.tolerance == 1e-9 for r in reports)
 
     def test_fd_mode_degrades_gracefully(self):
-        reports = check_hopf_constants(n_points=5_000, mode="fd")
+        reports = check_hopf_constants(n_points=5_000, seed=0, mode="fd")
         assert all(r.passed for r in reports)
         assert all(r.tolerance == 1e-6 for r in reports)
         assert all(r.context["mode"] == "fd" for r in reports)
 
     def test_fd_mode_fails_at_machine_tolerance(self):
         # FD is an oracle separate from AD: its error is far above round-off.
-        reports = check_hopf_constants(n_points=5_000, mode="fd")
+        reports = check_hopf_constants(n_points=5_000, seed=0, mode="fd")
         assert max(r.lhs for r in reports) > 1e-12
 
 
@@ -107,7 +111,7 @@ class TestBoundaryIdentity:
 
     def test_incompatible_field_raises(self, cap):
         # Rejected when the configuration is built, before any jet.
-        f = UnitField("opaque", small_cap_field(CapDomain(NORTH, 0.1)).evaluator)
+        f = UnitField("opaque", small_cap_field(CapDomain(NORTH, 0.1)).evaluator, {}, None)
         with pytest.raises(ValueError, match="not known to match"):
             verify_config(cap, f, (16, 8, 16))
 
@@ -318,7 +322,7 @@ class TestBrentMin:
 
 class TestSmallCapCounterexample:
     def test_all_reports_pass(self):
-        reports = check_small_cap_counterexample(radius=0.1)
+        reports = check_small_cap_counterexample(radius=0.1, scaling_radii=SMALL_CAP_SCALING_RADII)
         names = [r.name for r in reports]
         assert names == [
             "small_cap_energy_below_hopf",
@@ -330,7 +334,7 @@ class TestSmallCapCounterexample:
         assert reports[-1].context["radii"] == list(SMALL_CAP_SCALING_RADII)
 
     def test_strictly_beats_hopf(self):
-        reports = {r.name: r for r in check_small_cap_counterexample(radius=0.1)}
+        reports = {r.name: r for r in check_small_cap_counterexample(radius=0.1, scaling_radii=SMALL_CAP_SCALING_RADII)}
         e = reports["small_cap_energy_below_hopf"]
         v = reports["small_cap_volume_below_hopf"]
         # lhs is the Hopf value, rhs the small-cap field value: strict win.
@@ -354,7 +358,7 @@ class TestSmallCapCounterexample:
         assert reports[-1].context["means"][1] == fresh.derivative_term / cap_volume(cap)
 
     def test_quadratic_scaling_slope(self):
-        rep = {r.name: r for r in check_small_cap_counterexample(radius=0.1)}[
+        rep = {r.name: r for r in check_small_cap_counterexample(radius=0.1, scaling_radii=SMALL_CAP_SCALING_RADII)}[
             "small_cap_gradient_scaling"
         ]
         assert rep.lhs == pytest.approx(2.0, abs=0.2)
@@ -404,7 +408,7 @@ class TestRunAll:
 
     def test_zero_targets_have_no_relative_error(self, cap):
         config = verify_config(cap, perturbed_field(cap, BumpProfile(0.5, 3)), (16, 8, 16), t_grid=(0.1,))
-        reports = {r.name: r for r in check_hopf_constants(n_points=5_000) + _field_reports(config)}
+        reports = {r.name: r for r in check_hopf_constants(n_points=5_000, seed=0, mode="ad") + _field_reports(config)}
         for name in ("hopf_sigma1_zero", "hopf_sigma2_one", "boundary_sigma1_integral"):
             r = reports[name]
             assert r.rhs == 0.0 and r.policy == "abs"
@@ -423,6 +427,21 @@ class TestVerifyConfigRows:
         field, domain = field_of_kind(kind)
         config = verify_config(domain, field, (16, 8, 16))
         assert config.t_grid == ((0.05, 0.10, 0.15, 0.20, 0.25, 0.30) if kind in ("hopf", "perturbed") else ())
+        assert config.stride == (None if kind == "angular" else _oracle_stride(config.rule.size))
+        assert config.counterexample == (kind == "small-cap")
+
+    def test_a_run_tests_its_field_once(self, monkeypatch, tmp_path):
+        # The configuration decides the rows; the run reads its decisions.
+        calls = []
+
+        def counting(field):
+            calls.append(field.label)
+            return _singular(field)
+
+        monkeypatch.setattr(checks, "_singular", counting)
+        args = ["verify", "--field", "perturbed", "--orders", "16,8,16", "--output", str(tmp_path / "v.json")]
+        assert main(args) == 0
+        assert calls == ["perturbed"]
 
     @pytest.mark.parametrize("kind", ["angular", "small-cap"])
     def test_offsets_for_a_field_without_image_volume_rows_rejected(self, kind):

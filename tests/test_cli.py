@@ -556,6 +556,15 @@ class TestInputValidation:
              "axis must be a 4-vector quaternion"),
             (["functionals", "--cap-center", "1,0,0", "--orders", "16,8,16"],
              "SpherePoint needs a 4-vector, got shape (3,)"),
+            # Caps whose volume is not a normal float: the checks failed
+            # (exit 1), the energy read 0.0 (exit 0), or a division by the
+            # volume crashed (exit 3).
+            (["verify", "--field", "hopf", "--orders", "16,8,16", "--cap-radius", "1e-106"],
+             "cap radius 1e-106 is too small"),
+            (["functionals", "--field", "hopf", "--rule", "montecarlo", "--cap-radius", "1e-200"],
+             "cap radius 1e-200 is too small"),
+            (["verify", "--field", "small-cap", "--cap-radius", "1e-110", "--orders", "16,8,16"],
+             "cap radius 1e-110 is too small"),
         ],
     )
     def test_bad_value_exits_two_naming_it(self, argv, named, no_compute, capsys):

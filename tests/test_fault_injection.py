@@ -76,8 +76,8 @@ def configs(unit_cap_rule):
     """Field name -> the verify configuration of that field on its cap."""
     cap = unit_cap_rule.domain
     return {
-        "perturbed": VerifyConfig(perturbed_field(cap, BumpProfile(0.5, 3)), unit_cap_rule),
-        "small-cap": VerifyConfig(small_cap_field(SMALL_CAP), build_gauss_rule(SMALL_CAP, 32, 16, 32)),
+        "perturbed": VerifyConfig(perturbed_field(cap, BumpProfile(0.5, 3)), unit_cap_rule, 0, None),
+        "small-cap": VerifyConfig(small_cap_field(SMALL_CAP), build_gauss_rule(SMALL_CAP, 32, 16, 32), 0, None),
     }
 
 

@@ -290,7 +290,7 @@ def test_evaluation_writes_no_input_array(cap, name, monkeypatch):
         seen.append((x.val.tobytes(), x.eps.tobytes()) == before)
         return v
 
-    guarded = UnitField(field.label, checked)
+    guarded = UnitField(field.label, checked, field.params, field.hopf_boundary)
     pts = random_sphere_points(3 * 7 + 2, 33)
     jet_batch(guarded, pts)
     jet_batch(guarded, pts, mode="fd")

@@ -149,7 +149,7 @@ def _left_translate(field: UnitField, q) -> UnitField:
     def evaluate(x):
         return du.apply_linear(turn, field.evaluator(du.apply_linear(inv, x)))
 
-    return UnitField("translated-" + field.label, evaluate)
+    return UnitField("translated-" + field.label, evaluate, {}, None)
 
 
 class TestIsometryInvariance:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +97,14 @@ class TestCapVolume:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             CapDomain(SpherePoint(np.array([1.0, 0, 0, 0])), 3.2)
+
+    def test_radius_with_a_subnormal_volume_rejected(self):
+        # (4 pi / 3) r^3 falls below the smallest normal float at r = 1.74e-103.
+        north = SpherePoint(np.array([1.0, 0, 0, 0]))
+        assert cap_volume(CapDomain(north, 1.75e-103)) >= sys.float_info.min
+        for radius in (1.74e-103, 1e-104, 1e-200, 5e-324):
+            with pytest.raises(ValueError, match=f"cap radius {radius} is too small"):
+                CapDomain(north, radius)
 
     @pytest.mark.parametrize("radius", [np.nextafter(SERIES_RADIUS, 0.0), 1e-4, 1e-5, 1e-6, 1e-8, 1e-12])
     def test_tiny_cap_keeps_its_precision(self, radius):

@@ -69,7 +69,7 @@ def perturbed(amplitude=0.5):
 class TestJetCounts:
     def test_run_all_one_jet_per_field(self, jet_calls):
         field = perturbed()
-        config = VerifyConfig(field, build_gauss_rule(CAP, *ORDERS))
+        config = VerifyConfig(field, build_gauss_rule(CAP, *ORDERS), 0, None)
         reports = run_all(config)
         assert len(reports) == 13
         # The Hopf-constants points, the field at the rule's nodes, then the
@@ -115,7 +115,7 @@ class TestJetCounts:
 def test_run_all_equals_standalone_checks(field):
     """run_all's rows against the entry points that build their own jet from the field."""
     rule = build_gauss_rule(CAP, *ORDERS)
-    config = VerifyConfig(field, rule)
+    config = VerifyConfig(field, rule, 0, None)
     vol_k = cap_volume(CAP)
     integral_tol, bound_tol = checks.TOL_INTEGRAL_REL, checks.TOL_BOUND_REL
 
@@ -150,7 +150,7 @@ def test_run_all_equals_standalone_checks(field):
         for t in config.t_grid
     ]
     reports = run_all(config)
-    hopf = check_hopf_constants(seed=config.seed)
+    hopf = check_hopf_constants(checks.ORACLE_NODES, config.seed, "ad")
     assert [r.to_dict() for r in reports[:2]] == [r.to_dict() for r in hopf]
     assert [(r.name, r.lhs, r.rhs, r.tolerance, r.policy) for r in reports[2:]] == expected
     assert all(r.passed for r in reports)

@@ -158,7 +158,7 @@ def test_non_finite_value_names_its_node_in_a_later_block():
         hit = np.all(x.val == bad, axis=0)
         return du.Dual(v.val, np.where(hit, np.nan, v.eps))
 
-    poisoned = UnitField("poisoned", evaluate)
+    poisoned = UnitField("poisoned", evaluate, {}, None)
     with pytest.raises(ValueError, match=rf"non-finite integrand value nan at node {node}: "):
         energy_and_volume(poisoned, rule)
 
@@ -178,9 +178,9 @@ def test_no_workload_builds_the_whole_arrays(monkeypatch):
     sweep_family(UNIT_CAP, (-0.5, 0.0, 0.5), rule)
     small = CapDomain(UNIT_CAP.center, 0.3)
     configs = [
-        VerifyConfig(hopf_field(), rule),
-        VerifyConfig(perturbed_field(UNIT_CAP, BumpProfile(0.5, 3)), rule),
-        VerifyConfig(small_cap_field(small), build_gauss_rule(small, 32, 16, 32)),
+        VerifyConfig(hopf_field(), rule, 0, None),
+        VerifyConfig(perturbed_field(UNIT_CAP, BumpProfile(0.5, 3)), rule, 0, None),
+        VerifyConfig(small_cap_field(small), build_gauss_rule(small, 32, 16, 32), 0, None),
     ]
     for config in configs:
         reports = run_all(config)
