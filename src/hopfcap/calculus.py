@@ -10,10 +10,13 @@ routes, which share the field's evaluation and nothing after it:
   (``fields``), and e_a = q_a x with q_a in (i, j, k), so
   D_{e_a} v = (d_a u) x + (u q_a) x and, right multiplication by x being
   an isometry, B = du + [u]x: B[a, b] = d_a u_b + (u x q_a)_b.  The field
-  is evaluated once, on a ``Dual`` carrying the three basis directions,
-  and B is its derivative matrix plus six signed entries of u
-  (``_ad_jet``); no 4-vector of the field is formed.  Since u is a unit
-  vector, d_a u and u x q_a are orthogonal to u, so B u = 0: v's own
+  is evaluated once, at the unit nodes on a ``Dual`` carrying the three
+  basis directions, and B is its derivative matrix plus six signed entries
+  of u (``_ad_jet``); no 4-vector of the field is formed.  The evaluators
+  read unit points, so no block forms |x|, whose derivative along e_a is 0
+  at a unit x; ``jet_batch`` rejects a point off S^3 by more than
+  ``UNIT_TOL``, and the rules' nodes are unit to rounding.  Since u is a
+  unit vector, d_a u and u x q_a are orthogonal to u, so B u = 0: v's own
   direction in this basis is u, with no projection.
 * FD (the ``ad_fd_jet_agreement`` oracle, ``jet_batch(mode="fd")``): the
   field's value v at x +- FD_STEP e_a, differenced and projected on the
@@ -57,6 +60,10 @@ from .geometry import FRAME_ROWS
 from .quadrature import JET_BLOCK, QuadratureRule, WeightedSum, require_finite
 
 FD_STEP = 1e-5
+# Largest ||x| - 1| of a point ``jet_batch`` takes.  The field evaluators
+# read unit points (``fields``), so the jet differentiates no |x|; rule
+# nodes and seeded samples are unit to a few ulps.
+UNIT_TOL = 1e-12
 
 
 def directional_derivative(field: UnitField, points, directions):
@@ -113,6 +120,10 @@ def jet_batch(
     basis vectors (i x, j x) by the given per-point angles (N,); all scalar
     invariants must be unchanged under this.
 
+    The points must lie on S^3: a point whose norm is not 1 to
+    ``UNIT_TOL`` raises ``ValueError`` naming it, since the field is read
+    at the point as it is (``fields``).
+
     The rows are evaluated in consecutive blocks of ``JET_BLOCK`` nodes,
     each block one dual evaluation with value (4, n) and tangent (3, 4, n)
     (vector forward mode), and each block writes its per-node scalars into
@@ -127,8 +138,20 @@ def jet_batch(
     for start in range(0, len(x), JET_BLOCK):
         block = slice(start, start + JET_BLOCK)
         rotation = None if theta is None else theta[block]
-        _jet_block(field, du.component_major(x[block], 0), mode, rotation, out[:, block])
+        nodes = du.component_major(x[block], 0)
+        _require_unit(nodes, start)
+        _jet_block(field, nodes, mode, rotation, out[:, block])
     return JetBatch(*out)
+
+
+def _require_unit(x: np.ndarray, start: int) -> None:
+    """Raise ``ValueError`` at the first of the points (4, n), numbered from
+    ``start``, whose norm is not 1 to ``UNIT_TOL``."""
+    norm = np.sqrt(du.row_dot(x, x)[0])
+    off = ~(np.abs(norm - 1.0) <= UNIT_TOL)
+    if off.any():
+        i = int(np.argmax(off))
+        raise ValueError(f"point {start + i}, {x[:, i]}, is off the unit sphere: norm {norm[i]}, not 1 to {UNIT_TOL}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,14 @@ an empty array of the result's shape, so a value has the same bits whether
 or not it is differentiated.  ``apply_linear`` also takes plain points,
 through the same kernel: the jet forms its seed directions with it.
 
+``compose(x, fn)`` applies the chain rule once for a scalar Dual x: it
+runs ``fn`` on x's value with one direction seeded with 1, so the
+operations below form d fn / dx in one row whatever the number of x's
+directions, and then multiplies it by x's derivatives.  It has one body
+too: for a plain x the product is the empty (0, k, n) array.  A field whose
+values depend on the point through one scalar (the perturbed field's
+cos rho) runs its whole chain on that direction.
+
 Vectors are stored component-major: a batch of n points in R^4 is a (4, n)
 array, one row per component, and its derivatives are (dirs..., 4, n).
 ``component_major`` and ``point_major`` are the one conversion between
@@ -249,6 +257,20 @@ def apply_linear(matrix, x):
     if isinstance(x, Dual):
         return Dual(_linear(m, x.val), _linear(m, x.eps))
     return _linear(m, np.asarray(x, dtype=float))
+
+
+def compose(x, fn):
+    """``fn(x)`` for a scalar Dual x (..., 1, n), with the chain rule applied once.
+
+    ``fn`` runs on a Dual of x's value with one direction, seeded with 1,
+    so its derivative rows are d fn / dx, formed by this module's own
+    rules; they are then multiplied by each of x's directions.  ``fn`` maps
+    (..., 1, n) to (..., k, n), and the result is a Dual of that shape with
+    x's directions.  Its value has the bits of ``fn(x)``; its derivative is
+    that of ``fn(x)`` up to the association of the chain's products.
+    """
+    y = fn(Dual(x.val, np.ones((1,) + x.val.shape)))
+    return Dual(y.val, y.eps[0] * x.eps)
 
 
 def norm(x):

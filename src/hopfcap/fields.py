@@ -17,15 +17,18 @@ field's frame components.  Every evaluator takes a ``Dual`` of
 component-major points, value (..., 4, n), and returns u as a ``Dual`` of
 (..., 3, n) rows, the i, j and k parts; constant vectors enter as (3, 1)
 columns, or as (1, 4) rows in a dot product, and constant maps through
-``dual.apply_linear``.  Every evaluator is 0-homogeneous, so ambient
-directional derivatives are well-defined off the sphere; the perturbed
-field reads |x| as a scalar and forms no normalized 4-vector.
+``dual.apply_linear``.  Every evaluator reads unit points and forms no
+|x|: the perturbed field reads cos rho = <c, x> and runs the chain of
+its bump angle on that one scalar (``dual.compose``).
 
-Calling a ``UnitField`` gives the tangent vector v = u x^ with x^ = x / |x|,
-the sum of u's components times i x^, j x^ and k x^, on a ``Dual`` in its
-layout or on plain (..., 4) points in their shape; the central differences, the
-ambient derivative and the numeric determinant read v.  The AD jet reads u
-(``UnitField.components``) and never forms v: in this frame its matrix is
+0-homogeneity has one home, ``UnitField.__call__``: it forms
+x^ = x / |x|, evaluates u at x^ and gives the tangent vector v = u x^, the
+sum of u's components times i x^, j x^ and k x^, on a ``Dual`` in its
+layout or on plain (..., 4) points in their shape.  So v is defined, and
+0-homogeneous, off the sphere: the central differences, the ambient
+derivative and the numeric determinant read v.  The AD jet reads u
+(``UnitField.components``) at the rule's unit nodes along tangent
+directions, where d|x| = 0, and never forms v: in this frame its matrix is
 du + [u]x.
 
 The evaluators run once per jet block, and their temporaries are most of
@@ -49,11 +52,11 @@ from .geometry import FRAME_ROWS, QUAT_I, QUAT_J, QUAT_K, QUAT_ONE, CapDomain, q
 class UnitField:
     """Closed-form unit tangent field v = u x: S^3 -> T S^3.
 
-    ``evaluator`` maps a Dual of component-major (4, n) points to the frame
-    components u = v conj(x), a Dual of (3, n) rows.  ``params`` names the
-    family's parameters, which reports quote.  ``hopf_boundary`` records
-    where the field is known to coincide with a Hopf field: "everywhere", a
-    CapDomain (on and outside its boundary), or None.
+    ``evaluator`` maps a Dual of component-major unit (4, n) points to the
+    frame components u = v conj(x), a Dual of (3, n) rows.  ``params``
+    names the family's parameters, which reports quote.  ``hopf_boundary``
+    records where the field is known to coincide with a Hopf field:
+    "everywhere", a CapDomain (on and outside its boundary), or None.
     """
 
     label: str
@@ -62,7 +65,7 @@ class UnitField:
     hopf_boundary: Union[str, CapDomain, None]
 
     def components(self, x):
-        """The frame components u at a component-major ``Dual`` of points, (..., 3, n)."""
+        """The frame components u at a component-major ``Dual`` of unit points, (..., 3, n)."""
         u = self.evaluator(x)
         if not isinstance(u, du.Dual):
             raise TypeError(f"field {self.label!r} does not return dual numbers")
@@ -74,8 +77,10 @@ class UnitField:
         plain = not isinstance(x, du.Dual)
         if plain:
             shape, x = np.shape(x), du.plain(du.component_major(x, 0))
+        # u is read at x^, so v is 0-homogeneous in x; then
         # v = u x^ = sum_c u_c (q_c x^) over the imaginary units q = i, j, k.
-        u, xs = self.components(x), du.normalize(x)
+        xs = du.normalize(x)
+        u = self.components(xs)
         v = None
         for c, unit_map in enumerate(FRAME_ROWS.reshape(3, 4, 4)):
             term = du.apply_linear(unit_map, xs)
@@ -197,15 +202,24 @@ def perturbed_field(
     amp, m = bump.amplitude, bump.exponent
     b1, b2 = (b[None, :] for b in tangent_basis(cap.center)[:2])
 
+    def angle(q):
+        """The bump angle f at q = cos rho."""
+        return du.relu(1.0 - (du.arccos(q) / r) ** 2) ** m * amp
+
+    def untwisted(q):
+        """u = cos f a + sin f b at q = cos rho."""
+        return du.apply_linear(frame[:, :2], du.stack(du.sincos(angle(q))[::-1]))
+
     def evaluate(x):
-        # The distance to the center is read off <center, x> / |x|, and the
-        # azimuth off a ratio, so no 4-vector is normalized.  Each factor
+        # x is unit, so cos rho = <center, x>, and f, and u without a twist,
+        # are functions of that one scalar: their chain runs on one direction
+        # (``dual.compose``).  The azimuth is read off a ratio.  Each factor
         # goes after its last read.
-        f = du.relu(1.0 - (du.arccos(du.apply_linear(center, x) / du.norm(x)) / r) ** 2) ** m * amp
-        sf, cf = du.sincos(f)
-        del f
+        q = du.apply_linear(center, x)
         if twist == "none":
-            return du.apply_linear(frame[:, :2], du.stack([cf, sf]))
+            return du.compose(q, untwisted)
+        sf, cf = du.sincos(du.compose(q, angle))
+        del q
         sg, cg = du.sincos(du.arctan2(du.apply_linear(b2, x), du.apply_linear(b1, x)))
         cg *= sf
         sg *= sf
@@ -253,11 +267,9 @@ def small_cap_field(cap: CapDomain) -> UnitField:
     along, across = conj_map(u0), conj_map(p)
 
     def evaluate(x):
-        xs = du.normalize(x)
-        k = du.apply_linear(u0[None, :], xs) / (1.0 + du.apply_linear(p[None, :], xs))
-        u = du.apply_linear(along, xs)
-        turn = du.apply_linear(across, xs)
-        del xs
+        k = du.apply_linear(u0[None, :], x) / (1.0 + du.apply_linear(p[None, :], x))
+        u = du.apply_linear(along, x)
+        turn = du.apply_linear(across, x)
         turn *= k
         del k
         u -= turn

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from hopfcap import (
     small_cap_field,
 )
 from hopfcap import dual as du
-from hopfcap.calculus import _ad_jet, _value_and_derivative, directional_derivative
+from hopfcap.calculus import UNIT_TOL, _ad_jet, _value_and_derivative, directional_derivative
 from hopfcap.geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix, quat_mul, random_sphere_points
 from hopfcap.quadrature import build_gauss_rule
 
@@ -86,6 +87,20 @@ class TestAmbientJacobian:
                 jet_batch(f, pts, mode=mode)
         with pytest.raises(TypeError, match="'opaque' does not return dual numbers"):
             f(pts)
+
+    @pytest.mark.parametrize("mode", ["ad", "fd"])
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, 2.0, math.nan], ids=["drift", "double", "nan"])
+    def test_point_off_the_sphere_rejected_by_name(self, monkeypatch, mode, scale):
+        # The evaluators read unit points, so the jet takes no other: the
+        # first point off S^3 by more than UNIT_TOL is named, here in the
+        # second block of 7.
+        monkeypatch.setattr("hopfcap.calculus.JET_BLOCK", 7)
+        pts = random_sphere_points(20, 38)
+        assert np.max(np.abs(np.linalg.norm(pts, axis=-1) - 1.0)) <= UNIT_TOL
+        jet_batch(hopf_field(), pts, mode=mode)
+        pts[[9, 15]] *= scale
+        with pytest.raises(ValueError, match=r"^point 9, \[.*\], is off the unit sphere: norm "):
+            jet_batch(hopf_field(), pts, mode=mode)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown differentiation mode 'symbolic'"):

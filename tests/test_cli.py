@@ -382,13 +382,13 @@ class TestSweepCommand:
     # amplitudes but changes none of these bytes.
     GRID_ROWS = (
         "amplitude,energy,volume\n"
-        "-1.0,10.291746393356268,7.94096799951397\n"
+        "-1.0,10.291746393356267,7.94096799951397\n"
         "-0.5,8.997705081718916,7.138059732193062\n"
-        "-0.25,8.674194753809578,6.924848001868876\n"
+        "-0.25,8.674194753809576,6.924848001868876\n"
         "0.0,8.566357977839798,6.8530863822718295\n"
         "0.25,8.674194753809576,6.924848001868876\n"
         "0.5,8.997705081718916,7.138059732193062\n"
-        "1.0,10.29174639335627,7.94096799951397\n"
+        "1.0,10.291746393356268,7.94096799951397\n"
     )
 
     def test_grid_rows_and_refined_footer(self, capsys):

@@ -393,3 +393,42 @@ def test_plain_points_give_empty_eps_and_the_differentiated_value(name):
     seeded = op(du.Dual(x, np.ones((3, 1, n))), du.Dual(x + 1.0, np.ones((3, 1, n))))
     assert out.eps.shape == (0, 1, n)
     assert out.val.tobytes() == seeded.val.tobytes()
+
+
+# Scalar chains (1, n) -> (k, n) through each operation whose derivative
+# rule ``compose`` reuses, and the perturbed field's bump chain.
+CHAINS = {
+    "sqrt": lambda q: du.sqrt(q + 2.0),
+    "arccos": du.arccos,
+    "sincos": lambda q: du.stack(du.sincos(3.0 * q)),
+    "pow": lambda q: q**3,
+    "relu": lambda q: du.relu(q - 0.2) ** 2,
+    "div": lambda q: du.sincos(q)[0] / (2.0 + q),
+    "bump": lambda q: du.stack(du.sincos(du.relu(1.0 - (du.arccos(q) / 0.9) ** 2) ** 3 * 0.5)),
+}
+
+
+def _scalar_dual(n, dirs):
+    rng = np.random.default_rng(41)
+    return du.Dual(rng.uniform(-0.95, 0.95, (1, n)), rng.standard_normal((dirs, 1, n)))
+
+
+@pytest.mark.parametrize("name", list(CHAINS))
+def test_compose_is_the_chain_evaluated_on_every_direction(name):
+    # The value has the bits of the chain on x; each derivative is the
+    # chain's derivative times x's, within a few ulps of running the chain
+    # on all three directions (the products are associated differently).
+    chain, x = CHAINS[name], _scalar_dual(4000, 3)
+    out, direct = du.compose(x, chain), chain(x)
+    assert out.val.tobytes() == direct.val.tobytes()
+    assert out.eps.shape == direct.eps.shape == (3,) + direct.val.shape
+    ulp = np.spacing(np.maximum(np.abs(out.eps), np.abs(direct.eps)))
+    assert np.all(np.abs(out.eps - direct.eps) <= 8 * ulp)
+
+
+@pytest.mark.parametrize("name", list(CHAINS))
+def test_compose_of_a_plain_scalar_has_empty_eps(name):
+    chain, x = CHAINS[name], _scalar_dual(100, 3)
+    out = du.compose(du.plain(x.val), chain)
+    assert out.eps.shape == (0,) + out.val.shape
+    assert out.val.tobytes() == chain(x).val.tobytes()

@@ -142,22 +142,22 @@ class TestPerturbedField:
             perturbed_field(cap, BumpProfile(3.5, 3))
 
     def test_twisted_normalizes_once(self, cap, monkeypatch):
-        # The frame components read |x| as a scalar and normalize no point;
-        # the value u x^ normalizes the point once.
+        # The frame components read unit points and form no |x|; the value
+        # u x^ normalizes the point once, and so does the small-cap field's,
+        # which normalized it twice when its components read x / |x| too.
         calls = []
-        normalize = du.normalize
-
-        def counting(x):
-            calls.append(x)
-            return normalize(x)
-
-        monkeypatch.setattr(du, "normalize", counting)
-        f = perturbed_field(cap, BumpProfile(0.9, 2), twist="angular")
+        for op in ("norm", "normalize"):
+            monkeypatch.setattr(du, op, lambda x, op=op, run=getattr(du, op): calls.append(op) or run(x))
         pts = random_sphere_points(20, 25)
-        f.components(du.plain(np.ascontiguousarray(pts.T)))
-        assert len(calls) == 0
-        f(pts)
-        assert len(calls) == 1
+        for f in (
+            perturbed_field(cap, BumpProfile(0.9, 2), twist="angular"),
+            small_cap_field(CapDomain(cap.center, 0.3)),
+        ):
+            f.components(du.plain(np.ascontiguousarray(pts.T)))
+            assert calls == [], f.label
+            f(pts)
+            assert calls == ["normalize", "norm"], f.label
+            calls.clear()
 
     def test_unknown_twist_rejected(self, cap):
         with pytest.raises(ValueError, match="unknown twist"):
@@ -276,6 +276,27 @@ BUILTIN = {
 
 
 @pytest.mark.parametrize("name", list(BUILTIN))
+def test_value_is_0_homogeneous(cap, name):
+    # The value reads the frame components at x^ = x / |x|, its one
+    # normalization, and scaling by a power of two is exact: |2 x| = 2 |x|
+    # and 2 x / (2 |x|) = x / |x| to the bit.
+    f = BUILTIN[name](cap)
+    pts = random_sphere_points(2000, 36)
+    assert f(2.0 * pts).tobytes() == f(pts).tobytes()
+
+
+@pytest.mark.parametrize("name", list(BUILTIN))
+def test_radial_derivative_vanishes(cap, name):
+    # 0-homogeneity of v = u(x^) x^: the derivative along x itself is the
+    # roundoff of d x^[x] = 0, on the unit cap (the small-cap field is
+    # singular at its centre's antipode).
+    f = BUILTIN[name](cap)
+    pts = random_sphere_points(5000, 37)
+    pts = pts[pts @ cap.center.x > math.cos(cap.radius)]
+    assert np.max(np.abs(directional_derivative(f, pts, pts))) <= 1e-15
+
+
+@pytest.mark.parametrize("name", list(BUILTIN))
 def test_evaluation_writes_no_input_array(cap, name, monkeypatch):
     # The fields write products and sums into buffers they formed
     # themselves, never into the point Dual they were given: its value
@@ -305,13 +326,14 @@ def test_evaluation_writes_no_input_array(cap, name, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, rows", [("perturbed", 34), ("twisted", 42), ("small-cap", 50)], ids=["untwisted", "angular", "small-cap"]
+    "name, rows", [("perturbed", 20), ("twisted", 40), ("small-cap", 32)], ids=["untwisted", "angular", "small-cap"]
 )
 def test_one_block_evaluation_frees_each_intermediate(cap, name, rows):
     # One JET_BLOCK-node evaluation of the frame components along the jet's
     # three directions, under tracemalloc.  No 4-vector of the field is
-    # formed, and each intermediate is deleted after its last read: the
-    # peaks are 31, 39 and 47 rows of JET_BLOCK float64.
+    # formed, no |x|, the untwisted chain on <c, x> carries one direction,
+    # and each intermediate is deleted after its last read: the peaks are
+    # 19, 39 and 31 rows of JET_BLOCK float64.
     f = BUILTIN[name](cap)
     x = np.ascontiguousarray(random_sphere_points(JET_BLOCK, 3).T)
     point = du.Dual(x, du.apply_linear(FRAME_ROWS, x).reshape(3, 4, -1))

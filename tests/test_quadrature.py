@@ -146,6 +146,30 @@ class TestGaussRule:
         assert np.array_equal(r1.weights, r2.weights)
 
 
+_OFF_CENTRE = np.array([0.32163376045133846, -0.5360562674188974, 0.7504787743864564, 0.214422506967559])
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        lambda north: build_gauss_rule(CapDomain(north, 1.0), 32, 16, 32),
+        lambda north: build_mc_rule(CapDomain(north, 1.0), 20_000, 0),
+        lambda north: build_gauss_rule(CapDomain(SpherePoint(_OFF_CENTRE), 0.7), 33, 17, 29),
+        lambda north: build_mc_rule(CapDomain(SpherePoint(_OFF_CENTRE), 0.7), 20_000, 1),
+        lambda north: build_mc_rule(CapDomain(north, 1e-9), 20_000, 2),
+    ],
+    ids=["unit_cap_gauss", "unit_cap_mc", "off_centre_gauss", "off_centre_mc", "r1e-9_mc"],
+)
+def test_nodes_are_unit_to_a_few_ulps(north, rule):
+    # The jet reads the nodes as points of S^3 and differentiates no |x|
+    # (``calculus.UNIT_TOL`` is its guard), so each node is unit to
+    # rounding: ||x| - 1| at most 2 ulps of 1 (these rules read at most 1,
+    # a 64,32,64 rule on the whole sphere 1.5).
+    rule = rule(north)
+    drift = np.abs(np.sqrt(np.sum(rule.nodes**2, axis=-1)) - 1.0)
+    assert np.max(drift) <= 2 * np.finfo(float).eps
+
+
 class TestMonteCarloRule:
     def test_weight_sum(self, north):
         rule = build_mc_rule(CapDomain(north, 1.1), 5000, seed=3)

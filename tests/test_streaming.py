@@ -126,14 +126,14 @@ def test_streamed_sums_are_integrate_over_jet_rows(rule):
 
 @pytest.mark.parametrize(
     "offsets, stride, rows",
-    [((), None, 58), ((0.05, 0.1, 0.2, 0.3, 0.4, 0.5), True, 72)],
+    [((), None, 41), ((0.05, 0.1, 0.2, 0.3, 0.4, 0.5), True, 49)],
     ids=["invariants", "six_offsets_and_stride"],
 )
 def test_jet_sums_peak_is_one_block(offsets, stride, rows):
     # 32 000 nodes are four blocks, the last partial, under tracemalloc.
     # The peak is one block's: its nodes, weights and rows, the basis and
-    # the field's frame components (31 rows), not a per-node array: 56 and
-    # 70 rows of JET_BLOCK float64.
+    # the field's frame components (19 rows), not a per-node array: 40 and
+    # 48 rows of JET_BLOCK float64.
     rule = build_gauss_rule(UNIT_CAP, 40, 20, 40)
     assert rule.size > 3 * JET_BLOCK
     field = perturbed_field(UNIT_CAP, BumpProfile(0.5, 3))
@@ -145,6 +145,24 @@ def test_jet_sums_peak_is_one_block(offsets, stride, rows):
     finally:
         tracemalloc.stop()
     assert peak <= rows * 8 * JET_BLOCK
+
+
+@pytest.mark.parametrize("name", ["hopf", "perturbed", "twisted", "small-cap"])
+def test_jet_sums_forms_no_norm(name, unit_cap_rule, monkeypatch):
+    # The rule's nodes are unit and the evaluators read them as they are:
+    # no block of the jet forms |x| or x / |x|.
+    field = {
+        "hopf": hopf_field(),
+        "perturbed": perturbed_field(UNIT_CAP, BumpProfile(0.5, 3)),
+        "twisted": perturbed_field(UNIT_CAP, BumpProfile(0.5, 3), twist="angular"),
+        "small-cap": small_cap_field(CapDomain(UNIT_CAP.center, 0.3)),
+    }[name]
+    assert len(list(unit_cap_rule.blocks())) == 2
+    calls = []
+    for op in ("norm", "normalize"):
+        monkeypatch.setattr(du, op, lambda x, op=op, run=getattr(du, op): calls.append(op) or run(x))
+    jet_sums(field, unit_cap_rule, (0.1,), _oracle_stride(unit_cap_rule.size))
+    assert calls == []
 
 
 def test_non_finite_value_names_its_node_in_a_later_block():
