@@ -15,10 +15,26 @@ through the same kernel: the jet forms its seed directions with it.
 ``compose(x, fn)`` applies the chain rule once for a scalar Dual x: it
 runs ``fn`` on x's value with one direction seeded with 1, so the
 operations below form d fn / dx in one row whatever the number of x's
-directions, and then multiplies it by x's derivatives.  It has one body
-too: for a plain x the product is the empty (0, k, n) array.  A field whose
-values depend on the point through one scalar (the perturbed field's
-cos rho) runs its whole chain on that direction.
+directions, and then multiplies it by x's derivatives.  A plain x seeds no
+direction, so the chain carries no derivative row and the product is the
+empty (0, k, n) array.  A field whose values depend on the point through
+one scalar (the perturbed field's cos rho) runs its whole chain on that
+direction.  ``fn`` must act column by column, each output column a
+function of its own input value alone: then equal inputs give equal bits,
+and ``compose`` runs ``fn`` once per run of consecutive values whose bit
+patterns (an int64 view) are equal, and repeats its value and derivative
+rows over the run.  Bit patterns, not float equality, so 0.0 and -0.0
+(whose sines differ) and NaNs of different payloads stay apart.  It takes
+this path when the runs are at most a quarter of the values.  Measured on
+8 192-node blocks of the bump chain with cold caches and runs of uneven
+length, the path costs 0.6 of the per-node chain at 2 % runs, 0.76 at
+18 %, 0.88 at 26 % and 1.08 at 37 %: the chain keeps a fixed cost per
+call, and ``np.repeat`` pays per run.  Gauss blocks on a cap centred
+away from the quaternion basis units have runs for 25-60 % of their
+values, and at a half rule a 64,32,64 ``jet_sums`` on such a cap ran 8 %
+slower than on the per-node path.  On a cap centred at a basis unit
+cos rho has one value per rho-slab, so a block runs the chain on a few
+dozen values.  The per-node path only adds the count of changes.
 
 Vectors are stored component-major: a batch of n points in R^4 is a (4, n)
 array, one row per component, and its derivatives are (dirs..., 4, n).
@@ -263,14 +279,54 @@ def compose(x, fn):
     """``fn(x)`` for a scalar Dual x (..., 1, n), with the chain rule applied once.
 
     ``fn`` runs on a Dual of x's value with one direction, seeded with 1,
-    so its derivative rows are d fn / dx, formed by this module's own
-    rules; they are then multiplied by each of x's directions.  ``fn`` maps
-    (..., 1, n) to (..., k, n), and the result is a Dual of that shape with
-    x's directions.  Its value has the bits of ``fn(x)``; its derivative is
-    that of ``fn(x)`` up to the association of the chain's products.
+    or with none when x has none, so its derivative rows are d fn / dx,
+    formed by this module's own rules; they are then multiplied by each of
+    x's directions.  ``fn`` maps (..., 1, n) to (..., k, n), and the result
+    is a Dual of that shape with x's directions.  Its value has the bits of
+    ``fn(x)``; its derivative is that of ``fn(x)`` up to the association of
+    the chain's products.
+
+    ``fn`` must act column by column: the output column at a node depends
+    on that node's input value alone, in the same way at every node and
+    whatever the leading axes.  The result's bits rest on this.  Then equal
+    inputs give equal bits, and ``fn`` runs once per run of consecutive
+    values with equal bit patterns (of x's values flattened in C order, so
+    0.0 and -0.0, or two NaN payloads, are different values) whenever the
+    runs are at most a quarter of the values, below which that path pays
+    (see the module docstring); its value and derivative rows are repeated
+    over each run.  Otherwise it runs on every node, and the changes between
+    values are counted, not listed, so that path allocates no n-long index
+    array.
     """
-    y = fn(Dual(x.val, np.ones((1,) + x.val.shape)))
-    return Dual(y.val, y.eps[0] * x.eps)
+    val = x.val
+    # One seeded row per axis of x's directions, or none when x has none.
+    seed = tuple(min(1, d) for d in x.eps.shape[: x.eps.ndim - val.ndim])
+    flat = np.ascontiguousarray(val).reshape(-1)
+    bits = flat.view(np.int64)
+    change = bits[1:] != bits[:-1]
+    runs = 1 + np.count_nonzero(change)
+    if 4 * runs > flat.size:
+        del change
+        y = fn(Dual(val, np.ones(seed + val.shape)))
+    else:
+        # bounds[r] is the first index of run r, bounds[runs] the size.
+        bounds = np.empty(runs + 1, dtype=np.intp)
+        bounds[0], bounds[runs] = 0, flat.size
+        np.add(np.flatnonzero(change), 1, out=bounds[1:runs])
+        del change
+        y = fn(Dual(flat[None, bounds[:-1]], np.ones(seed + (1, runs))))
+        lengths = np.diff(bounds)
+        del bounds
+        y = Dual(_spread(y.val, lengths, val.shape), _spread(y.eps, lengths, val.shape))
+        del lengths
+    return Dual(y.val, y.eps * x.eps)
+
+
+def _spread(a, lengths, shape):
+    """Columns of a (..., k, runs) repeated by ``lengths``, back to the
+    leading axes and n of x's ``shape`` (batch..., 1, n): (..., batch..., k, n)."""
+    a = np.repeat(a, lengths, axis=-1)
+    return np.moveaxis(a.reshape(a.shape[:-1] + shape[:-2] + shape[-1:]), a.ndim - 2, -2)
 
 
 def norm(x):

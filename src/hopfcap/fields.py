@@ -19,7 +19,14 @@ component-major points, value (..., 4, n), and returns u as a ``Dual`` of
 columns, or as (1, 4) rows in a dot product, and constant maps through
 ``dual.apply_linear``.  Every evaluator reads unit points and forms no
 |x|: the perturbed field reads cos rho = <c, x> and runs the chain of
-its bump angle on that one scalar (``dual.compose``).
+its bump angle on that one scalar (``dual.compose``).  On a Gauss rule
+over a cap centred at a quaternion basis unit (+-1, +-i, +-j, +-k; the
+default cap's centre is 1), the rule's directions have an exact zero in
+the centre's component, so cos rho has the same bits at every node of a
+rho-slab, and a block runs the chain (arccos, bump power, sincos, frame
+map) once per slab it crosses and spreads the result.  Other centres,
+Monte Carlo samples and displaced points have too few equal neighbours
+for that to pay, and run the chain on every node.
 
 0-homogeneity has one home, ``UnitField.__call__``: it forms
 x^ = x / |x|, evaluates u at x^ and gives the tangent vector v = u x^, the

@@ -428,7 +428,53 @@ def test_compose_is_the_chain_evaluated_on_every_direction(name):
 
 @pytest.mark.parametrize("name", list(CHAINS))
 def test_compose_of_a_plain_scalar_has_empty_eps(name):
+    # A plain x seeds no direction, so the chain carries no derivative row.
     chain, x = CHAINS[name], _scalar_dual(100, 3)
-    out = du.compose(du.plain(x.val), chain)
+    seeded = []
+    out = du.compose(du.plain(x.val), lambda q: seeded.append(q.eps.shape[0]) or chain(q))
+    assert seeded == [0]
     assert out.eps.shape == (0,) + out.val.shape
     assert out.val.tobytes() == chain(x).val.tobytes()
+
+
+def _nan(payload):
+    return np.array([0x7FF8000000000000 | payload], dtype=np.int64).view(float)[0]
+
+
+# Inputs of ``compose`` as (values, directions): values whose consecutive
+# equal bit patterns form runs, and values with none.
+RUN_INPUTS = {
+    "slabs": (np.repeat(np.linspace(-0.9, 0.9, 12), np.arange(20, 32)), 3),
+    "signed_zeros": (np.repeat([0.0, -0.0, 0.0, -0.0, 0.5, -0.0], [4, 5, 2, 3, 6, 4]), 3),
+    "nan": (np.repeat([0.3, np.nan, _nan(1), _nan(1), np.nan, 0.3], [4, 3, 2, 5, 1, 6]), 3),
+    "one_run": (np.full(50, 0.4), 3),
+    "distinct": (np.linspace(-0.9, 0.9, 50), 3),
+    "batch": (np.repeat(np.linspace(-0.9, 0.9, 9), [7, 9, 4, 6, 8, 5, 10, 6, 5]).reshape(3, 1, 20), 2),
+}
+
+
+@pytest.mark.parametrize("chain", list(CHAINS))
+@pytest.mark.parametrize("name", list(RUN_INPUTS))
+def test_compose_runs_the_chain_once_per_run_with_the_per_node_bits(name, chain):
+    # fn acts column by column, so equal inputs give equal bits: a run of
+    # values with one bit pattern (0.0 and -0.0 differ, as do NaN payloads)
+    # is evaluated once and spread.  Value and derivative keep every bit of
+    # the chain run on each node with one seeded direction.
+    values, dirs = RUN_INPUTS[name]
+    val = values.reshape(values.shape if values.ndim == 3 else (1, -1))
+    bits = val.reshape(-1).view(np.int64)
+    runs = 1 + np.count_nonzero(bits[1:] != bits[:-1])
+    x = du.Dual(val, np.random.default_rng(43).standard_normal((dirs,) + val.shape))
+    widths = []
+
+    def counted(q):
+        widths.append(q.val.size)
+        return CHAINS[chain](q)
+
+    out = du.compose(x, counted)
+    per_node = CHAINS[chain](du.Dual(val, np.ones((1,) + val.shape)))
+    assert widths == [runs if 4 * runs <= val.size else val.size]
+    assert (widths[0] == val.size) == (name == "distinct")
+    assert out.val.shape == per_node.val.shape and out.eps.shape == (dirs,) + per_node.val.shape
+    assert out.val.tobytes() == per_node.val.tobytes()
+    assert out.eps.tobytes() == (per_node.eps * x.eps).tobytes()

@@ -10,6 +10,7 @@ from hopfcap import (
     CapDomain,
     SpherePoint,
     UnitField,
+    build_gauss_rule,
     hopf_field,
     hopf_frame,
     perturbed_field,
@@ -326,16 +327,24 @@ def test_evaluation_writes_no_input_array(cap, name, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, rows", [("perturbed", 20), ("twisted", 40), ("small-cap", 32)], ids=["untwisted", "angular", "small-cap"]
+    "name, points, rows",
+    [("perturbed", "random", 20), ("twisted", "random", 40), ("small-cap", "random", 32), ("perturbed", "slabs", 20)],
+    ids=["untwisted", "angular", "small-cap", "untwisted-slabs"],
 )
-def test_one_block_evaluation_frees_each_intermediate(cap, name, rows):
+def test_one_block_evaluation_frees_each_intermediate(cap, name, points, rows):
     # One JET_BLOCK-node evaluation of the frame components along the jet's
     # three directions, under tracemalloc.  No 4-vector of the field is
     # formed, no |x|, the untwisted chain on <c, x> carries one direction,
     # and each intermediate is deleted after its last read: the peaks are
-    # 19, 39 and 31 rows of JET_BLOCK float64.
+    # 19, 39 and 31 rows of JET_BLOCK float64.  The first block of a Gauss
+    # rule over the cap centred at 1 crosses 11 rho-slabs, on each of which
+    # <c, x> has one value: the chain runs on 11 values and its rows are
+    # spread over the block, and the peak is 19 rows too.
     f = BUILTIN[name](cap)
-    x = np.ascontiguousarray(random_sphere_points(JET_BLOCK, 3).T)
+    if points == "slabs":
+        x = build_gauss_rule(cap, 40, 20, 40).block(0, JET_BLOCK)[0]
+    else:
+        x = np.ascontiguousarray(random_sphere_points(JET_BLOCK, 3).T)
     point = du.Dual(x, du.apply_linear(FRAME_ROWS, x).reshape(3, 4, -1))
     tracemalloc.start()
     try:

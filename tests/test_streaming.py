@@ -165,6 +165,20 @@ def test_jet_sums_forms_no_norm(name, unit_cap_rule, monkeypatch):
     assert calls == []
 
 
+def test_bump_chain_runs_once_per_rho_slab(monkeypatch):
+    # On a Gauss rule over a cap centred at 1, cos rho = <c, x> has one
+    # value on each rho-slab, so the untwisted field's chain (through
+    # arccos) sees one value per slab, plus one for each slab that a block
+    # boundary splits: at most n_rho + blocks - 1 values, not one per node.
+    rule = build_gauss_rule(UNIT_CAP, 32, 16, 32)
+    blocks = len(list(rule.blocks()))
+    assert blocks == 2
+    seen = []
+    monkeypatch.setattr(du, "arccos", lambda q, run=du.arccos: seen.append(q.val.size) or run(q))
+    jet_sums(perturbed_field(UNIT_CAP, BumpProfile(0.5, 3)), rule, (0.1,), _oracle_stride(rule.size))
+    assert len(seen) == blocks and sum(seen) <= 32 + blocks - 1
+
+
 def test_non_finite_value_names_its_node_in_a_later_block():
     rule = build_gauss_rule(OFF_CAP, 33, 17, 29)
     node = JET_BLOCK + 4321
