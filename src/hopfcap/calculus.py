@@ -76,12 +76,15 @@ def _value_and_derivative(field: UnitField, points, directions):
 
     ``points`` and the value have shape (..., 4); ``directions`` and Dv[Y]
     have shape dirs + points.shape, one direction per leading index.  The
-    value is ``field(points)``: a plain evaluation is the same dual
-    arithmetic with no directions, so it has the same bits.
+    directions enter the ``Dual`` on one axis, dirs flattened (one
+    direction when dirs is empty).  The value is ``field(points)``: a plain
+    evaluation is the same dual arithmetic with no directions, so it has
+    the same bits.
     """
     x = np.asarray(points, dtype=float)
     y = np.asarray(directions, dtype=float)
-    d = field(du.Dual(du.component_major(x, 0), du.component_major(y, y.ndim - x.ndim)))
+    lead = math.prod(y.shape[: y.ndim - x.ndim])
+    d = field(du.Dual(du.component_major(x, 0), du.component_major(y.reshape((lead,) + x.shape), 1)))
     return du.point_major(d.val, x.shape), du.point_major(d.eps, y.shape)
 
 
@@ -292,12 +295,16 @@ def _fd_jet(field: UnitField, x: np.ndarray, frame_rotation: np.ndarray | None) 
     """B (3, 3, n) at points x (4, n) from central differences of the field's value.
 
     The displaced points x +- FD_STEP e of all three directions are
-    evaluated in one call on each side, as ``dual.plain`` points in the
-    same layout, and the difference quotients are projected on the basis.
+    evaluated in one call on each side, side by side as one ``dual.plain``
+    block (4, 3n), and the difference quotients, split back to (3, 4, n),
+    are projected on the basis.
     """
     basis, _ = _basis(x, frame_rotation)
-    plus, minus = (field(du.plain(x + step * basis)).val for step in (FD_STEP, -FD_STEP))
-    deriv = (plus - minus) / (2.0 * FD_STEP)
+    plus, minus = (
+        field(du.plain(np.swapaxes(x + step * basis, 0, 1).reshape(4, -1))).val
+        for step in (FD_STEP, -FD_STEP)
+    )
+    deriv = ((plus - minus) / (2.0 * FD_STEP)).reshape(4, 3, -1).swapaxes(0, 1)
     # grad[a, b] = <D_{e_a} v, e_b>: the component rows summed in order.
     return du.row_dot(deriv[:, None], basis[None, :]).reshape(3, 3, -1)
 

@@ -1,19 +1,19 @@
 """Vectorized forward-mode dual numbers.
 
-A ``Dual`` carries a value ``val`` and derivatives ``eps`` of shape
-``dirs + val.shape``: the leading axes index directions and line up with
-``val`` from the right, so the value is computed once for every seeded
-direction (vector forward mode); ``dirs`` may be empty.  A plain operand of
+A ``Dual`` has one shape: its value ``val`` is (k, n), k rows over n
+nodes (n = 1 for a constant column), and its derivatives ``eps`` are
+(d, k, n), one (k, n) block per direction, so the value is computed once
+for every seeded direction (vector forward mode).  A plain operand of
 ``+`` or ``-`` must broadcast to ``val``.  Field evaluators are written
 against the small function set below, one body each, for a Dual.  A plain
-evaluation is a Dual with no directions, ``plain(x)``: each operation runs
+evaluation is a Dual with d = 0, ``plain(x)``: each operation runs
 its one body, and the derivative part comes out of the same expressions as
 an empty array of the result's shape, so a value has the same bits whether
 or not it is differentiated.  ``apply_linear`` also takes plain points,
 through the same kernel: the jet forms its seed directions with it.
 
-``compose(x, fn)`` applies the chain rule once for a scalar Dual x: it
-runs ``fn`` on x's value with one direction seeded with 1, so the
+``compose(x, fn)`` applies the chain rule once for a scalar Dual x, (1, n):
+it runs ``fn`` on x's value with one direction seeded with 1, so the
 operations below form d fn / dx in one row whatever the number of x's
 directions, and then multiplies it by x's derivatives.  A plain x seeds no
 direction, so the chain carries no derivative row and the product is the
@@ -37,7 +37,7 @@ cos rho has one value per rho-slab, so a block runs the chain on a few
 dozen values.  The per-node path only adds the count of changes.
 
 Vectors are stored component-major: a batch of n points in R^4 is a (4, n)
-array, one row per component, and its derivatives are (dirs..., 4, n).
+array, one row per component, and its derivatives are (d, 4, n).
 ``component_major`` and ``point_major`` are the one conversion between
 this layout and the callers' point-major (..., 4) arrays.
 Every fixed-order sum of products in the jet is one of two kernels, which
@@ -62,9 +62,7 @@ formula:
   val_j * eps_j + eps_j * val_j, the same product doubled, and doubling is
   exact, so the bits are those of the dense sum.
 * ``Dual / Dual`` forms the quotient val * inv once, reuses it in eps and
-  finishes eps in the buffer of its product with the divisor's eps; only
-  where that buffer cannot hold the result (0-d operands, or a result
-  wider than that product) does it allocate.
+  finishes eps in the buffer of its product with the divisor's eps.
 * ``sincos`` gives both Duals from one ``np.sin`` and one ``np.cos``.
 
 ``a *= c``, ``a += b`` and ``a -= b`` are in-place forms: they write
@@ -90,7 +88,7 @@ _DENOM_FLOOR = 1e-300
 
 
 class Dual:
-    """First-order jet: ``eps`` of shape ``dirs + val.shape`` holds one derivative per direction."""
+    """First-order jet: value (k, n), and ``eps`` (d, k, n) holding one derivative per direction."""
 
     __slots__ = ("val", "eps")
 
@@ -148,8 +146,7 @@ class Dual:
         # eps = val * other.eps + eps * other.val, the two products of
         # __mul__, the first formed one direction at a time.
         self.eps *= other.val
-        for d in np.ndindex(self.eps.shape[: self.eps.ndim - self.val.ndim]):
-            eps = self.eps[d + (...,)]
+        for d, eps in enumerate(self.eps):
             eps += self.val * other.eps[d]
         self.val *= other.val
         return self
@@ -159,11 +156,8 @@ class Dual:
             inv = 1.0 / other.val
             q = self.val * inv
             eps = q * other.eps
-            if isinstance(eps, np.ndarray) and np.broadcast_shapes(self.eps.shape, eps.shape) == eps.shape:
-                np.subtract(self.eps, eps, out=eps)
-                eps *= inv
-            else:
-                eps = (self.eps - eps) * inv
+            np.subtract(self.eps, eps, out=eps)
+            eps *= inv
             return Dual(q, eps)
         return Dual(self.val / other, self.eps / other)
 
@@ -177,7 +171,7 @@ class Dual:
 
 
 def plain(x):
-    """Points ``x`` as a ``Dual`` with no derivative directions: eps is (0,) + val.shape."""
+    """Points ``x`` (k, n) as a ``Dual`` with no derivative directions: eps is (0, k, n)."""
     val = np.asarray(x, dtype=float)
     return Dual(val, np.empty((0,) + val.shape))
 
@@ -263,12 +257,12 @@ def row_dot(a, b):
 
 
 def stack(rows):
-    """Duals of (..., k, n) rows stacked on axis -2, value and derivatives alike."""
+    """Duals of (k, n) rows stacked on axis -2, value and derivatives alike."""
     return Dual(np.concatenate([r.val for r in rows], axis=-2), np.concatenate([r.eps for r in rows], axis=-2))
 
 
 def apply_linear(matrix, x):
-    """The constant matrix applied to component-major points ``x`` (..., 4, n)."""
+    """The constant matrix applied to component-major points ``x`` (4, n), or to a Dual of them."""
     m = np.asarray(matrix, dtype=float)
     if isinstance(x, Dual):
         return Dual(_linear(m, x.val), _linear(m, x.eps))
@@ -276,66 +270,57 @@ def apply_linear(matrix, x):
 
 
 def compose(x, fn):
-    """``fn(x)`` for a scalar Dual x (..., 1, n), with the chain rule applied once.
+    """``fn(x)`` for a scalar Dual x (1, n), with the chain rule applied once.
 
     ``fn`` runs on a Dual of x's value with one direction, seeded with 1,
     or with none when x has none, so its derivative rows are d fn / dx,
     formed by this module's own rules; they are then multiplied by each of
-    x's directions.  ``fn`` maps (..., 1, n) to (..., k, n), and the result
-    is a Dual of that shape with x's directions.  Its value has the bits of
+    x's directions.  ``fn`` maps (1, n) to (k, n), and the result is a
+    Dual of that shape with x's directions.  Its value has the bits of
     ``fn(x)``; its derivative is that of ``fn(x)`` up to the association of
     the chain's products.
 
     ``fn`` must act column by column: the output column at a node depends
-    on that node's input value alone, in the same way at every node and
-    whatever the leading axes.  The result's bits rest on this.  Then equal
-    inputs give equal bits, and ``fn`` runs once per run of consecutive
-    values with equal bit patterns (of x's values flattened in C order, so
-    0.0 and -0.0, or two NaN payloads, are different values) whenever the
-    runs are at most a quarter of the values, below which that path pays
+    on that node's input value alone, in the same way at every node.  The
+    result's bits rest on this.  Then equal inputs give equal bits, and
+    ``fn`` runs once per run of consecutive values with equal bit patterns
+    (so 0.0 and -0.0, or two NaN payloads, are different values) whenever
+    the runs are at most a quarter of the values, below which that path pays
     (see the module docstring); its value and derivative rows are repeated
     over each run.  Otherwise it runs on every node, and the changes between
     values are counted, not listed, so that path allocates no n-long index
     array.
     """
     val = x.val
-    # One seeded row per axis of x's directions, or none when x has none.
-    seed = tuple(min(1, d) for d in x.eps.shape[: x.eps.ndim - val.ndim])
-    flat = np.ascontiguousarray(val).reshape(-1)
-    bits = flat.view(np.int64)
+    # One seeded row, or none when x has no directions.
+    seed = min(1, len(x.eps))
+    bits = val[0].view(np.int64)
     change = bits[1:] != bits[:-1]
     runs = 1 + np.count_nonzero(change)
-    if 4 * runs > flat.size:
+    if 4 * runs > bits.size:
         del change
-        y = fn(Dual(val, np.ones(seed + val.shape)))
+        y = fn(Dual(val, np.ones((seed,) + val.shape)))
     else:
         # bounds[r] is the first index of run r, bounds[runs] the size.
         bounds = np.empty(runs + 1, dtype=np.intp)
-        bounds[0], bounds[runs] = 0, flat.size
+        bounds[0], bounds[runs] = 0, bits.size
         np.add(np.flatnonzero(change), 1, out=bounds[1:runs])
         del change
-        y = fn(Dual(flat[None, bounds[:-1]], np.ones(seed + (1, runs))))
+        y = fn(Dual(val[:, bounds[:-1]], np.ones((seed, 1, runs))))
         lengths = np.diff(bounds)
         del bounds
-        y = Dual(_spread(y.val, lengths, val.shape), _spread(y.eps, lengths, val.shape))
+        y = Dual(np.repeat(y.val, lengths, axis=-1), np.repeat(y.eps, lengths, axis=-1))
         del lengths
     return Dual(y.val, y.eps * x.eps)
 
 
-def _spread(a, lengths, shape):
-    """Columns of a (..., k, runs) repeated by ``lengths``, back to the
-    leading axes and n of x's ``shape`` (batch..., 1, n): (..., batch..., k, n)."""
-    a = np.repeat(a, lengths, axis=-1)
-    return np.moveaxis(a.reshape(a.shape[:-1] + shape[:-2] + shape[-1:]), a.ndim - 2, -2)
-
-
 def norm(x):
-    """Euclidean lengths (..., 1, n) of the component-major vectors of a Dual."""
+    """Euclidean lengths (1, n) of the component-major vectors of a Dual."""
     eps = row_dot(x.val, x.eps)
     eps *= 2.0
     return sqrt(Dual(row_dot(x.val, x.val), eps))
 
 
 def normalize(x):
-    """Scale the component-major (..., 4, n) vectors of a Dual to unit length."""
+    """Scale the component-major (4, n) vectors of a Dual to unit length."""
     return x / norm(x)

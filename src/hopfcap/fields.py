@@ -14,19 +14,20 @@ S^3 is the group of unit quaternions, and the Hopf field and its frame
 (E1, E2) are left-invariant: x -> a x, b x, c x.  So every unit tangent
 field is v = u x, with u = v conj(x) a unit imaginary quaternion, the
 field's frame components.  Every evaluator takes a ``Dual`` of
-component-major points, value (..., 4, n), and returns u as a ``Dual`` of
-(..., 3, n) rows, the i, j and k parts; constant vectors enter as (3, 1)
-columns, or as (1, 4) rows in a dot product, and constant maps through
-``dual.apply_linear``.  Every evaluator reads unit points and forms no
-|x|: the perturbed field reads cos rho = <c, x> and runs the chain of
-its bump angle on that one scalar (``dual.compose``).  On a Gauss rule
-over a cap centred at a quaternion basis unit (+-1, +-i, +-j, +-k; the
-default cap's centre is 1), the rule's directions have an exact zero in
-the centre's component, so cos rho has the same bits at every node of a
-rho-slab, and a block runs the chain (arccos, bump power, sincos, frame
-map) once per slab it crosses and spreads the result.  Other centres,
-Monte Carlo samples and displaced points have too few equal neighbours
-for that to pay, and run the chain on every node.
+component-major points, value (4, n) with derivatives (d, 4, n), and
+returns u as a ``Dual`` of (3, n) rows, the i, j and k parts; constant
+vectors enter as (3, 1) columns, or as (1, 4) rows in a dot product, and
+constant maps through ``dual.apply_linear``.  Every evaluator reads unit
+points and forms no |x|: the perturbed field reads cos rho = <c, x> and
+runs the chain of its bump angle on that one scalar (``dual.compose``).
+On a Gauss rule over a cap centred at a quaternion basis unit
+(+-1, +-i, +-j, +-k; the default cap's centre is 1), the rule's
+directions have an exact zero in the centre's component, so cos rho has
+the same bits at every node of a rho-slab, and a block runs the chain
+(arccos, bump power, sincos, frame map) once per slab it crosses and
+spreads the result.  Other centres, Monte Carlo samples and displaced
+points have too few equal neighbours for that to pay, and run the chain
+on every node.
 
 0-homogeneity has one home, ``UnitField.__call__``: it forms
 x^ = x / |x|, evaluates u at x^ and gives the tangent vector v = u x^, the
@@ -72,7 +73,7 @@ class UnitField:
     hopf_boundary: Union[str, CapDomain, None]
 
     def components(self, x):
-        """The frame components u at a component-major ``Dual`` of unit points, (..., 3, n)."""
+        """The frame components u at a component-major ``Dual`` of unit points, (3, n)."""
         u = self.evaluator(x)
         if not isinstance(u, du.Dual):
             raise TypeError(f"field {self.label!r} does not return dual numbers")
@@ -91,7 +92,7 @@ class UnitField:
         v = None
         for c, unit_map in enumerate(FRAME_ROWS.reshape(3, 4, 4)):
             term = du.apply_linear(unit_map, xs)
-            term *= du.Dual(u.val[..., c : c + 1, :], u.eps[..., c : c + 1, :])
+            term *= du.Dual(u.val[c : c + 1], u.eps[:, c : c + 1])
             if v is None:
                 v = term
             else:
@@ -127,8 +128,7 @@ def hopf_field(axis=HOPF_AXIS) -> UnitField:
     column = axis[1:, None]
 
     def evaluate(x):
-        batch = x.val.shape[:-2]
-        return du.Dual(np.broadcast_to(column, batch + (3, 1)), np.zeros(x.eps.shape[:-2] + (3, 1)))
+        return du.Dual(column, np.zeros((len(x.eps), 3, 1)))
 
     return UnitField(
         label="hopf",

@@ -20,7 +20,7 @@ from hopfcap import (
     small_cap_field,
 )
 from hopfcap import dual as du
-from hopfcap.calculus import UNIT_TOL, _ad_jet, _value_and_derivative, directional_derivative
+from hopfcap.calculus import UNIT_TOL, _ad_jet, _value_and_derivative, directional_derivative, jet_sums
 from hopfcap.geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix, quat_mul, random_sphere_points
 from hopfcap.quadrature import build_gauss_rule
 
@@ -294,6 +294,22 @@ def test_value_and_derivative_has_the_plain_value(builtin_fields):
         assert np.array_equal(value, f(pts)), f.label
 
 
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["no_axis", "one_axis", "two_axes"])
+@pytest.mark.parametrize("shape", [(50, 4), (5, 10, 4)], ids=["flat", "grid"])
+def test_directional_derivative_shapes(builtin_fields, lead, shape):
+    # Directions dirs + points.shape enter the Dual on one axis and come
+    # back in the caller's shape; each has the bits of a call that carries
+    # it alone, on one direction axis of length 1.
+    pts = random_sphere_points(50, 34).reshape(shape)
+    y = np.random.default_rng(35).standard_normal(lead + shape)
+    for f in builtin_fields:
+        out = directional_derivative(f, pts, y)
+        assert out.shape == lead + shape, f.label
+        for i in np.ndindex(lead):
+            alone = directional_derivative(f, pts, y[i][None])
+            assert out[i].tobytes() == alone[0].tobytes(), (f.label, i)
+
+
 @pytest.mark.parametrize(
     "differentiate",
     [
@@ -354,6 +370,34 @@ def jet_fields(cap):
         hopf_field(),
         small_cap_field(CapDomain(cap.center, 0.3)),
     ]
+
+
+def test_every_dual_has_one_shape(cap, monkeypatch):
+    # The shape contract of ``dual``: every Dual formed on the package's
+    # routes has a (k, n) value and a (d, k, n) derivative, one axis of
+    # directions, whatever shape of points or directions the caller hands in.
+    shapes = set()
+    init = du.Dual.__init__
+
+    def recorded(self, val, eps):
+        init(self, val, eps)
+        shapes.add((self.val.ndim, self.eps.ndim))
+
+    monkeypatch.setattr(du.Dual, "__init__", recorded)
+    rule = build_gauss_rule(cap, 16, 8, 16)
+    pts = random_sphere_points(40, 31)
+    theta = np.random.default_rng(32).uniform(0.0, 2 * np.pi, len(pts))
+    rng = np.random.default_rng(33)
+    for f in jet_fields(cap):
+        jet_sums(f, rule, (0.1, 0.2), 7)
+        for mode in ("ad", "fd"):
+            for rotation in (None, theta):
+                jet_batch(f, pts, mode=mode, frame_rotation=rotation)
+        for lead in ((), (3,), (2, 3)):
+            directional_derivative(f, pts, rng.standard_normal(lead + pts.shape))
+        jacobian_det_numeric(DisplacementMap(f, 0.2), pts)
+        f(pts)
+    assert shapes == {(2, 3)}
 
 
 def jet_point_sets(cap):

@@ -22,7 +22,7 @@ from hopfcap import (
     volume,
 )
 from hopfcap import dual as du
-from hopfcap.geometry import QUAT_I, QUAT_J, QUAT_K, left_mult_matrix, quat_mul
+from hopfcap.geometry import QUAT_I, QUAT_J, QUAT_K, QUAT_ONE, left_mult_matrix, quat_mul
 
 
 @pytest.fixture(scope="module")
@@ -152,19 +152,97 @@ def _left_translate(field: UnitField, q) -> UnitField:
     return UnitField("translated-" + field.label, evaluate, {}, None)
 
 
+def _arccos_values(monkeypatch):
+    """A list that collects the number of values each ``du.arccos`` call sees."""
+    seen = []
+    monkeypatch.setattr(du, "arccos", lambda q, chain=du.arccos: seen.append(q.val.size) or chain(q))
+    return seen
+
+
+def _slab_bound(rule):
+    """The most values the bump chain sees over a Gauss rule centred at a
+    basis unit: one per rho-slab, plus one per slab a block boundary splits."""
+    return rule.orders[0] + len(list(rule.blocks())) - 1
+
+
+def _seeded_unit(seed):
+    g = np.random.default_rng(seed).standard_normal(4)
+    return g / np.linalg.norm(g)
+
+
+def _jet_integrals(field, rule):
+    """The four jet sums and the t = 0.2 determinant's integral."""
+    s = jet_sums(field, rule, (0.2,), None)
+    return [s.sigma1[0], s.sigma2[0], s.energy_density[0], s.volume_integrand[0], s.determinant[0.2][0]]
+
+
 class TestIsometryInvariance:
+    """Integrals keep their values, to rounding, when field and cap move by
+    an isometry of the 3-sphere.
+
+    The cap centred at 1 has one value of cos rho per rho-slab, so its side
+    runs the bump chain once per slab (``dual.compose``'s run path); a cap
+    moved to a generic centre has rounding noise along each slab, so its
+    side runs the chain per node, and its dot product with the centre is the
+    dense ``_linear`` sum.  The counts of the values ``du.arccos`` sees hold
+    each side to its path.
+    """
+
     @pytest.mark.parametrize("amplitude,exponent", [(0.5, 3), (1.2, 2)])
-    def test_energy_and_volume_invariant(self, cap, rule, amplitude, exponent):
+    def test_energy_and_volume_invariant(self, cap, rule, monkeypatch, amplitude, exponent):
+        # Left translation x -> q x, through a wrapper field on the moved
+        # cap; energy and volume agree to 1e-14 relative (at most 4.6e-16 seen).
         q = np.array([0.4, -0.6, 0.5, 0.48989794855663559])
         q /= np.linalg.norm(q)
         f = perturbed_field(cap, BumpProfile(amplitude, exponent))
         moved_cap = CapDomain(SpherePoint(quat_mul(q, cap.center.x)), cap.radius)
         moved_rule = build_gauss_rule(moved_cap, 64, 32, 64)
         g = _left_translate(f, q)
-        e0, e1 = energy(f, cap, rule), energy(g, moved_cap, moved_rule)
+        seen = _arccos_values(monkeypatch)
+        e0 = energy(f, cap, rule)
+        assert sum(seen) <= _slab_bound(rule)
+        seen.clear()
+        e1 = energy(g, moved_cap, moved_rule)
+        assert sum(seen) == moved_rule.size
         v0, v1 = volume(f, cap, rule), volume(g, moved_cap, moved_rule)
-        assert e1.value == pytest.approx(e0.value, rel=1e-9)
-        assert v1.value == pytest.approx(v0.value, rel=1e-9)
+        assert e1.value == pytest.approx(e0.value, rel=1e-14)
+        assert v1.value == pytest.approx(v0.value, rel=1e-14)
+
+    @pytest.mark.parametrize("seed", [51, 52])
+    @pytest.mark.parametrize("axis", [QUAT_I, (0.0, 0.48, 0.6, 0.64)], ids=["i", "off_basis"])
+    def test_right_translation_is_the_field_on_the_moved_cap(self, monkeypatch, axis, seed):
+        # x -> x g keeps the left-invariant frame: the field moved with its
+        # cap from centre 1 to g is ``perturbed_field`` on the cap at g, with
+        # no wrapper.  sigma1 integrates to rounding-sized values, so it is
+        # held to an absolute 1e-16 (at most 2.8e-17 seen); the others agree
+        # to 1e-14 relative (at most 3.7e-16 seen).
+        g = _seeded_unit(seed)
+        bump = BumpProfile(0.8, 3)
+        seen = _arccos_values(monkeypatch)
+        sides = []
+        for center in (QUAT_ONE, g):
+            cap = CapDomain(SpherePoint(center), 0.9)
+            rule = build_gauss_rule(cap, 48, 24, 48)
+            seen.clear()
+            sides.append((_jet_integrals(perturbed_field(cap, bump, axis=axis), rule), sum(seen), rule))
+        (centred, centred_values, centred_rule), (moved, moved_values, moved_rule) = sides
+        assert centred_values <= _slab_bound(centred_rule)
+        assert moved_values == moved_rule.size
+        for want, got in zip(centred, moved):
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-16)
+
+    @pytest.mark.parametrize("seed", [51, 52])
+    def test_right_translation_of_the_small_cap_field(self, seed):
+        # The small-cap field at r = 0.3, built on the cap at 1 and on the
+        # cap at g: its centre and tangent vector u0 = i p move together.
+        # Every integral is below 0.12, and they agree to 1e-17 absolute
+        # (at most 4.4e-19 seen).
+        sides = []
+        for center in (QUAT_ONE, _seeded_unit(seed)):
+            cap = CapDomain(SpherePoint(center), 0.3)
+            sides.append(_jet_integrals(small_cap_field(cap), build_gauss_rule(cap, 48, 24, 48)))
+        for want, got in zip(*sides):
+            assert got == pytest.approx(want, rel=0.0, abs=1e-17)
 
     def test_conjugated_hopf_axis(self, cap, rule):
         # Pushing a Hopf field through left translation by q yields the
