@@ -23,6 +23,11 @@ routes, which share the field's evaluation and nothing after it:
   basis by ``row_dot``, the covariant derivative's immersion relation for
   S^3 in R^4.
 
+Both routes form B in the one fixed basis e (``_basis``).  ``jet_batch``
+may be given per-point angles that turn (e_0, e_1); ``_jet_block`` is the
+one place that reads them, turning the route's B to R B R^T, so u and
+d_a u are always the fixed basis's.
+
 The points are taken in blocks of ``JET_BLOCK`` nodes, each block one
 evaluation (``_jet_block``), component-major as in ``dual``.  Two drivers
 run it.  ``jet_sums`` walks a quadrature rule, building each block's nodes
@@ -119,9 +124,11 @@ def jet_batch(
       the cubic term det G vanishes because B has rank <= 2 (Gluck-Ziller).
 
     The cofactor forms avoid the cancellation of the trace forms where
-    |grad v| is large.  ``frame_rotation`` optionally rotates the first two
-    basis vectors (i x, j x) by the given per-point angles (N,); all scalar
-    invariants must be unchanged under this.
+    |grad v| is large.  ``frame_rotation`` optionally gives one angle per
+    point, shape (N,), by which the first two basis vectors (i x, j x) are
+    turned: B is formed in the fixed basis and ``_jet_block`` turns it,
+    B' = R B R^T.  All four invariants are unchanged under this; angles of
+    any other shape raise ``ValueError``.
 
     The points must lie on S^3: a point whose norm is not 1 to
     ``UNIT_TOL`` raises ``ValueError`` naming it, since the field is read
@@ -137,6 +144,8 @@ def jet_batch(
     """
     x = np.asarray(points, dtype=float)
     theta = None if frame_rotation is None else np.asarray(frame_rotation, dtype=float)
+    if theta is not None and theta.shape != (len(x),):
+        raise ValueError(f"frame_rotation has shape {theta.shape}, not ({len(x)},), one angle per point")
     out = np.empty((4, len(x)))
     for start in range(0, len(x), JET_BLOCK):
         block = slice(start, start + JET_BLOCK)
@@ -244,45 +253,21 @@ def determinant_row(sigma1: np.ndarray, sigma2: np.ndarray, t: float, out: np.nd
 _CROSS = ((0, 1, 2, 1), (0, 2, 1, -1), (1, 0, 2, -1), (1, 2, 0, 1), (2, 0, 1, 1), (2, 1, 0, -1))
 
 
-def _basis(x: np.ndarray, frame_rotation: np.ndarray | None):
-    """The tangent basis (3, 4, n) at points (4, n), and (cos, sin) of the rotation or None.
-
-    (i x, j x, k x), with the first two turned by the per-point angles:
-    e0 -> cos e0 + sin e1 and e1 -> -sin e0 + cos e1.
-    """
-    basis = du.apply_linear(FRAME_ROWS, x).reshape(3, 4, -1)
-    if frame_rotation is None:
-        return basis, None
-    cos, sin = np.cos(frame_rotation), np.sin(frame_rotation)
-    basis[0], basis[1] = cos * basis[0] + sin * basis[1], -sin * basis[0] + cos * basis[1]
-    return basis, (cos, sin)
+def _basis(x: np.ndarray) -> np.ndarray:
+    """The tangent basis e = (i x, j x, k x), (3, 4, n), at points x (4, n)."""
+    return du.apply_linear(FRAME_ROWS, x).reshape(3, 4, -1)
 
 
-def _turned(a: np.ndarray, cos, sin) -> np.ndarray:
-    """A new array of a's components (axis -2) 0 and 1 turned as e_0 and e_1 are, 2 kept."""
-    out = np.empty(np.broadcast_shapes(a.shape, np.shape(cos)))
-    out[..., 0, :] = cos * a[..., 0, :] + sin * a[..., 1, :]
-    out[..., 1, :] = -sin * a[..., 0, :] + cos * a[..., 1, :]
-    out[..., 2, :] = a[..., 2, :]
-    return out
-
-
-def _ad_jet(field: UnitField, x: np.ndarray, frame_rotation: np.ndarray | None):
+def _ad_jet(field: UnitField, x: np.ndarray):
     """The frame components u and B = du + [u]x (3, 3, n) at points x (4, n), by AD.
 
     u = v conj(x) is evaluated once, on a ``Dual`` carrying the basis
-    directions, so u.eps[a] = d_a u.  Under a rotation, q_0 and q_1 turn
-    as e_0 and e_1 do, so the (i, j) components of u and of each d_a u turn
-    by the node's angle, and the cross term keeps its form in the turned
-    units.  B[a, b] is d_a u_b plus (u x q_a)_b: +-u_c off the diagonal
-    (``_CROSS``) and +0.0 on it, so B's entries have the signs of the dense
-    sum du + [u]x whatever the signs of u's exactly-zero derivatives.
+    directions, so u.eps[a] = d_a u.  B[a, b] is d_a u_b plus (u x q_a)_b:
+    +-u_c off the diagonal (``_CROSS``) and +0.0 on it, so B's entries have
+    the signs of the dense sum du + [u]x whatever the signs of u's
+    exactly-zero derivatives.
     """
-    basis, turn = _basis(x, frame_rotation)
-    u = field.components(du.Dual(x, basis))
-    del basis
-    if turn is not None:
-        u = du.Dual(_turned(u.val, *turn), _turned(u.eps, *turn))
+    u = field.components(du.Dual(x, _basis(x)))
     grad = np.empty((3, 3, x.shape[-1]))
     for a in range(3):
         np.add(u.eps[a, a], 0.0, out=grad[a, a])
@@ -291,7 +276,7 @@ def _ad_jet(field: UnitField, x: np.ndarray, frame_rotation: np.ndarray | None):
     return u, grad
 
 
-def _fd_jet(field: UnitField, x: np.ndarray, frame_rotation: np.ndarray | None) -> np.ndarray:
+def _fd_jet(field: UnitField, x: np.ndarray) -> np.ndarray:
     """B (3, 3, n) at points x (4, n) from central differences of the field's value.
 
     The displaced points x +- FD_STEP e of all three directions are
@@ -299,7 +284,7 @@ def _fd_jet(field: UnitField, x: np.ndarray, frame_rotation: np.ndarray | None) 
     block (4, 3n), and the difference quotients, split back to (3, 4, n),
     are projected on the basis.
     """
-    basis, _ = _basis(x, frame_rotation)
+    basis = _basis(x)
     plus, minus = (
         field(du.plain(np.swapaxes(x + step * basis, 0, 1).reshape(4, -1))).val
         for step in (FD_STEP, -FD_STEP)
@@ -315,14 +300,22 @@ def _jet_block(
     """Write (sigma1, sigma2, energy density, volume integrand) into out (4, n).
 
     ``x`` holds the block's points component-major, (4, n).  In "ad" mode
-    B is ``_ad_jet``'s; in "fd" mode it is ``_fd_jet``'s.
+    B is ``_ad_jet``'s; in "fd" mode it is ``_fd_jet``'s.  Both form B in
+    the fixed basis e; given per-node angles ``frame_rotation`` (n,), B is
+    then read in the turned basis e0' = cos e0 + sin e1,
+    e1' = -sin e0 + cos e1, e2' = e2: B' = R B R^T, its rows turned and
+    then its columns.
     """
     if mode == "ad":
-        grad = _ad_jet(field, x, frame_rotation)[1]
+        grad = _ad_jet(field, x)[1]
     elif mode == "fd":
-        grad = _fd_jet(field, x, frame_rotation)
+        grad = _fd_jet(field, x)
     else:
         raise ValueError(f"unknown differentiation mode {mode!r}")
+    if frame_rotation is not None:
+        cos, sin = np.cos(frame_rotation), np.sin(frame_rotation)
+        for b in (grad, grad.swapaxes(0, 1)):
+            b[0], b[1] = cos * b[0] + sin * b[1], -sin * b[0] + cos * b[1]
     # Row a of the cofactor matrix is grad[a + 1] x grad[a + 2], cyclically:
     # cof[a, b] = grad[a+1, b+1] grad[a+2, b+2] - grad[a+1, b+2] grad[a+2, b+1].
     cof = np.empty_like(grad)

@@ -244,15 +244,29 @@ class TestFieldJet:
         assert np.allclose(j0.energy_density, jh.energy_density, atol=1e-13)
         assert np.allclose(j0.volume_integrand, jh.volume_integrand, atol=1e-13)
 
-    def test_frame_rotation_invariance(self, builtin_fields):
+    @pytest.mark.parametrize("mode", ["ad", "fd"])
+    def test_frame_rotation_invariance(self, builtin_fields, mode):
+        # Both routes form B in the fixed basis and the block turns it, so
+        # the rotated invariants differ from the fixed ones by the rounding
+        # of R B R^T alone (at most 1.8e-15 relative seen), FD's included.
         pts = random_sphere_points(1000, 16)
         rng = np.random.default_rng(17)
         theta = rng.uniform(0, 2 * np.pi, len(pts))
         for f in builtin_fields:
-            base = jet_batch(f, pts)
-            rot = jet_batch(f, pts, frame_rotation=theta)
+            base = jet_batch(f, pts, mode=mode)
+            rot = jet_batch(f, pts, mode=mode, frame_rotation=theta)
             for attr in INVARIANTS:
-                assert np.max(np.abs(getattr(base, attr) - getattr(rot, attr))) < 1e-10
+                want = getattr(base, attr)
+                dev = np.abs(getattr(rot, attr) - want) / np.maximum(1.0, np.abs(want))
+                assert np.max(dev) <= 1e-13, (f.label, attr)
+
+    @pytest.mark.parametrize("shape", [(1,), (15,), (10, 1), ()], ids=["one", "longer", "column", "scalar"])
+    def test_frame_rotation_needs_one_angle_per_point(self, cap, shape):
+        # Angles of any shape but (N,) are refused before the first block,
+        # not broadcast over the points or failed on inside numpy.
+        f = perturbed_field(cap, BumpProfile(0.5, 3))
+        with pytest.raises(ValueError, match=r"frame_rotation has shape .*, not \(10,\)"):
+            jet_batch(f, random_sphere_points(10, 36), frame_rotation=np.full(shape, 0.3))
 
     def test_pointwise_inequalities(self, builtin_fields):
         pts = random_sphere_points(10_000, 18)
@@ -376,12 +390,12 @@ def test_every_dual_has_one_shape(cap, monkeypatch):
     # The shape contract of ``dual``: every Dual formed on the package's
     # routes has a (k, n) value and a (d, k, n) derivative, one axis of
     # directions, whatever shape of points or directions the caller hands in.
-    shapes = set()
+    formed = []
     init = du.Dual.__init__
 
     def recorded(self, val, eps):
         init(self, val, eps)
-        shapes.add((self.val.ndim, self.eps.ndim))
+        formed.append((self.val.ndim, self.eps.ndim))
 
     monkeypatch.setattr(du.Dual, "__init__", recorded)
     rule = build_gauss_rule(cap, 16, 8, 16)
@@ -391,13 +405,18 @@ def test_every_dual_has_one_shape(cap, monkeypatch):
     for f in jet_fields(cap):
         jet_sums(f, rule, (0.1, 0.2), 7)
         for mode in ("ad", "fd"):
+            # A rotation turns B after the route, so it forms no Dual.
+            counts = []
             for rotation in (None, theta):
+                before = len(formed)
                 jet_batch(f, pts, mode=mode, frame_rotation=rotation)
+                counts.append(len(formed) - before)
+            assert counts[0] == counts[1], (f.label, mode)
         for lead in ((), (3,), (2, 3)):
             directional_derivative(f, pts, rng.standard_normal(lead + pts.shape))
         jacobian_det_numeric(DisplacementMap(f, 0.2), pts)
         f(pts)
-    assert shapes == {(2, 3)}
+    assert set(formed) == {(2, 3)}
 
 
 def jet_point_sets(cap):
@@ -439,11 +458,12 @@ def matrix_invariants(b):
 def test_frame_jet_matches_the_projected_ambient_jet(cap, rotate):
     # The jet reads B = du + [u]x off the frame components u; the oracle
     # projects the AD derivative of v = u x^ on the basis, so the two share
-    # the field's evaluation and no algebra after it.  Per node, with or
-    # without turned frames:
-    # * the invariants agree to 1e-13 max(1, |value|);
-    # * B u = 0 (B has rank <= 2 and u is v's direction in the basis) to
-    #   1e-13 max(1, |B|).
+    # the field's evaluation and no algebra after it.  Per node:
+    # * the invariants agree to 1e-13 max(1, |value|), with or without
+    #   turned frames (the oracle projects on the turned basis, the jet
+    #   turns B);
+    # * B u = 0 in the fixed basis (B has rank <= 2 and u is v's direction
+    #   in the basis) to 1e-13 max(1, |B|).
     # Two singular spots need the scale of B.  The angular twist at Gauss
     # nodes 3.3e-4 from its axis has |B| = 2.8e3 and sigma2 = 2.6e3, the
     # difference of products near 8e6, so its invariants are held to
@@ -455,7 +475,7 @@ def test_frame_jet_matches_the_projected_ambient_jet(cap, rotate):
         theta = rng.uniform(0.0, 2 * np.pi, len(pts)) if rotate else None
         x = np.ascontiguousarray(pts.T)
         for f in jet_fields(cap):
-            u, b = _ad_jet(f, x, theta)
+            u, b = _ad_jet(f, x)
             size = np.sqrt(np.sum(b * b, axis=(0, 1)))
             singular = f.params.get("twist") == "angular"
             jets = jet_batch(f, pts, frame_rotation=theta)
