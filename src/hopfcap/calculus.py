@@ -130,9 +130,10 @@ def jet_batch(
     B' = R B R^T.  All four invariants are unchanged under this; angles of
     any other shape raise ``ValueError``.
 
-    The points must lie on S^3: a point whose norm is not 1 to
-    ``UNIT_TOL`` raises ``ValueError`` naming it, since the field is read
-    at the point as it is (``fields``).
+    ``points`` of any shape but (N, 4) raise ``ValueError``.  The points
+    must lie on S^3: a point whose norm is not 1 to ``UNIT_TOL`` raises
+    ``ValueError`` naming it, since the field is read at the point as it is
+    (``fields``).
 
     The rows are evaluated in consecutive blocks of ``JET_BLOCK`` nodes,
     each block one dual evaluation with value (4, n) and tangent (3, 4, n)
@@ -143,6 +144,8 @@ def jet_batch(
     are bounded by the block size rather than by N.
     """
     x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 4:
+        raise ValueError(f"points has shape {x.shape}, not (N, 4), one row per point")
     theta = None if frame_rotation is None else np.asarray(frame_rotation, dtype=float)
     if theta is not None and theta.shape != (len(x),):
         raise ValueError(f"frame_rotation has shape {theta.shape}, not ({len(x)},), one angle per point")

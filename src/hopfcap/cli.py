@@ -232,7 +232,12 @@ def _make_rule(args: argparse.Namespace, cap: CapDomain) -> QuadratureRule:
 
 
 def _check_output(path: str | None) -> None:
-    """Reject an ``--output`` that is not a file name in a directory that exists."""
+    """Reject an ``--output`` that is not a file name in a directory that
+    exists, or that the OS will not open for writing.
+
+    The probe opens the file for appending, which keeps an existing file's
+    bytes, and removes the file again if the probe created it.
+    """
     if path is None:
         return
     if not path or os.path.isdir(path):
@@ -240,6 +245,14 @@ def _check_output(path: str | None) -> None:
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ValueError(f"output directory {directory!r} does not exist")
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ValueError(f"output path {path!r} cannot be written: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
 
 
 def _json_text(data) -> str:

@@ -26,8 +26,8 @@ directions have an exact zero in the centre's component, so cos rho has
 the same bits at every node of a rho-slab, and a block runs the chain
 (arccos, bump power, sincos, frame map) once per slab it crosses and
 spreads the result.  Other centres, Monte Carlo samples and displaced
-points have too few equal neighbours for that to pay, and run the chain
-on every node.
+points run it once per distinct value too, which there is nearly every
+node.
 
 0-homogeneity has one home, ``UnitField.__call__``: it forms
 x^ = x / |x|, evaluates u at x^ and gives the tangent vector v = u x^, the

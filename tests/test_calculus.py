@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -267,6 +268,15 @@ class TestFieldJet:
         f = perturbed_field(cap, BumpProfile(0.5, 3))
         with pytest.raises(ValueError, match=r"frame_rotation has shape .*, not \(10,\)"):
             jet_batch(f, random_sphere_points(10, 36), frame_rotation=np.full(shape, 0.3))
+
+    @pytest.mark.parametrize("shape", [(4,), (8, 3), (5, 4, 2)], ids=["one_point", "three_columns", "extra_axis"])
+    def test_points_need_one_row_of_four_per_point(self, cap, shape):
+        # Points of any shape but (N, 4) are refused before the first block,
+        # not read as other points (a single (4,) point as four).
+        f = perturbed_field(cap, BumpProfile(0.5, 3))
+        points = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match=re.escape(f"points has shape {shape}, not (N, 4)")):
+            jet_batch(f, points)
 
     def test_pointwise_inequalities(self, builtin_fields):
         pts = random_sphere_points(10_000, 18)

@@ -445,12 +445,23 @@ class TestInputValidation:
         assert not out.exists()
 
     def test_missing_output_directory(self, tmp_path, no_compute):
-        # A file in a missing directory, an existing directory and the empty
-        # name are all rejected before any field is evaluated.
-        for out in (str(tmp_path / "missing" / "x.json"), str(tmp_path), ""):
+        # A file in a missing directory, an existing directory, the empty
+        # name and a name too long for the file system are all rejected
+        # before any field is evaluated.
+        too_long = str(tmp_path / ("a" * 300 + ".json"))
+        for out in (str(tmp_path / "missing" / "x.json"), str(tmp_path), "", too_long):
             assert main(["verify", "--output", out, *FAST]) == 2
             assert main(["functionals", "--output", out]) == 2
             assert main(["sweep", "--output", out]) == 2
+
+    def test_existing_output_keeps_its_bytes_on_bad_input(self, tmp_path, no_compute):
+        # The output probe opens the file for appending; a run that then
+        # exits 2 leaves an existing file as it was.
+        out = tmp_path / "report.json"
+        out.write_bytes(b"earlier report\n")
+        assert main(["verify", "--output", str(out), *FAST, "--orders", "8,8,8,8"]) == 2
+        assert main(["functionals", "--output", str(out), "--exponent", "1"]) == 2
+        assert out.read_bytes() == b"earlier report\n"
 
     def test_verify_rejects_csv(self, tmp_path, no_compute):
         code, out = run_verify(tmp_path, "--format", "csv")

@@ -442,9 +442,11 @@ def _nan(payload):
 
 
 # Inputs of ``compose`` as (values, directions): values whose consecutive
-# equal bit patterns form runs, and values with none.
+# equal bit patterns form runs, from one run to half the values, and values
+# with none.
 RUN_INPUTS = {
     "slabs": (np.repeat(np.linspace(-0.9, 0.9, 12), np.arange(20, 32)), 3),
+    "pairs": (np.repeat(np.linspace(-0.9, 0.9, 25), 2), 3),
     "signed_zeros": (np.repeat([0.0, -0.0, 0.0, -0.0, 0.5, -0.0], [4, 5, 2, 3, 6, 4]), 3),
     "nan": (np.repeat([0.3, np.nan, _nan(1), _nan(1), np.nan, 0.3], [4, 3, 2, 5, 1, 6]), 3),
     "one_run": (np.full(50, 0.4), 3),
@@ -472,8 +474,17 @@ def test_compose_runs_the_chain_once_per_run_with_the_per_node_bits(name, chain)
 
     out = du.compose(x, counted)
     per_node = CHAINS[chain](du.Dual(val, np.ones((1,) + val.shape)))
-    assert widths == [runs if 4 * runs <= val.size else val.size]
+    assert widths == [runs]
     assert (widths[0] == val.size) == (name == "distinct")
     assert out.val.shape == per_node.val.shape and out.eps.shape == (dirs,) + per_node.val.shape
     assert out.val.tobytes() == per_node.val.tobytes()
     assert out.eps.tobytes() == (per_node.eps * x.eps).tobytes()
+
+
+@pytest.mark.parametrize("chain", list(CHAINS))
+def test_compose_of_an_empty_scalar_is_empty(chain):
+    # A field called on no points composes an empty column: no values, no
+    # runs, and the result keeps x's directions.
+    x = du.Dual(np.empty((1, 0)), np.empty((3, 1, 0)))
+    out, direct = du.compose(x, CHAINS[chain]), CHAINS[chain](x)
+    assert out.val.shape == direct.val.shape and out.eps.shape == direct.eps.shape

@@ -180,12 +180,13 @@ class TestIsometryInvariance:
     """Integrals keep their values, to rounding, when field and cap move by
     an isometry of the 3-sphere.
 
-    The cap centred at 1 has one value of cos rho per rho-slab, so its side
-    runs the bump chain once per slab (``dual.compose``'s run path); a cap
-    moved to a generic centre has rounding noise along each slab, so its
-    side runs the chain per node, and its dot product with the centre is the
+    ``dual.compose`` runs the bump chain once per run of equal values of
+    cos rho.  The cap centred at 1 has one value per rho-slab, so its side
+    runs the chain once per slab; a cap moved to a generic centre has
+    rounding noise along each slab, so its side sees more values than
+    slabs, at most one per node, and its dot product with the centre is the
     dense ``_linear`` sum.  The counts of the values ``du.arccos`` sees hold
-    each side to its path.
+    each side to its case.
     """
 
     @pytest.mark.parametrize("amplitude,exponent", [(0.5, 3), (1.2, 2)])
@@ -203,7 +204,7 @@ class TestIsometryInvariance:
         assert sum(seen) <= _slab_bound(rule)
         seen.clear()
         e1 = energy(g, moved_cap, moved_rule)
-        assert sum(seen) == moved_rule.size
+        assert _slab_bound(moved_rule) < sum(seen) <= moved_rule.size
         v0, v1 = volume(f, cap, rule), volume(g, moved_cap, moved_rule)
         assert e1.value == pytest.approx(e0.value, rel=1e-14)
         assert v1.value == pytest.approx(v0.value, rel=1e-14)
@@ -227,7 +228,7 @@ class TestIsometryInvariance:
             sides.append((_jet_integrals(perturbed_field(cap, bump, axis=axis), rule), sum(seen), rule))
         (centred, centred_values, centred_rule), (moved, moved_values, moved_rule) = sides
         assert centred_values <= _slab_bound(centred_rule)
-        assert moved_values == moved_rule.size
+        assert _slab_bound(moved_rule) < moved_values <= moved_rule.size
         for want, got in zip(centred, moved):
             assert got == pytest.approx(want, rel=1e-14, abs=1e-16)
 
