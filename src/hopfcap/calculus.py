@@ -10,20 +10,23 @@ routes, which share the field's evaluation and nothing after it:
   (``fields``), and e_a = q_a x with q_a in (i, j, k), so
   D_{e_a} v = (d_a u) x + (u q_a) x and, right multiplication by x being
   an isometry, B = du + [u]x: B[a, b] = d_a u_b + (u x q_a)_b.  The field
-  is evaluated once, at the unit nodes on a ``Dual`` carrying the three
-  basis directions, and B is its derivative matrix plus six signed entries
-  of u (``_ad_jet``); no 4-vector of the field is formed.  The evaluators
-  read unit points, so no block forms |x|, whose derivative along e_a is 0
-  at a unit x; ``jet_batch`` rejects a point off S^3 by more than
-  ``UNIT_TOL``, and the rules' nodes are unit to rounding.  Since u is a
-  unit vector, d_a u and u x q_a are orthogonal to u, so B u = 0: v's own
-  direction in this basis is u, with no projection.
+  is evaluated once, at the unit nodes on a ``dual.Seed``: its three basis
+  directions are signed permutations of x's rows, which ``apply_linear``
+  reads off x, so the basis is not formed.  B is the evaluation's
+  derivative matrix plus six signed entries of u, written into that
+  matrix's own buffer (``_ad_jet``); no 4-vector of the field is formed.
+  The evaluators read unit points, so no block forms |x|, whose derivative
+  along e_a is 0 at a unit x; ``jet_batch`` rejects a point off S^3 by
+  more than ``UNIT_TOL``, and the rules' nodes are unit to rounding.  Since
+  u is a unit vector, d_a u and u x q_a are orthogonal to u, so B u = 0:
+  v's own direction in this basis is u, with no projection.
 * FD (the ``ad_fd_jet_agreement`` oracle, ``jet_batch(mode="fd")``): the
   field's value v at x +- FD_STEP e_a, differenced and projected on the
   basis by ``row_dot``, the covariant derivative's immersion relation for
   S^3 in R^4.
 
-Both routes form B in the one fixed basis e (``_basis``).  ``jet_batch``
+Both routes form B in the one fixed basis e: the seed's directions, and
+the FD route's displacements and projection (``_basis``).  ``jet_batch``
 may be given per-point angles that turn (e_0, e_1); ``_jet_block`` is the
 one place that reads them, turning the route's B to R B R^T, so u and
 d_a u are always the fixed basis's.
@@ -41,11 +44,12 @@ instead of faulting fresh pages for each block.  The jet is elementwise
 arithmetic in a fixed order, with no matrix or cross product and no BLAS
 call: its bits do not depend on the BLAS kernel, and it runs on the calling
 thread.  Every sum of products in it is a kernel of ``dual``: ``_linear`` (a
-constant matrix: the basis, and the fields' constant frames) or ``row_dot``
-(a rowwise dot: the FD projection and the squared norms of B and its
-cofactors); the traces and B's cross term are explicit adds.  Each cofactor
-is written straight from two products of entries of B into one (3, 3, n)
-array, with no gathered copies of the matrix.  This module holds no other
+constant matrix: the fields' constant frames, on the seed's rows or on
+values, and the FD route's basis) or ``row_dot`` (a rowwise dot: the FD
+projection and the squared norm of B); the traces and B's cross term are
+explicit adds.  Each cofactor is formed in one row from two products of
+entries of B and folded at once into sigma2 and the squared norm of the
+cofactors, so no cofactor matrix is stored.  This module holds no other
 frame: the numeric Jacobian determinant in ``displace`` differentiates the
 field's value along its own directions (x i, x j, x k) through
 ``_value_and_derivative``, whose one dual evaluation also gives it the
@@ -136,8 +140,9 @@ def jet_batch(
     (``fields``).
 
     The rows are evaluated in consecutive blocks of ``JET_BLOCK`` nodes,
-    each block one dual evaluation with value (4, n) and tangent (3, 4, n)
-    (vector forward mode), and each block writes its per-node scalars into
+    each block one dual evaluation of the points (4, n) along the three
+    basis directions (vector forward mode, on a ``dual.Seed``, which forms
+    no (3, 4, n) basis), and each block writes its per-node scalars into
     its columns of one preallocated (4, N) array.  All arithmetic is
     elementwise, so the bits of a node do not depend on its block, and the
     result is bit-identical to a single block.  The dual-number temporaries
@@ -256,6 +261,11 @@ def determinant_row(sigma1: np.ndarray, sigma2: np.ndarray, t: float, out: np.nd
 _CROSS = ((0, 1, 2, 1), (0, 2, 1, -1), (1, 0, 2, -1), (1, 2, 0, 1), (2, 0, 1, 1), (2, 1, 0, -1))
 
 
+# The directions e_a = q_a x of the AD jet's seed: the signed permutations
+# x -> i x, j x, k x of the rows of x.
+_SEED_TABLE = du.signed_permutations(FRAME_ROWS.reshape(3, 4, 4))
+
+
 def _basis(x: np.ndarray) -> np.ndarray:
     """The tangent basis e = (i x, j x, k x), (3, 4, n), at points x (4, n)."""
     return du.apply_linear(FRAME_ROWS, x).reshape(3, 4, -1)
@@ -264,14 +274,22 @@ def _basis(x: np.ndarray) -> np.ndarray:
 def _ad_jet(field: UnitField, x: np.ndarray):
     """The frame components u and B = du + [u]x (3, 3, n) at points x (4, n), by AD.
 
-    u = v conj(x) is evaluated once, on a ``Dual`` carrying the basis
-    directions, so u.eps[a] = d_a u.  B[a, b] is d_a u_b plus (u x q_a)_b:
-    +-u_c off the diagonal (``_CROSS``) and +0.0 on it, so B's entries have
-    the signs of the dense sum du + [u]x whatever the signs of u's
-    exactly-zero derivatives.
+    u = v conj(x) is evaluated once, on a ``dual.Seed`` of x along the basis
+    directions, so u.eps[a] = d_a u; ``dual.apply_linear`` reads the
+    directions off x's rows, so the (3, 4, n) basis is not formed.  B[a, b]
+    is d_a u_b plus (u x q_a)_b: +-u_c off the diagonal (``_CROSS``) and
+    +0.0 on it, so B's entries have the signs of the dense sum du + [u]x
+    whatever the signs of u's exactly-zero derivatives.
+
+    B is written over u.eps when that is a (3, 3, n) buffer, which the
+    evaluator made for this call (``UnitField``), so the returned u's
+    derivative is B, not du; a constant column (3, 3, 1) gets a new B.  A
+    caller that also needs du (say, to keep u and du beside B) copies its
+    rows before this writes B, or has B allocated.
     """
-    u = field.components(du.Dual(x, _basis(x)))
-    grad = np.empty((3, 3, x.shape[-1]))
+    u = field.components(du.Seed(x, _SEED_TABLE))
+    n = x.shape[-1]
+    grad = u.eps if u.eps.shape == (3, 3, n) else np.empty((3, 3, n))
     for a in range(3):
         np.add(u.eps[a, a], 0.0, out=grad[a, a])
     for a, b, c, sign in _CROSS:
@@ -319,22 +337,33 @@ def _jet_block(
         cos, sin = np.cos(frame_rotation), np.sin(frame_rotation)
         for b in (grad, grad.swapaxes(0, 1)):
             b[0], b[1] = cos * b[0] + sin * b[1], -sin * b[0] + cos * b[1]
-    # Row a of the cofactor matrix is grad[a + 1] x grad[a + 2], cyclically:
-    # cof[a, b] = grad[a+1, b+1] grad[a+2, b+2] - grad[a+1, b+2] grad[a+2, b+1].
-    cof = np.empty_like(grad)
-    term = np.empty_like(grad[0, 0])
-    for a, b in np.ndindex(3, 3):
-        a1, a2, b1, b2 = (a + 1) % 3, (a + 2) % 3, (b + 1) % 3, (b + 2) % 3
-        np.multiply(grad[a1, b1], grad[a2, b2], out=cof[a, b])
-        np.multiply(grad[a1, b2], grad[a2, b1], out=term)
-        cof[a, b] -= term
     sigma1, sigma2, energy_density, volume_integrand = out
     np.add(grad[0, 0] + grad[1, 1], grad[2, 2], out=sigma1)
-    np.add(cof[0, 0] + cof[1, 1], cof[2, 2], out=sigma2)
-    # |B|_F^2 and |C|_F^2: the squares of the nine entries, row-major in order.
-    grad, cof = grad.reshape(9, -1), cof.reshape(9, -1)
+    # Row a of the cofactor matrix is grad[a + 1] x grad[a + 2], cyclically:
+    # cof[a, b] = grad[a+1, b+1] grad[a+2, b+2] - grad[a+1, b+2] grad[a+2, b+1].
+    # Each entry is formed in one row and folded at once, in row-major
+    # order, into sigma2 = (cof[0, 0] + cof[1, 1]) + cof[2, 2] and into
+    # |C|_F^2, held in volume_integrand: the first square, then each later
+    # one added, as ``row_dot`` adds them.
+    cof, term = np.empty_like(grad[0, 0]), np.empty_like(grad[0, 0])
+    for k, (a, b) in enumerate(np.ndindex(3, 3)):
+        a1, a2, b1, b2 = (a + 1) % 3, (a + 2) % 3, (b + 1) % 3, (b + 2) % 3
+        np.multiply(grad[a1, b1], grad[a2, b2], out=cof)
+        np.multiply(grad[a1, b2], grad[a2, b1], out=term)
+        cof -= term
+        if k == 0:
+            sigma2[:] = cof
+            np.multiply(cof, cof, out=volume_integrand)
+            continue
+        if a == b:
+            sigma2 += cof
+        np.multiply(cof, cof, out=term)
+        volume_integrand += term
+    del cof, term
+    # |B|_F^2: the squares of the nine entries, row-major in order.
+    grad = grad.reshape(9, -1)
     energy_density[:] = du.row_dot(grad, grad)[0]
     # sqrt((1 + tr G) + e2(G)); IEEE addition is commutative, so adding
     # 1 + tr G second gives the same bits.
-    np.add(du.row_dot(cof, cof)[0], 1.0 + energy_density, out=volume_integrand)
+    volume_integrand += 1.0 + energy_density
     np.sqrt(volume_integrand, out=volume_integrand)

@@ -81,19 +81,21 @@ def _keep_freed_memory() -> None:
     glibc maps an allocation above its mmap threshold afresh and returns the
     free top of its heap to the kernel above its trim threshold.  Each block
     of the streamed jet allocates and frees its nodes, weights and reduced
-    rows beside the dual temporaries.  The mmap threshold is set above the
-    largest of these, the (3, 4, JET_BLOCK) float64 tangent, and the trim
-    threshold well above one block's peak heap (about 7 to 9 MB).  Without
-    ``mallopt`` the C library keeps its own policy.
+    rows beside the dual temporaries.  Both thresholds are multiples of 12
+    rows of JET_BLOCK float64 (768 KiB): the mmap threshold, 4 of them, is
+    above the largest of these allocations, the (3, 3, JET_BLOCK) float64
+    derivative of the frame components (9 rows), and the trim threshold,
+    64 of them, well above one block's peak (about 28 rows, 1.8 MB, under
+    tracemalloc).  Without ``mallopt`` the C library keeps its own policy.
     """
     mallopt = getattr(_c_library(), "mallopt", None)
     if mallopt is None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    tangent_bytes = 3 * 4 * 8 * JET_BLOCK
-    mallopt(_M_MMAP_THRESHOLD, 4 * tangent_bytes)
-    mallopt(_M_TRIM_THRESHOLD, 64 * tangent_bytes)
+    unit = 12 * 8 * JET_BLOCK
+    mallopt(_M_MMAP_THRESHOLD, 4 * unit)
+    mallopt(_M_TRIM_THRESHOLD, 64 * unit)
 
 
 def _openblas() -> ctypes.CDLL | None:

@@ -10,7 +10,10 @@ evaluation is a Dual with d = 0, ``plain(x)``: each operation runs
 its one body, and the derivative part comes out of the same expressions as
 an empty array of the result's shape, so a value has the same bits whether
 or not it is differentiated.  ``apply_linear`` also takes plain points,
-through the same kernel: the jet forms its seed directions with it.
+through the same kernel.  The jet's seed is a ``Seed``: points whose
+directions are signed permutations of their rows, which ``apply_linear``
+reads off the rows, with the bits of the formed directions, so they are
+never stored.
 
 ``compose(x, fn)`` applies the chain rule once for a scalar Dual x, (1, n):
 it runs ``fn`` on x's value with one direction seeded with 1, so the
@@ -45,13 +48,15 @@ sum over the component rows (axis -2) with elementwise multiply-adds in a
 fixed order, so every inner loop runs over the n nodes and no product goes
 to BLAS: the result does not depend on which BLAS kernel or how many BLAS
 threads the host has.  ``_linear`` (through ``apply_linear``) applies a
-constant matrix: the jet's seed directions, and a field's constant frame
-applied to its angles; a dot product with a constant vector is the one-row
-matrix (1, 4).  It skips the zero coefficients of the matrix, which changes
+constant matrix: a field's constant frame applied to its angles or its
+points, and the FD route's basis; a dot product with a constant vector is
+the one-row matrix (1, 4).  On a ``Seed`` the same sums are taken over the
+rows of the points, each sign moved onto its coefficient (``_seeded``).
+It skips the zero coefficients of the matrix (``_terms``), which changes
 at most the sign of an exactly-zero entry of the dense sum, so a frame map
 at a quaternion basis axis (a signed permutation) is one multiply per row.
 ``row_dot`` sums the rowwise products of two arrays: the squared norm in
-``norm``, and the FD jet's projection and the invariants' squared norms in
+``norm``, and the FD jet's projection and the squared norm of B in
 ``calculus``.
 
 A few operations form each intermediate once, with the bits of the dense
@@ -72,10 +77,10 @@ the operators: the product computes the same two products of the product
 rule (eps * c.val in place, then val * c.eps one direction at a time,
 added to it), and IEEE products and sums commute.  ``a`` must hold the
 result's shape and be a fresh buffer the evaluator made itself:
-``Dual(x, y)`` and ``plain(x)`` wrap the caller's arrays, and ``+`` or
-``-`` with a plain operand returns a Dual that shares ``eps`` with its
-Dual operand, so writing into any of these would change an array the
-caller still reads.
+``Dual(x, y)``, ``Seed(x, table)`` and ``plain(x)`` wrap the caller's
+arrays, and ``+`` or ``-`` with a plain operand returns a Dual that shares
+``eps`` with its Dual operand, so writing into any of these would change
+an array the caller still reads.
 """
 
 from __future__ import annotations
@@ -98,6 +103,11 @@ class Dual:
     def __init__(self, val, eps):
         self.val = np.asarray(val, dtype=float)
         self.eps = np.asarray(eps, dtype=float)
+
+    @property
+    def directions(self):
+        """The number d of derivative directions."""
+        return len(self.eps)
 
     def __add__(self, other):
         if isinstance(other, Dual):
@@ -170,6 +180,51 @@ class Dual:
         return Dual(low * self.val, n * low * self.eps)
 
 
+class Seed(Dual):
+    """Points x (4, n) seeded with the directions P_a x of signed permutation matrices.
+
+    ``table`` is ``signed_permutations`` of the matrices P_a: row i of P_a x
+    is sign[i] * x[perm[i]].  ``apply_linear`` reads the directions straight
+    off x's rows, so they are never formed on its path.  Any other read of
+    ``eps`` forms them, (d, 4, n), once and keeps them, as the identity
+    applied to the seed: row i of direction a is the one product
+    x[perm[i]] * sign[i], the bits of ``apply_linear`` of the stacked P_a.
+    """
+
+    __slots__ = ("table", "_eps")
+
+    def __init__(self, x, table):
+        self.val = np.asarray(x, dtype=float)
+        self.table = table
+        self._eps = None
+
+    @property
+    def directions(self):
+        return len(self.table)
+
+    @property
+    def eps(self):
+        if self._eps is None:
+            self._eps = _seeded(np.eye(len(self.val)), self)
+        return self._eps
+
+
+def signed_permutations(maps):
+    """The ``Seed`` table of the signed permutation matrices ``maps`` (d, k, k).
+
+    One (perm, sign) pair of k-tuples per matrix P, with P[i, perm[i]] =
+    sign[i] = +-1 the one nonzero entry of row i.  Any other matrix raises
+    ``ValueError``.
+    """
+    table = []
+    for p in np.asarray(maps, dtype=float):
+        perm = tuple(int(j) for j in np.argmax(np.abs(p), axis=1))
+        if sorted(perm) != list(range(len(p))) or not np.array_equal(np.abs(p), np.eye(len(p))[list(perm)]):
+            raise ValueError(f"not a signed permutation matrix: {p.tolist()}")
+        table.append((perm, tuple(float(p[i, j]) for i, j in enumerate(perm))))
+    return tuple(table)
+
+
 def plain(x):
     """Points ``x`` (k, n) as a ``Dual`` with no derivative directions: eps is (0, k, n)."""
     val = np.asarray(x, dtype=float)
@@ -221,25 +276,52 @@ def relu(x):
     return Dual(np.where(active, x.val, 0.0), np.where(active, x.eps, 0.0))
 
 
-def _linear(m, x):
-    """Rows sum_j m[i, j] x[j] on axis -2, each summed over j in order.
+def _terms(coeffs):
+    """The (j, m[i, j]) terms that ``_linear`` multiply-adds for one row of m.
 
-    A term with coefficient 0 is skipped; the others are multiply-added.
-    For finite x this gives the dense sum of every ``m[i, j] * x[j]`` but
-    for the sign of an entry that is exactly zero: a skipped 0 * x[j] is a
-    signed zero, which is lost against any nonzero sum.  A row of zeros
-    keeps all its terms, so its zeros carry the dense sum's signs.
+    A term with coefficient 0 is skipped.  For finite x this gives the
+    dense sum of every ``m[i, j] * x[j]`` but for the sign of an entry that
+    is exactly zero: a skipped 0 * x[j] is a signed zero, which is lost
+    against any nonzero sum.  A row of zeros keeps all its terms, so its
+    zeros carry the dense sum's signs.
     """
+    return [(j, c) for j, c in enumerate(coeffs) if c != 0.0] or list(enumerate(coeffs))
+
+
+def _multiply_add(out, terms, term):
+    """Write the sum of row * c over the (row, c) pairs ``terms``, in order, into ``out``."""
+    (row, c), rest = terms[0], terms[1:]
+    np.multiply(row, c, out=out)
+    for row, c in rest:
+        np.multiply(row, c, out=term)
+        out += term
+
+
+def _linear(m, x):
+    """Rows sum_j m[i, j] x[j] on axis -2, each summed over j in order (``_terms``)."""
     out = np.empty(x.shape[:-2] + (m.shape[0], x.shape[-1]))
     term = np.empty(x.shape[:-2] + x.shape[-1:])
     for i, coeffs in enumerate(m.tolist()):
-        row = out[..., i, :]
-        terms = [(j, c) for j, c in enumerate(coeffs) if c != 0.0] or list(enumerate(coeffs))
-        (j, c), rest = terms[0], terms[1:]
-        np.multiply(x[..., j, :], c, out=row)
-        for j, c in rest:
-            np.multiply(x[..., j, :], c, out=term)
-            row += term
+        _multiply_add(out[..., i, :], [(x[..., j, :], c) for j, c in _terms(coeffs)], term)
+    return out
+
+
+def _seeded(m, x):
+    """``_linear(m, x.eps)`` of a ``Seed`` x, (d, k, n), read off x's rows.
+
+    Direction a's row j is sign[j] * x[perm[j]], so its term j is
+    x[perm[j]] * (sign[j] * m[i, j]): the sign is moved onto the
+    coefficient, and an IEEE product's sign is the XOR of its factors',
+    so every term, and every sum of them in j order, keeps its bits,
+    signed zeros included.
+    """
+    x, table = x.val, x.table
+    rows = [_terms(coeffs) for coeffs in m.tolist()]
+    out = np.empty((len(table), len(rows), x.shape[-1]))
+    term = np.empty(x.shape[-1:])
+    for (perm, sign), direction in zip(table, out):
+        for i, terms in enumerate(rows):
+            _multiply_add(direction[i], [(x[perm[j]], sign[j] * c) for j, c in terms], term)
     return out
 
 
@@ -262,8 +344,13 @@ def stack(rows):
 
 
 def apply_linear(matrix, x):
-    """The constant matrix applied to component-major points ``x`` (4, n), or to a Dual of them."""
+    """The constant matrix applied to component-major points ``x`` (4, n), or to a Dual of them.
+
+    A ``Seed``'s directions are read off its points (``_seeded``), not formed.
+    """
     m = np.asarray(matrix, dtype=float)
+    if isinstance(x, Seed):
+        return Dual(_linear(m, x.val), _seeded(m, x))
     if isinstance(x, Dual):
         return Dual(_linear(m, x.val), _linear(m, x.eps))
     return _linear(m, np.asarray(x, dtype=float))

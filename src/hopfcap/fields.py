@@ -40,8 +40,10 @@ directions, where d|x| = 0, and never forms v: in this frame its matrix is
 du + [u]x.
 
 The evaluators run once per jet block, and their temporaries are most of
-the block's memory.  The input Dual is the caller's (the jet's nodes and
-basis) and is only read.  Each intermediate is deleted after its last read.
+the block's memory.  The input Dual is the caller's (the jet's nodes, as a
+``dual.Seed`` whose basis directions are never formed) and is only read.
+Each intermediate is deleted after its last read, and the derivative of u
+is a fresh buffer, into which the jet writes B (``UnitField``).
 """
 
 from __future__ import annotations
@@ -61,7 +63,14 @@ class UnitField:
     """Closed-form unit tangent field v = u x: S^3 -> T S^3.
 
     ``evaluator`` maps a Dual of component-major unit (4, n) points to the
-    frame components u = v conj(x), a Dual of (3, n) rows.  ``params``
+    frame components u = v conj(x), a Dual of (3, n) rows.  It only reads
+    its input: the AD jet's is a ``dual.Seed``, whose directions the
+    evaluator reads through ``dual.apply_linear`` (any other read of its
+    ``eps`` forms them) and counts with ``directions``.  The derivative
+    part of u is the caller's to overwrite: a buffer the evaluator made on
+    this call, sharing no memory with its input or with an array it keeps
+    between calls.  The AD jet writes B into it when it is (3, 3, n), and
+    allocates B for a constant column (3, 3, 1).  ``params``
     names the family's parameters, which reports quote.  ``hopf_boundary``
     records where the field is known to coincide with a Hopf field:
     "everywhere", a CapDomain (on and outside its boundary), or None.
@@ -128,7 +137,7 @@ def hopf_field(axis=HOPF_AXIS) -> UnitField:
     column = axis[1:, None]
 
     def evaluate(x):
-        return du.Dual(column, np.zeros((len(x.eps), 3, 1)))
+        return du.Dual(column, np.zeros((x.directions, 3, 1)))
 
     return UnitField(
         label="hopf",

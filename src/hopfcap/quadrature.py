@@ -34,8 +34,9 @@ from .geometry import CapDomain, cap_volume, radial_mass, seeded_uniforms, tange
 WEIGHT_SUM_TOL = 1e-10
 # Nodes per block of a walk over a rule.  The jet evaluates, and every
 # reduction sums, one block at a time, so the block bounds the dual
-# temporaries: the largest is the (3, 4, n) float64 tangent, 96 * JET_BLOCK
-# bytes = 768 KiB, and cli.main's allocator thresholds follow from it.
+# temporaries: the largest is the (3, 3, n) float64 derivative of the frame
+# components, 72 * JET_BLOCK bytes = 576 KiB, and cli.main's allocator
+# thresholds are multiples of 12 rows, 96 * JET_BLOCK bytes = 768 KiB.
 JET_BLOCK = 8192
 
 

@@ -517,7 +517,23 @@ def _assert_jet_bits_survive(cap, use_dense_forms):
 
 
 def test_jet_bits_match_the_dense_linear_kernel(cap, monkeypatch, dense_linear):
-    _assert_jet_bits_survive(cap, lambda: monkeypatch.setattr(du, "_linear", dense_linear))
+    # Every zero term multiply-added, in the plain kernel and in the sums
+    # read off the seed's rows.
+    def use_dense_sums():
+        monkeypatch.setattr(du, "_linear", dense_linear)
+        monkeypatch.setattr(du, "_terms", lambda coeffs: list(enumerate(coeffs)))
+
+    _assert_jet_bits_survive(cap, use_dense_sums)
+
+
+def test_ad_jet_writes_b_over_the_evaluators_derivative(cap):
+    # B replaces du in the (3, 3, n) buffer the evaluator made; the Hopf
+    # field's constant column gets a new B.
+    x = np.ascontiguousarray(random_sphere_points(300, 41).T)
+    for f in jet_fields(cap):
+        u, b = _ad_jet(f, x)
+        assert b.shape == (3, 3, 300)
+        assert (b is u.eps) == (f.label != "hopf"), f.label
 
 
 def test_jet_bits_match_the_dense_dual_forms(cap, monkeypatch, dense_forms):

@@ -242,12 +242,20 @@ def test_no_blas_worker_spins_during_a_command():
     # main stops the idle pool first, so the other threads' CPU (the
     # process's CPU time minus this thread's) stays near zero; without that
     # it is about as large as the calling thread's own.
+    # Linux adds a running thread's CPU time to the process clock only at a
+    # tick or a switch, so the worker's time before the window would land in
+    # it when main joins the worker (up to one tick, 1-5 ms). Reading each
+    # other thread's CPU clock (clock id ~tid << 3 | 6) settles it first.
     child = (
-        "import contextlib, io, time\n"
+        "import contextlib, io, os, threading, time\n"
         "import numpy as np\n"
         "from hopfcap.cli import main\n"
         "a = np.ones((600, 600))\n"
         "a @ a\n"
+        "if os.path.isdir('/proc/self/task'):\n"
+        "    for tid in map(int, os.listdir('/proc/self/task')):\n"
+        "        if tid != threading.get_native_id():\n"
+        "            time.clock_gettime(~tid << 3 | 6)\n"
         "process0, own0 = time.process_time(), time.thread_time()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for argv in (['verify', '--field', 'perturbed'], ['functionals'], ['sweep']):\n"

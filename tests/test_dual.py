@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from hopfcap import dual as du
 from hopfcap.fields import hopf_frame
-from hopfcap.geometry import FRAME_ROWS, QUAT_I, QUAT_J, QUAT_K, left_mult_matrix
+from hopfcap.geometry import FRAME_ROWS, QUAT_I, QUAT_J, QUAT_K, SpherePoint, left_mult_matrix, tangent_basis
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -182,6 +182,47 @@ def test_apply_linear_bits_match_dense_sum(name, dense_linear):
     assert np.array_equal(lean, dense)
     if all(np.all(row != 0.0) or np.all(row == 0.0) for row in m):
         assert lean.tobytes() == dense.tobytes()
+
+
+# The AD jet's seed directions i x, j x, k x, and the rows the fields apply
+# to a seed: the cap centre 1 (one term), an off-centre cap's centre and
+# its tangent basis b1, b2 (four terms each, so the order of the sum shows
+# in its bits), and a zero row (every term kept).
+SEED_TABLE = du.signed_permutations(FRAME_ROWS.reshape(3, 4, 4))
+_OFF_CENTRE = SpherePoint(np.array([0.32163376045133846, -0.5360562674188974, 0.7504787743864564, 0.214422506967559]))
+SEEDED_ROWS = {
+    "centre_one": np.array([[1.0, 0.0, 0.0, 0.0]]),
+    "centre_off": _OFF_CENTRE.x[None, :],
+    "b1_off": tangent_basis(_OFF_CENTRE)[0][None, :],
+    "b2_off": tangent_basis(_OFF_CENTRE)[1][None, :],
+    "zero": np.array([[0.0, -0.0, 0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(SEEDED_ROWS) + list(LINEAR_MAPS))
+def test_seeded_apply_linear_has_the_bits_of_the_formed_basis(name):
+    # The seed's directions are read off the points' rows, with each sign
+    # moved onto the coefficient: the bits of the matrix applied to the
+    # formed basis, signed zeros included, and the basis is not formed.
+    m = SEEDED_ROWS[name] if name in SEEDED_ROWS else LINEAR_MAPS[name]
+    rng = np.random.default_rng(14)
+    x = _with_signed_zeros(rng.uniform(-1.0, 1.0, (4, 1000)), rng)
+    assert _has_both_zeros(x)
+    seed = du.Seed(x, SEED_TABLE)
+    formed = du.Dual(x, du.apply_linear(FRAME_ROWS, x).reshape(3, 4, -1))
+    assert _same_bits(du.apply_linear(m, seed), du.apply_linear(m, formed))
+    assert seed._eps is None
+    assert seed.directions == formed.directions == 3
+    # Any other read forms the basis, with the same bits, once.
+    assert seed.eps.tobytes() == formed.eps.tobytes()
+    assert seed.eps is seed.eps
+
+
+def test_signed_permutations_reject_other_matrices():
+    assert du.signed_permutations(-np.eye(2)[None]) == (((0, 1), (-1.0, -1.0)),)
+    for m in (np.eye(3)[[0, 0, 2]], 2.0 * np.eye(3), np.ones((3, 3)), np.array([[1.0, 0.5], [0.0, 1.0]])):
+        with pytest.raises(ValueError, match="signed permutation"):
+            du.signed_permutations(m[None])
 
 
 C4 = np.array([[0.3], [-0.2], [0.5], [0.1]])

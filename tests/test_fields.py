@@ -17,7 +17,7 @@ from hopfcap import (
     small_cap_field,
 )
 from hopfcap import dual as du
-from hopfcap.calculus import directional_derivative, jet_batch
+from hopfcap.calculus import _SEED_TABLE, directional_derivative, jet_batch
 from hopfcap.geometry import FRAME_ROWS, QUAT_I, quat_mul, random_sphere_points, tangent_basis
 from hopfcap.quadrature import JET_BLOCK
 
@@ -332,12 +332,13 @@ def test_evaluation_writes_no_input_array(cap, name, monkeypatch):
     ids=["untwisted", "angular", "small-cap", "untwisted-slabs"],
 )
 def test_one_block_evaluation_frees_each_intermediate(cap, name, points, rows):
-    # One JET_BLOCK-node evaluation of the frame components along the jet's
-    # three directions, under tracemalloc.  No 4-vector of the field is
-    # formed, no |x|, the untwisted chain on <c, x> carries one direction,
-    # and each intermediate is deleted after its last read: the peaks are
-    # 19, 39 and 31 rows of JET_BLOCK float64.  The first block of a Gauss
-    # rule over the cap centred at 1 crosses 11 rho-slabs, on each of which
+    # One JET_BLOCK-node evaluation of the frame components on the jet's
+    # seed, under tracemalloc.  The seed's three directions are read off
+    # the points and never formed, no 4-vector of the field is formed, no
+    # |x|, the untwisted chain on <c, x> carries one direction, and each
+    # intermediate is deleted after its last read: the peaks are 19, 39
+    # and 31 rows of JET_BLOCK float64.  The first block of a Gauss rule
+    # over the cap centred at 1 crosses 11 rho-slabs, on each of which
     # <c, x> has one value: the chain runs on 11 values and its rows are
     # spread over the block, and the peak is 19 rows too.
     f = BUILTIN[name](cap)
@@ -345,7 +346,7 @@ def test_one_block_evaluation_frees_each_intermediate(cap, name, points, rows):
         x = build_gauss_rule(cap, 40, 20, 40).block(0, JET_BLOCK)[0]
     else:
         x = np.ascontiguousarray(random_sphere_points(JET_BLOCK, 3).T)
-    point = du.Dual(x, du.apply_linear(FRAME_ROWS, x).reshape(3, 4, -1))
+    point = du.Seed(x, _SEED_TABLE)
     tracemalloc.start()
     try:
         f.components(point)
@@ -353,3 +354,57 @@ def test_one_block_evaluation_frees_each_intermediate(cap, name, points, rows):
     finally:
         tracemalloc.stop()
     assert peak <= rows * 8 * JET_BLOCK
+
+
+OFF_CENTRE = SpherePoint(np.array([0.32163376045133846, -0.5360562674188974, 0.7504787743864564, 0.214422506967559]))
+
+
+@pytest.mark.parametrize("centre", ["one", "off"])
+@pytest.mark.parametrize("name", list(BUILTIN))
+def test_components_on_the_seed_have_the_bits_of_the_formed_basis(cap, name, centre):
+    # The jet hands the evaluators a seed whose directions are read off the
+    # points: every field's u, value and derivatives, keeps the bits of an
+    # evaluation on the formed basis, and no field forms it (the Hopf field
+    # counts its directions).  Gauss nodes of the cap centred at 1 have
+    # exact +-0 coordinates; off that centre the fields' rows have four
+    # terms each, so the seeded sums' order shows.
+    domain = cap if centre == "one" else CapDomain(OFF_CENTRE, cap.radius)
+    f = BUILTIN[name](domain)
+    rule = build_gauss_rule(domain, 16, 8, 16)
+    for x in (rule.block(0, rule.size)[0], np.ascontiguousarray(random_sphere_points(2000, 39).T)):
+        seed = du.Seed(x, _SEED_TABLE)
+        lean = f.components(seed)
+        assert seed._eps is None
+        dense = f.components(du.Dual(x, du.apply_linear(FRAME_ROWS, x).reshape(3, 4, -1)))
+        assert lean.val.tobytes() == dense.val.tobytes()
+        assert lean.eps.tobytes() == dense.eps.tobytes()
+
+
+def _kept_arrays(fn):
+    """Every ndarray that the function keeps between calls, in its closure
+    or in the closures of the functions held there."""
+    arrays, stack = [], [fn]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif callable(obj):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+    return arrays
+
+
+@pytest.mark.parametrize("name", list(BUILTIN))
+def test_components_own_their_derivative(cap, name):
+    # The AD jet writes B over u's derivative when it is (3, 3, n)
+    # (``UnitField``): that must be a buffer the evaluator made on this
+    # call, sharing no memory with the seed's points or with an array the
+    # evaluator keeps.  The Hopf field's is a constant column, for which
+    # the jet allocates B.
+    f = BUILTIN[name](cap)
+    x = np.ascontiguousarray(random_sphere_points(500, 40).T)
+    u = f.components(du.Seed(x, _SEED_TABLE))
+    kept = _kept_arrays(f.evaluator)
+    assert kept
+    assert u.eps.shape == (3, 3, 1 if name == "hopf" else x.shape[1])
+    for a in [x, u.val] + kept:
+        assert not np.shares_memory(u.eps, a)

@@ -126,14 +126,15 @@ def test_streamed_sums_are_integrate_over_jet_rows(rule):
 
 @pytest.mark.parametrize(
     "offsets, stride, rows",
-    [((), None, 41), ((0.05, 0.1, 0.2, 0.3, 0.4, 0.5), True, 49)],
+    [((), None, 29), ((0.05, 0.1, 0.2, 0.3, 0.4, 0.5), True, 37)],
     ids=["invariants", "six_offsets_and_stride"],
 )
 def test_jet_sums_peak_is_one_block(offsets, stride, rows):
     # 32 000 nodes are four blocks, the last partial, under tracemalloc.
-    # The peak is one block's: its nodes, weights and rows, the basis and
-    # the field's frame components (19 rows), not a per-node array: 40 and
-    # 48 rows of JET_BLOCK float64.
+    # The peak is one block's: its nodes, weights and rows and the field's
+    # frame components (the seed's directions are not formed, B is written
+    # over du and each cofactor is folded as it is formed), not a per-node
+    # array: 28.1 and 35.9 rows of JET_BLOCK float64.
     rule = build_gauss_rule(UNIT_CAP, 40, 20, 40)
     assert rule.size > 3 * JET_BLOCK
     field = perturbed_field(UNIT_CAP, BumpProfile(0.5, 3))

@@ -23,7 +23,9 @@ import subprocess
 import sys
 
 # An off-centre cap: no quaternion basis unit, so its Gauss slabs carry
-# distinct values of cos rho.
+# distinct values of cos rho.  Its centre and the tangent basis b1, b2 that
+# the angular twist reads each have four non-zero components, so the
+# twisted commands' bits follow the order of the jet's seeded sums.
 OFF_CENTRE = "--cap-center=0.32163376045133846,-0.5360562674188974,0.7504787743864564,0.214422506967559"
 
 COMMANDS = (
@@ -46,6 +48,8 @@ COMMANDS = (
     "functionals --field perturbed --orders 96,48,96",
     f"verify --field perturbed {OFF_CENTRE} --orders 24,12,24 --axis 0,0.48,0.6,0.64",
     f"verify --field small-cap {OFF_CENTRE} --cap-radius 0.3",
+    f"verify --field perturbed --twist angular {OFF_CENTRE} --orders 24,12,24",
+    f"functionals --field perturbed --twist angular {OFF_CENTRE} --orders 32,16,32",
 )
 
 
